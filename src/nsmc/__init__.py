@@ -11,7 +11,12 @@ locally optimal proposal.  An asymptotic-variance calculator quantifies
 the inner/outer particle trade-off on independent product models.
 """
 
-from .exceptions import InnerCollapseError, NsmcError, WeightCollapseError
+from .exceptions import (
+    InnerCollapseError,
+    InvalidInputError,
+    NsmcError,
+    WeightCollapseError,
+)
 from .model import (
     ChainFactorization,
     Dataset,

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import IndependentSsmSpec
-
-_LOG_2PI = np.log(2.0 * np.pi)
+from .model import _LOG_2PI, IndependentSsmSpec
 
 __all__ = [
     "VarianceConstants",

@@ -25,7 +25,7 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,7 @@ from .diagnostics import aggregate, squared_error, write_summary_csv
 from .exact import fapf_run, kalman_run
 from .exceptions import NsmcError
 from .model import (
+    SPEC_KINDS,
     Dataset,
     IndependentSsmSpec,
     StssmSpec,
@@ -44,6 +45,7 @@ from .model import (
     simulate,
 )
 from .nested import (
+    PROCEDURES,
     ExactTransitionProcedure,
     general_nsmc_step,
     make_procedure,
@@ -51,7 +53,13 @@ from .nested import (
     nsmc_run,
     proper_weighting_check,
 )
-from .smc import FilterOutput, bootstrap_pf
+from .smc import (
+    FilterOutput,
+    _drive,
+    _weighted_summaries,
+    bootstrap_pf,
+    normalize_logweights,
+)
 
 
 class ConfigError(ValueError):
@@ -59,13 +67,7 @@ class ConfigError(ValueError):
 
 
 VALID_METHOD_KINDS = ("kalman", "fapf", "bpf", "nsmc", "nsmc-general")
-VALID_INNER = ("smc+bs", "smc+empirical", "is", "self-nested")
-_INNER_TO_PROC = {
-    "smc+bs": "smc+bs",
-    "smc+empirical": "smc+empirical",
-    "is": "is",
-    "self-nested": "self-nested",
-}
+VALID_INNER = tuple(k for k, (_, fields) in PROCEDURES.items() if fields is not None)
 
 
 @dataclass(frozen=True)
@@ -91,31 +93,7 @@ class ExperimentConfig:
     output_dir: str
 
     def echo_dict(self) -> dict:
-        model: dict[str, object]
-        if isinstance(self.model, StssmSpec):
-            off = self.model.noise_precision.offdiag
-            lam = float(-off[0]) if off.size else 0.0
-            tau = float(self.model.noise_precision.diag[0]) - lam
-            model = {
-                "kind": "stssm",
-                "n_x": self.model.n_x,
-                "T": self.T,
-                "tau": tau,
-                "lambda": lam,
-                "obs_var": self.model.obs_var,
-                "a_coef": self.model.a_coef,
-            }
-        else:
-            model = {
-                "kind": "independent",
-                "n_x": self.model.n_x,
-                "T": self.T,
-                "a_coef": self.model.a_coef,
-                "init_mean": self.model.init_mean,
-                "init_var": self.model.init_var,
-                "trans_var": self.model.trans_var,
-                "obs_var": self.model.obs_var,
-            }
+        model = {**self.model.to_dict(), "T": self.T}
         data: dict[str, object] = {"seed": self.data_seed}
         if self.data_path is not None:
             data["path"] = self.data_path
@@ -136,6 +114,16 @@ def _require(block: dict, key: str, where: str):
     return block[key]
 
 
+def _spec_from_block(cls, block: dict, where: str):
+    """``cls.from_dict(block)`` with errors named after the config block."""
+    try:
+        return cls.from_dict(block)
+    except KeyError as err:
+        raise ConfigError(f"{where}.{err.args[0]}: missing required field") from None
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}") from None
+
+
 def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
     """Validate a parsed JSON document into an :class:`ExperimentConfig`."""
     if not isinstance(raw, dict):
@@ -146,30 +134,9 @@ def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
     T = int(_require(mblock, "T", "model"))
     if T < 1:
         raise ConfigError("model.T: must be >= 1")
-    try:
-        if kind == "stssm":
-            model: StssmSpec | IndependentSsmSpec = StssmSpec.chain(
-                n_x=int(_require(mblock, "n_x", "model")),
-                tau=float(_require(mblock, "tau", "model")),
-                lam=float(_require(mblock, "lambda", "model")),
-                obs_var=float(_require(mblock, "obs_var", "model")),
-                a_coef=float(mblock.get("a_coef", 0.5)),
-            )
-        elif kind == "independent":
-            model = IndependentSsmSpec(
-                n_x=int(_require(mblock, "n_x", "model")),
-                a_coef=float(mblock.get("a_coef", 0.5)),
-                init_mean=float(mblock.get("init_mean", 0.0)),
-                init_var=float(mblock.get("init_var", 1.0)),
-                trans_var=float(mblock.get("trans_var", 1.0)),
-                obs_var=float(_require(mblock, "obs_var", "model")),
-            )
-        else:
-            raise ConfigError(f"model.kind: unknown kind {kind!r}")
-    except ValueError as err:
-        if isinstance(err, ConfigError):
-            raise
-        raise ConfigError(f"model: {err}") from None
+    if kind not in SPEC_KINDS:
+        raise ConfigError(f"model.kind: unknown kind {kind!r}")
+    model = _spec_from_block(SPEC_KINDS[kind], mblock, "model")
 
     dblock = _require(raw, "data", "data")
     data_path = dblock.get("path")
@@ -233,16 +200,19 @@ def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
     )
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def _read_json(path: str | Path) -> dict:
     with open(path) as fh:
         try:
-            raw = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as err:
             raise ConfigError(
                 f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: "
                 f"{err.msg}"
             ) from None
-    return parse_config(raw, base_name=Path(path).stem)
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return parse_config(_read_json(path), base_name=Path(path).stem)
 
 
 # ---------------------------------------------------------------------------
@@ -278,41 +248,22 @@ def _run_method(
             n = method.N * method.M
         return bootstrap_pf(config.model, data, n, rng)
     if method.kind == "nsmc":
-        proc = make_procedure(
-            method.inner,
-            method.M,
-            **(
-                {"stage_proposal": method.stage_proposal}
-                if method.inner in ("smc+bs", "smc+empirical")
-                else {}
-            ),
-        )
+        fields = PROCEDURES[method.inner][1]
+        kwargs = {name: getattr(method, name) for name in fields}
+        proc = make_procedure(method.inner, method.M, **kwargs)
         return nsmc_run(config.model, data, method.N, method.M, proc, rng)
     # nsmc-general: the bootstrap-reduction configuration of the general
     # algorithm (transition proposal, unit multipliers, exact draws);
     # richer configurations are library-level.
-    system = nsmc_init(model, method.N)
-    means = np.empty((data.T, model.n_x))
-    variances = np.empty((data.T, model.n_x))
-    logz_inc = np.empty(data.T)
-    prev = 0.0
     proc = ExactTransitionProcedure()
-    for t in range(data.T):
-        system = general_nsmc_step(
-            system, model, proc, "transition", "one", data.observations[t], rng
-        )
-        probs = np.exp(system.logw - np.max(system.logw))
-        probs = probs / probs.sum()
-        means[t] = probs @ system.states
-        variances[t] = probs @ (system.states - means[t]) ** 2
-        logz_inc[t] = system.logZ - prev
-        prev = system.logZ
-    return FilterOutput(
-        method=method.name,
-        filter_means=means,
-        filter_vars=variances,
-        logz_increments=logz_inc,
-    )
+
+    def step(system, t, y_t):
+        system = general_nsmc_step(system, model, proc, "transition", "one", y_t, rng)
+        probs, _ = normalize_logweights(system.logw)
+        mean, var = _weighted_summaries(system.states, probs)
+        return system, mean, var, system.log_increment, None
+
+    return _drive(method.name, model.n_x, data, step, nsmc_init(model, method.N))
 
 
 def _run_replicate(args) -> list[tuple]:
@@ -386,14 +337,15 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> int:
 def _write_summaries(config, data, rows, out_dir):
     """Aggregate per-method statistics; squared errors use the exact
     filter as ground truth when it applies."""
-    truth = None
-    if isinstance(config.model, StssmSpec):
-        truth = kalman_run(config.model, data)
-    else:
-        try:
-            truth = kalman_run(config.model.to_stssm(), data)
-        except ValueError:
-            truth = None
+    try:
+        exact = config.model
+        if isinstance(exact, IndependentSsmSpec):
+            exact = exact.to_stssm()
+        truth = kalman_run(exact, data)
+    except ValueError:
+        # No equivalent chain model, or data the filters reject (the
+        # replicates then carry ``failed`` rows).
+        truth = None
 
     by_method: dict[str, dict[str, list]] = {}
     for rep, method, stat, t, comp, value in rows:
@@ -450,14 +402,7 @@ def _cmd_asymptotics(raw: dict, out_dir: Path, verbose: bool) -> int:
     block = raw.get("asymptotics")
     if block is None:
         raise ConfigError("asymptotics: missing 'asymptotics' block in config")
-    spec = IndependentSsmSpec(
-        n_x=int(block.get("n_x", 1)),
-        a_coef=float(block.get("a_coef", 0.5)),
-        init_mean=float(block.get("init_mean", 0.0)),
-        init_var=float(block.get("init_var", 1.0)),
-        trans_var=float(block.get("trans_var", 1.0)),
-        obs_var=float(_require(block, "obs_var", "asymptotics")),
-    )
+    spec = _spec_from_block(IndependentSsmSpec, {"n_x": 1, **block}, "asymptotics")
     t = int(_require(block, "t", "asymptotics"))
     n_x = int(block.get("n_x", 1))
     m_grid = [int(m) for m in _require(block, "m_grid", "asymptotics")]
@@ -484,7 +429,7 @@ def _cmd_selftest(n_reps: int, verbose: bool) -> int:
     y_t = np.array([0.7, 0.1])
     rng = np.random.default_rng(20_240_001)
     failures = 0
-    for kind in ("smc+bs", "smc+empirical", "is", "self-nested"):
+    for kind in VALID_INNER:
         for m in (1, 5, 20):
             if kind == "self-nested" and m < 2:
                 continue
@@ -521,22 +466,13 @@ def main(argv=None) -> int:
     try:
         if args.command == "selftest":
             return _cmd_selftest(args.reps, args.verbose)
-        with open(args.config) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ConfigError(
-                    f"{args.config}: invalid JSON at line {err.lineno}, "
-                    f"column {err.colno}: {err.msg}"
-                ) from None
+        raw = _read_json(args.config)
         if args.command == "asymptotics":
             out_dir = Path(args.out or raw.get("output_dir", "out"))
             return _cmd_asymptotics(raw, out_dir, args.verbose)
         config = parse_config(raw, base_name=Path(args.config).stem)
         if args.out is not None:
-            config = ExperimentConfig(
-                **{**config.__dict__, "output_dir": args.out}
-            )
+            config = replace(config, output_dir=args.out)
         if args.command == "simulate":
             return _cmd_simulate(config, Path(config.output_dir), args.verbose)
         return _cmd_run(config, Path(config.output_dir), getattr(args, "workers", 1), args.verbose)

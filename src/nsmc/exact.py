@@ -6,18 +6,25 @@ particle filter (FAPF).  The FAPF needs the per-particle predictive
 density ``nu = integral of f(x_t|x_{t-1}) g(y_t|x_t) dx_t`` and exact
 draws from the locally optimal proposal; both come from scalar forward
 filtering / backward sampling over the state components, exploiting the
-chain structure of the process noise.
+chain structure of the process noise.  Both filters run through the
+package's outer run loop; the FAPF is its fully adapted step with the
+exact FFBS auxiliary object, the same step the nested filter uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import WeightCollapseError
-from .model import ChainFactorization, Dataset, StssmSpec, chain_factorization
-from .smc import FilterOutput, multinomial_resample, normalize_logweights
+from .model import (
+    _LOG_2PI,
+    ChainFactorization,
+    Dataset,
+    StssmSpec,
+    chain_factorization,
+)
+from .smc import FilterOutput, _drive, _fully_adapted_filter
 
 __all__ = [
     "KalmanBelief",
@@ -31,7 +38,6 @@ __all__ = [
     "fapf_run",
 ]
 
-_LOG_2PI = np.log(2.0 * np.pi)
 _VAR_FLOOR = 1e-300
 
 
@@ -92,24 +98,12 @@ def kalman_step(
 
 def kalman_run(model: StssmSpec, data: Dataset) -> FilterOutput:
     """Filter a whole dataset; marginal variances land in ``filter_vars``."""
-    belief = kalman_init(model)
-    T = data.T
-    means = np.empty((T, model.n_x))
-    variances = np.empty((T, model.n_x))
-    logz_inc = np.empty(T)
-    prev_ll = 0.0
-    for t in range(T):
-        belief = kalman_step(belief, model, data.observations[t])
-        means[t] = belief.mean
-        variances[t] = np.diag(belief.cov)
-        logz_inc[t] = belief.loglik - prev_ll
-        prev_ll = belief.loglik
-    return FilterOutput(
-        method="kalman",
-        filter_means=means,
-        filter_vars=variances,
-        logz_increments=logz_inc,
-    )
+
+    def step(belief, t, y_t):
+        new = kalman_step(belief, model, y_t)
+        return new, new.mean, np.diag(new.cov), new.loglik - belief.loglik, None
+
+    return _drive("kalman", model.n_x, data, step, kalman_init(model))
 
 
 # ---------------------------------------------------------------------------
@@ -237,18 +231,34 @@ def ffbs_backward(cache: FfbsCache, rng: np.random.Generator) -> np.ndarray:
     return v
 
 
-def _cache_take(cache: FfbsCache, idx: np.ndarray) -> FfbsCache:
-    """Reindex the batch dimension (resampling support)."""
-    return FfbsCache(
-        filt_mean=cache.filt_mean[idx],
-        filt_var=cache.filt_var[idx],
-        log_scale_inc=cache.log_scale_inc[idx],
-        log_nu=cache.log_nu[idx],
-        fact=cache.fact,
-        x_prev=cache.x_prev[idx],
-        y_t=cache.y_t,
-        model=cache.model,
-    )
+@dataclass(frozen=True)
+class _ExactFfbsAux:
+    """Exact auxiliary object of the fully adapted step: ``tau`` is the
+    predictive density and draws come from the locally optimal proposal."""
+
+    cache: FfbsCache
+    a_coef: float
+
+    @property
+    def log_tau(self):
+        return self.cache.log_nu
+
+    def take(self, idx):
+        """Reindex the batch dimension (outer resampling)."""
+        c = self.cache
+        cache = replace(
+            c,
+            filt_mean=c.filt_mean[idx],
+            filt_var=c.filt_var[idx],
+            log_scale_inc=c.log_scale_inc[idx],
+            log_nu=c.log_nu[idx],
+            x_prev=c.x_prev[idx],
+        )
+        return _ExactFfbsAux(cache=cache, a_coef=self.a_coef)
+
+    def draw(self, rng):
+        v = ffbs_backward(self.cache, rng)
+        return self.a_coef * self.cache.x_prev + v
 
 
 # ---------------------------------------------------------------------------
@@ -269,30 +279,9 @@ def fapf_run(
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    T = data.T
+
+    def prepare(t, x_prev, y_t, rng):
+        return _ExactFfbsAux(ffbs_forward(model, x_prev, y_t), model.a_coef)
+
     n = model.n_x
-    means = np.empty((T, n))
-    variances = np.empty((T, n))
-    logz_inc = np.empty(T)
-
-    states = np.zeros((N, n))
-    for t in range(T):
-        cache = ffbs_forward(model, states, data.observations[t])
-        try:
-            probs, log_mean = normalize_logweights(cache.log_nu)
-        except WeightCollapseError:
-            raise WeightCollapseError(step=t + 1) from None
-        logz_inc[t] = log_mean
-        ancestors = multinomial_resample(probs, N, rng)
-        cache = _cache_take(cache, ancestors)
-        v = ffbs_backward(cache, rng)
-        states = model.a_coef * cache.x_prev + v
-        means[t] = states.mean(axis=0)
-        variances[t] = states.var(axis=0)
-
-    return FilterOutput(
-        method="fapf",
-        filter_means=means,
-        filter_vars=variances,
-        logz_increments=logz_inc,
-    )
+    return _fully_adapted_filter("fapf", prepare, n, data, N, rng, with_ess=False)

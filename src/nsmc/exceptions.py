@@ -37,3 +37,8 @@ class InnerCollapseError(NsmcError):
         if detail:
             msg = f"{msg} ({detail})"
         super().__init__(msg)
+
+
+class InvalidInputError(NsmcError, ValueError):
+    """Input that no filter can run on, such as observations whose
+    dimension differs from the model's or that hold non-finite values."""

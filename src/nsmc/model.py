@@ -11,16 +11,28 @@ Both are linear-Gaussian, so exact inference is available downstream for
 validation.  All densities are handled in the log domain throughout the
 package: with state dimensions up to a hundred, raw density products
 underflow.
+
+``make_model`` turns a spec into a sampler/evaluator bundle.  Both
+bundles answer one protocol, indexed by the 1-based time ``t``:
+``sample_transition``, ``log_transition`` and ``log_gamma_ratio`` draw
+from or evaluate the law of ``x_t`` given ``x_{t-1}``, which at ``t = 1``
+is the initial law (``x_prev`` is then ignored), and ``inner_target``
+builds the stage decomposition the nested filter runs on.  The filters
+therefore never branch on the model type.  Specs serialise through
+``to_dict``/``from_dict``, keyed like the model block of an experiment
+config, and ``SPEC_KINDS`` maps the ``kind`` key back to the class.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+_LOG_2PI = np.log(2.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +242,44 @@ class StssmSpec:
             obs_var=obs_var,
         )
 
+    def to_dict(self) -> dict:
+        """Parameters keyed like the ``stssm`` model block of a config.
+
+        ``tau`` and ``lambda`` are read back from the first row of the
+        precision, so a precision that :func:`chain_precision` did not
+        build (up to round-off) raises ``ValueError`` instead of being
+        written as a different model.
+        """
+        prec = self.noise_precision
+        lam = float(-prec.offdiag[0]) if prec.offdiag.size else 0.0
+        tau = float(prec.diag[0]) - lam
+        chain = chain_precision(tau, lam, self.n_x)
+        if not np.allclose(prec.dense(), chain.dense(), rtol=1e-12, atol=0.0):
+            raise ValueError(
+                "noise_precision is not a chain precision; tau and lambda "
+                "cannot describe it"
+            )
+        return {
+            "kind": "stssm",
+            "n_x": self.n_x,
+            "tau": tau,
+            "lambda": lam,
+            "obs_var": self.obs_var,
+            "a_coef": self.a_coef,
+        }
+
+    @classmethod
+    def from_dict(cls, block: dict) -> "StssmSpec":
+        """Inverse of :meth:`to_dict`; ``a_coef`` defaults to 0.5, other
+        keys are ignored and a missing field raises ``KeyError``."""
+        return cls.chain(
+            n_x=int(block["n_x"]),
+            tau=float(block["tau"]),
+            lam=float(block["lambda"]),
+            obs_var=float(block["obs_var"]),
+            a_coef=float(block.get("a_coef", 0.5)),
+        )
+
 
 @dataclass(frozen=True)
 class IndependentSsmSpec:
@@ -274,8 +324,29 @@ class IndependentSsmSpec:
             a_coef=self.a_coef,
         )
 
+    def to_dict(self) -> dict:
+        """Parameters keyed like the ``independent`` model block of a config."""
+        return {"kind": "independent", **asdict(self)}
+
+    @classmethod
+    def from_dict(cls, block: dict) -> "IndependentSsmSpec":
+        """Inverse of :meth:`to_dict`; optional fields take the config
+        defaults, other keys are ignored and a missing field raises
+        ``KeyError``."""
+        return cls(
+            n_x=int(block["n_x"]),
+            a_coef=float(block.get("a_coef", 0.5)),
+            init_mean=float(block.get("init_mean", 0.0)),
+            init_var=float(block.get("init_var", 1.0)),
+            trans_var=float(block.get("trans_var", 1.0)),
+            obs_var=float(block["obs_var"]),
+        )
+
 
 ModelSpec = StssmSpec | IndependentSsmSpec
+
+#: The ``kind`` key of a serialised spec mapped to its class.
+SPEC_KINDS = {"stssm": StssmSpec, "independent": IndependentSsmSpec}
 
 
 # ---------------------------------------------------------------------------
@@ -360,27 +431,7 @@ def save_dataset(data: Dataset, model: ModelSpec, path: str | Path) -> None:
                 if with_latent:
                     row.append(repr(float(data.latent_truth[t, d])))
                 writer.writerow(row)
-    meta = {"T": data.T, "n_x": data.n_x, "seed": data.seed}
-    if isinstance(model, StssmSpec):
-        off = model.noise_precision.offdiag
-        lam = float(-off[0]) if off.size else 0.0
-        tau = float(model.noise_precision.diag[0]) - lam
-        meta.update(
-            model_kind="stssm",
-            a_coef=model.a_coef,
-            tau=tau,
-            lam=lam,
-            obs_var=model.obs_var,
-        )
-    else:
-        meta.update(
-            model_kind="independent",
-            a_coef=model.a_coef,
-            init_mean=model.init_mean,
-            init_var=model.init_var,
-            trans_var=model.trans_var,
-            obs_var=model.obs_var,
-        )
+    meta = {**model.to_dict(), "T": data.T, "seed": data.seed}
     sidecar = path.with_suffix(".meta.json")
     with open(sidecar, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -411,24 +462,7 @@ def load_dataset(path: str | Path) -> tuple[Dataset, ModelSpec]:
         latent_truth=x if with_latent else None,
         seed=meta["seed"],
     )
-    if meta["model_kind"] == "stssm":
-        model: ModelSpec = StssmSpec.chain(
-            n_x=n_x,
-            tau=meta["tau"],
-            lam=meta["lam"],
-            obs_var=meta["obs_var"],
-            a_coef=meta["a_coef"],
-        )
-    else:
-        model = IndependentSsmSpec(
-            n_x=n_x,
-            a_coef=meta["a_coef"],
-            init_mean=meta["init_mean"],
-            init_var=meta["init_var"],
-            trans_var=meta["trans_var"],
-            obs_var=meta["obs_var"],
-        )
-    return data, model
+    return data, SPEC_KINDS[meta["kind"]].from_dict(meta)
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +480,11 @@ class StssmModel:
     """Sampler/evaluator bundle for :class:`StssmSpec`.
 
     Exposes the generic target-sequence surface consumed by the particle
-    filters: an initial-state sampler, a transition sampler, the
-    observation log-density, and the incremental unnormalized target
-    ratio (transition times likelihood) in the log domain.
+    filters: a transition sampler, the observation log-density, the
+    incremental unnormalized target ratio (transition times likelihood)
+    in the log domain, and the inner target of one time step.  The
+    initial law (``t = 1``) is the noise law, i.e. the transition from
+    ``x_prev = 0``.
     """
 
     spec: StssmSpec
@@ -463,30 +499,36 @@ class StssmModel:
     def n_x(self) -> int:
         return self.spec.n_x
 
-    def sample_initial(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return sample_gmrf_chain(self.spec.noise_precision, rng, size=(n,))
-
     def sample_transition(
-        self, x_prev: np.ndarray, rng: np.random.Generator
+        self, x_prev: np.ndarray, rng: np.random.Generator, t: int = 2
     ) -> np.ndarray:
+        """One draw of ``x_t`` per row of ``x_prev``."""
         v = sample_gmrf_chain(
             self.spec.noise_precision, rng, size=x_prev.shape[:-1]
         )
-        return self.spec.a_coef * x_prev + v
+        return v if t == 1 else self.spec.a_coef * x_prev + v
 
-    def log_transition(self, x_prev: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Batched ``log f(x | x_prev)``; at t=1 pass zeros for ``x_prev``."""
-        return self.fact.log_density(x - self.spec.a_coef * x_prev)
+    def log_transition(
+        self, x_prev: np.ndarray, x: np.ndarray, t: int = 2
+    ) -> np.ndarray:
+        """Batched ``log f(x | x_prev)``."""
+        return self.fact.log_density(x if t == 1 else x - self.spec.a_coef * x_prev)
 
     def log_obs(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Batched ``log g(y | x)``, summed over components."""
         return np.sum(_gauss_logpdf(x, y, self.spec.obs_var), axis=-1)
 
     def log_gamma_ratio(
-        self, x_prev: np.ndarray, x: np.ndarray, y: np.ndarray
+        self, x_prev: np.ndarray, x: np.ndarray, y: np.ndarray, t: int = 2
     ) -> np.ndarray:
         """Incremental unnormalized target: ``log f + log g``."""
-        return self.log_transition(x_prev, x) + self.log_obs(y, x)
+        return self.log_transition(x_prev, x, t) + self.log_obs(y, x)
+
+    def inner_target(self, t: int, x_prev, y_t, proposal: str = "prior"):
+        """Chain stage decomposition of ``gamma_t / gamma_{t-1}``."""
+        from .nested import ChainInnerTarget
+
+        return ChainInnerTarget(self.spec, x_prev, y_t, proposal=proposal, t=t)
 
 
 @dataclass(frozen=True)
@@ -499,27 +541,24 @@ class IndependentModel:
     def n_x(self) -> int:
         return self.spec.n_x
 
-    def sample_initial(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def _law(self, x_prev: np.ndarray, t: int):
+        """Mean and variance of every component of ``x_t``."""
         s = self.spec
-        return s.init_mean + np.sqrt(s.init_var) * rng.standard_normal(
-            (n, s.n_x)
-        )
+        if t == 1:
+            return s.init_mean, s.init_var
+        return s.a_coef * x_prev, s.trans_var
 
     def sample_transition(
-        self, x_prev: np.ndarray, rng: np.random.Generator
+        self, x_prev: np.ndarray, rng: np.random.Generator, t: int = 2
     ) -> np.ndarray:
-        s = self.spec
-        return s.a_coef * x_prev + np.sqrt(s.trans_var) * rng.standard_normal(
-            x_prev.shape
-        )
+        mean, var = self._law(x_prev, t)
+        return mean + np.sqrt(var) * rng.standard_normal(x_prev.shape)
 
-    def log_transition(self, x_prev: np.ndarray, x: np.ndarray) -> np.ndarray:
-        s = self.spec
-        return np.sum(_gauss_logpdf(x, s.a_coef * x_prev, s.trans_var), axis=-1)
-
-    def log_initial(self, x: np.ndarray) -> np.ndarray:
-        s = self.spec
-        return np.sum(_gauss_logpdf(x, s.init_mean, s.init_var), axis=-1)
+    def log_transition(
+        self, x_prev: np.ndarray, x: np.ndarray, t: int = 2
+    ) -> np.ndarray:
+        mean, var = self._law(x_prev, t)
+        return np.sum(_gauss_logpdf(x, mean, var), axis=-1)
 
     def log_obs(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
         return np.sum(_gauss_logpdf(x, y, self.spec.obs_var), axis=-1)
@@ -527,12 +566,21 @@ class IndependentModel:
     def log_gamma_ratio(
         self, x_prev: np.ndarray, x: np.ndarray, y: np.ndarray, t: int = 2
     ) -> np.ndarray:
-        trans = self.log_initial(x) if t == 1 else self.log_transition(x_prev, x)
-        return trans + self.log_obs(y, x)
+        return self.log_transition(x_prev, x, t) + self.log_obs(y, x)
+
+    def inner_target(self, t: int, x_prev, y_t, proposal: str = "prior"):
+        """Per-coordinate stage decomposition; ``proposal`` is unused
+        because every stage proposes from its own transition."""
+        from .nested import IndependentInnerTarget
+
+        return IndependentInnerTarget(self.spec, x_prev, y_t, t=t)
 
 
-def make_model(spec: ModelSpec) -> StssmModel | IndependentModel:
-    """Build the sampler/evaluator bundle for a model specification."""
+def make_model(spec) -> StssmModel | IndependentModel:
+    """Build the sampler/evaluator bundle for a model specification; a
+    bundle passes through unchanged."""
+    if isinstance(spec, (StssmModel, IndependentModel)):
+        return spec
     if isinstance(spec, StssmSpec):
         return StssmModel(spec)
     if isinstance(spec, IndependentSsmSpec):

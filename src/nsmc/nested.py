@@ -14,38 +14,48 @@ for the tractable cases.
 All inner machinery is batched over outer particles: arrays carry shape
 ``(n_stages, *batch, M)`` and every stage operation is vectorized across
 the batch, which is what makes replicated experiments cheap.
+
+Procedures see the model only through the ``t``-aware protocol of
+:mod:`nsmc.model` (transition sampler and densities, initial law at
+``t = 1``, ``inner_target``), so no code here branches on the model
+type.  ``PROCEDURES`` is the one table of procedure names.  The outer
+filter is the package's fully adapted step (:mod:`nsmc.smc`) driven by a
+procedure; with :class:`ExactFfbsProcedure` it is the fully adapted
+particle filter.  :func:`general_nsmc_step` is the general algorithm with
+arbitrary proposals and adjustment multipliers.
 """
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .exceptions import InnerCollapseError, WeightCollapseError
 from .model import (
+    _LOG_2PI,
     Dataset,
-    IndependentModel,
     IndependentSsmSpec,
     ModelSpec,
     StssmModel,
     StssmSpec,
     make_model,
-    sample_gmrf_chain,
 )
-from .exact import ffbs_backward, ffbs_forward, _cache_take
+from .exact import _ExactFfbsAux, ffbs_backward, ffbs_forward
 from .smc import (
     FilterOutput,
     ParticleSystem,
     _categorical_rows,
+    _empty_system,
+    _fully_adapted_filter,
+    _fully_adapted_step,
     _multinomial_rows,
-    ess,
     multinomial_resample,
     normalize_logweights,
 )
-
-_LOG_2PI = np.log(2.0 * np.pi)
 
 
 def _gauss_logpdf(x, mean, var):
@@ -136,10 +146,13 @@ class ChainInnerTarget(InnerTargetSequence):
     is a normalized 1-d Gaussian, so the final-stage normalizing constant
     is exactly the predictive density of ``y_t``.  The default proposal
     is the per-component transition conditional ("prior"); the locally
-    optimal per-component proposal is available as ``"optimal"``.
+    optimal per-component proposal is available as ``"optimal"``.  At
+    ``t = 1`` the target is the initial law, whatever ``x_prev`` holds.
     """
 
-    def __init__(self, spec: StssmSpec, x_prev, y_t, proposal: str = "prior"):
+    def __init__(
+        self, spec: StssmSpec, x_prev, y_t, proposal: str = "prior", t: int = 2
+    ):
         from .model import chain_factorization
 
         if proposal not in ("prior", "optimal"):
@@ -156,7 +169,7 @@ class ChainInnerTarget(InnerTargetSequence):
         self.n_stages = spec.n_x
         self.batch_shape = x_prev.shape[:-1]
         # Per-stage conditional mean is alpha_d + phi_d * x_{d-1}.
-        ax = spec.a_coef * x_prev
+        ax = np.zeros_like(x_prev) if t == 1 else spec.a_coef * x_prev
         alpha = ax.copy()
         alpha[..., 1:] -= self.phi[1:] * ax[..., :-1]
         self.alpha = alpha
@@ -207,16 +220,8 @@ class ChainInnerTarget(InnerTargetSequence):
         return _gauss_logpdf(suffix[0][..., None], mean, 1.0 / self.c[nxt])
 
     def take(self, idx):
-        out = ChainInnerTarget.__new__(ChainInnerTarget)
-        out.spec = self.spec
-        out.c = self.c
-        out.phi = self.phi
-        out.obs_var = self.obs_var
-        out.proposal = self.proposal
-        out.y = self.y
-        out.x_prev = self.x_prev[idx]
-        out.alpha = self.alpha[idx]
-        out.n_stages = self.n_stages
+        out = copy.copy(self)
+        out.x_prev, out.alpha = self.x_prev[idx], self.alpha[idx]
         out.batch_shape = out.x_prev.shape[:-1]
         return out
 
@@ -272,25 +277,15 @@ class IndependentInnerTarget(InnerTargetSequence):
         return np.zeros(shape)
 
     def take(self, idx):
-        out = IndependentInnerTarget.__new__(IndependentInnerTarget)
-        out.spec = self.spec
-        out.y = self.y
-        out.x_prev = self.x_prev[idx]
-        out.mean = self.mean[idx]
-        out.var = self.var
-        out.obs_var = self.obs_var
-        out.n_stages = self.n_stages
+        out = copy.copy(self)
+        out.x_prev, out.mean = self.x_prev[idx], self.mean[idx]
         out.batch_shape = out.x_prev.shape[:-1]
         return out
 
 
 def make_inner_target(model, t: int, x_prev, y_t, proposal: str = "prior"):
     """Stage decomposition of ``gamma_t / gamma_{t-1}`` for a model."""
-    if isinstance(model, StssmModel):
-        return ChainInnerTarget(model.spec, x_prev, y_t, proposal=proposal)
-    if isinstance(model, IndependentModel):
-        return IndependentInnerTarget(model.spec, x_prev, y_t, t=t)
-    raise TypeError(f"no inner target for {type(model).__name__}")
+    return model.inner_target(t, x_prev, y_t, proposal)
 
 
 # ---------------------------------------------------------------------------
@@ -477,14 +472,17 @@ def is_inner(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    aux = _importance_aux(proposal, log_target, m, rng)
+    if aux.logw.ndim == 1 and not np.isfinite(aux.log_tau):
+        raise InnerCollapseError(stage=1, detail="all importance weights zero")
+    return aux.draw(rng), aux.log_tau
+
+
+def _importance_aux(proposal, log_target, m, rng) -> "_ImportanceAux":
+    """``m`` candidates from ``proposal`` with their importance weights."""
     cand = proposal.sample(m, rng)
     logw = np.asarray(log_target(cand)) - np.asarray(proposal.logpdf(cand))
-    log_tau = _row_logmeanexp(logw)
-    if logw.ndim == 1 and not np.isfinite(log_tau):
-        raise InnerCollapseError(stage=1, detail="all importance weights zero")
-    j = _categorical_rows(logw, rng)
-    x = np.take_along_axis(cand, j[..., None, None], axis=-2)[..., 0, :]
-    return x, log_tau
+    return _ImportanceAux(candidates=cand, logw=logw, log_tau=_row_logmeanexp(logw))
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +551,7 @@ class InnerSmcProcedure(ProperWeightingProcedure):
         self.kind = "smc+bs" if kappa == "backward" else "smc+empirical"
 
     def prepare(self, model, t, x_prev, y_t, rng):
-        target = make_inner_target(
-            model, t, x_prev, y_t, proposal=self.stage_proposal
-        )
+        target = model.inner_target(t, x_prev, y_t, self.stage_proposal)
         state = inner_smc(target, self.m, rng, strict=False)
         return _InnerSmcAux(target=target, state=state, kappa=self.kappa)
 
@@ -593,23 +589,10 @@ class _TransitionProposal:
             self.x_prev[..., None, :],
             self.x_prev.shape[:-1] + (m, self.x_prev.shape[-1]),
         )
-        if isinstance(self.model, IndependentModel) and self.t == 1:
-            s = self.model.spec
-            return s.init_mean + np.sqrt(s.init_var) * rng.standard_normal(
-                tiled.shape
-            )
-        if isinstance(self.model, StssmModel):
-            v = sample_gmrf_chain(
-                self.model.spec.noise_precision, rng, size=tiled.shape[:-1]
-            )
-            return self.model.spec.a_coef * tiled + v
-        return self.model.sample_transition(tiled, rng)
+        return self.model.sample_transition(tiled, rng, self.t)
 
     def logpdf(self, x):
-        tiled = self.x_prev[..., None, :]
-        if isinstance(self.model, IndependentModel) and self.t == 1:
-            return self.model.log_initial(x)
-        return self.model.log_transition(tiled, x)
+        return self.model.log_transition(self.x_prev[..., None, :], x, self.t)
 
 
 class _FfbsProposal:
@@ -667,34 +650,12 @@ class ImportanceProcedure(ProperWeightingProcedure):
             prop = _TransitionProposal(model, t, x_prev)
         else:
             prop = _FfbsProposal(model, t, x_prev, y_t)
-        cand = prop.sample(self.m, rng)
-        if isinstance(model, IndependentModel):
-            log_ratio = model.log_gamma_ratio(
-                x_prev[..., None, :], cand, y_t, t=t
-            )
-        else:
-            log_ratio = model.log_gamma_ratio(x_prev[..., None, :], cand, y_t)
-        logw = log_ratio - prop.logpdf(cand)
-        return _ImportanceAux(
-            candidates=cand, logw=logw, log_tau=_row_logmeanexp(logw)
+        return _importance_aux(
+            prop,
+            lambda cand: model.log_gamma_ratio(x_prev[..., None, :], cand, y_t, t),
+            self.m,
+            rng,
         )
-
-
-@dataclass(frozen=True)
-class _ExactFfbsAux:
-    cache: object
-    a_coef: float
-
-    @property
-    def log_tau(self):
-        return self.cache.log_nu
-
-    def take(self, idx):
-        return _ExactFfbsAux(cache=_cache_take(self.cache, idx), a_coef=self.a_coef)
-
-    def draw(self, rng):
-        v = ffbs_backward(self.cache, rng)
-        return self.a_coef * self.cache.x_prev + v
 
 
 class ExactFfbsProcedure(ProperWeightingProcedure):
@@ -729,9 +690,7 @@ class _ExactTransitionAux:
         )
 
     def draw(self, rng):
-        if isinstance(self.model, IndependentModel) and self.t == 1:
-            return self.model.sample_initial(self.x_prev.shape[0], rng)
-        return self.model.sample_transition(self.x_prev, rng)
+        return self.model.sample_transition(self.x_prev, rng, self.t)
 
 
 class ExactTransitionProcedure(ProperWeightingProcedure):
@@ -769,7 +728,7 @@ class SelfNestedProcedure(ProperWeightingProcedure):
         self.m_inner = m_inner
 
     def prepare(self, model, t, x_prev, y_t, rng):
-        target = make_inner_target(model, t, x_prev, y_t)
+        target = model.inner_target(t, x_prev, y_t)
         n = target.n_stages
         batch = target.batch_shape
         if len(batch) != 1:
@@ -812,21 +771,25 @@ class SelfNestedProcedure(ProperWeightingProcedure):
         return _InnerSmcAux(target=target, state=state, kappa="backward")
 
 
+#: Procedure name -> (constructor taking ``(m, **kwargs)``, the
+#: experiment-config fields passed on as keyword arguments).  ``None`` in
+#: place of the fields marks the exact procedures, which configs cannot
+#: select.
+PROCEDURES = {
+    "smc+bs": (partial(InnerSmcProcedure, kappa="backward"), ("stage_proposal",)),
+    "smc+empirical": (partial(InnerSmcProcedure, kappa="empirical"), ("stage_proposal",)),
+    "is": (ImportanceProcedure, ()),
+    "self-nested": (lambda m, **kw: SelfNestedProcedure(m, kw.pop("m_inner", m), **kw), ()),
+    "exact-ffbs": (lambda m, **_: ExactFfbsProcedure(), None),
+    "exact-transition": (lambda m, **_: ExactTransitionProcedure(), None),
+}
+
+
 def make_procedure(kind: str, m: int, **kwargs) -> ProperWeightingProcedure:
-    """Build a procedure from its configuration name."""
-    if kind == "smc+bs":
-        return InnerSmcProcedure(m, kappa="backward", **kwargs)
-    if kind == "smc+empirical":
-        return InnerSmcProcedure(m, kappa="empirical", **kwargs)
-    if kind == "is":
-        return ImportanceProcedure(m, **kwargs)
-    if kind == "self-nested":
-        return SelfNestedProcedure(m, kwargs.pop("m_inner", m), **kwargs)
-    if kind == "exact-ffbs":
-        return ExactFfbsProcedure()
-    if kind == "exact-transition":
-        return ExactTransitionProcedure()
-    raise ValueError(f"unknown procedure kind: {kind!r}")
+    """Build a procedure from its name in :data:`PROCEDURES`."""
+    if kind not in PROCEDURES:
+        raise ValueError(f"unknown procedure kind: {kind!r}")
+    return PROCEDURES[kind][0](m, **kwargs)
 
 
 def self_nested_proc(
@@ -850,14 +813,7 @@ def _check_uniform(system: ParticleSystem):
 
 def nsmc_init(model, N: int) -> ParticleSystem:
     """Empty particle system before the first step."""
-    m = make_model(model) if isinstance(model, (StssmSpec, IndependentSsmSpec)) else model
-    return ParticleSystem(
-        states=np.zeros((N, m.n_x)),
-        ancestry=(),
-        logw=np.zeros(N),
-        logZ=0.0,
-        t=0,
-    )
+    return _empty_system(N, model.n_x)
 
 
 def nsmc_step(
@@ -873,32 +829,11 @@ def nsmc_step(
     score ``tau``; ancestors are resampled proportionally to ``tau``, the
     new state is drawn by the procedure's propagation kernel on the
     resampled auxiliary state, and the normalizer estimate accrues
-    ``log((1/N) sum tau)``.  Post-step weights stay uniform.
+    ``log((1/N) sum tau)``.  Post-step weights stay uniform.  ``model``
+    is a bundle from :func:`make_model`.
     """
-    new_system, _ = _nsmc_step_ext(system, model, proc, y_t, rng)
-    return new_system
-
-
-def _nsmc_step_ext(system, model, proc, y_t, rng):
     _check_uniform(system)
-    m = make_model(model) if isinstance(model, (StssmSpec, IndependentSsmSpec)) else model
-    t = system.t + 1
-    aux = proc.prepare(m, t, system.states, y_t, rng)
-    try:
-        probs, log_mean = normalize_logweights(aux.log_tau)
-    except WeightCollapseError:
-        raise WeightCollapseError(step=t, detail="all tau scores are zero") from None
-    ancestors = multinomial_resample(probs, system.n, rng)
-    aux = aux.take(ancestors)
-    states = aux.draw(rng)
-    new_system = ParticleSystem(
-        states=states,
-        ancestry=system.ancestry + (ancestors,),
-        logw=np.zeros(system.n),
-        logZ=system.logZ + log_mean,
-        t=t,
-    )
-    return new_system, ess(probs)
+    return _fully_adapted_step(system, partial(proc.prepare, model), y_t, rng)[0]
 
 
 def general_nsmc_step(
@@ -931,9 +866,9 @@ def general_nsmc_step(
 
     When the multipliers do not depend on the auxiliary variable the
     simulation runs after resampling, so freshly selected ancestors get
-    conditionally independent draws.
+    conditionally independent draws.  ``model`` is a bundle from
+    :func:`make_model`.
     """
-    m = make_model(model) if isinstance(model, (StssmSpec, IndependentSsmSpec)) else model
     t = system.t + 1
     N = system.n
     logw_prev = system.logw
@@ -951,10 +886,10 @@ def general_nsmc_step(
             except WeightCollapseError:
                 raise WeightCollapseError(step=t) from None
             ancestors = multinomial_resample(probs, N, rng)
-        aux = proc.prepare(m, t, system.states[ancestors], y_t, rng)
+        aux = proc.prepare(model, t, system.states[ancestors], y_t, rng)
         log_nu_res = np.zeros(N)
     else:
-        aux = proc.prepare(m, t, system.states, y_t, rng)
+        aux = proc.prepare(model, t, system.states, y_t, rng)
         if nu_hat == "tau":
             log_nu = np.asarray(aux.log_tau, dtype=float)
         elif nu_hat == "one":
@@ -977,18 +912,14 @@ def general_nsmc_step(
     if log_r == "gamma-ratio":
         core = np.zeros(N)
     elif log_r == "transition":
-        core = m.log_obs(y_t, states)
+        core = model.log_obs(y_t, states)
     else:
-        if isinstance(m, IndependentModel):
-            log_gamma = m.log_gamma_ratio(x_prev_res, states, y_t, t=t)
-        else:
-            log_gamma = m.log_gamma_ratio(x_prev_res, states, y_t)
+        log_gamma = model.log_gamma_ratio(x_prev_res, states, y_t, t)
         core = log_gamma - np.asarray(log_r(x_prev_res, states, y_t))
     # Grouped so the fully adapted configuration cancels exactly.
     logw = core + (log_tau_res - log_nu_res)
 
     # Normalizer increment: (sum w_prev*nu / sum w_prev) * (1/N) sum w_t.
-    probs_prev, _ = normalize_logweights(logw_prev)
     shift = np.max(logw_prev)
     adj = np.log(np.sum(np.exp(logw_prev - shift + log_nu))) - np.log(
         np.sum(np.exp(logw_prev - shift))
@@ -1003,6 +934,7 @@ def general_nsmc_step(
         logw=logw,
         logZ=system.logZ + adj + log_mean_w,
         t=t,
+        log_increment=adj + log_mean_w,
     )
 
 
@@ -1026,29 +958,9 @@ def nsmc_run(
     if isinstance(proc, str):
         proc = make_procedure(proc, M)
     m = make_model(model)
-    system = nsmc_init(m, N)
-    T = data.T
-    means = np.empty((T, m.n_x))
-    variances = np.empty((T, m.n_x))
-    logz_inc = np.empty(T)
-    ess_trace = np.empty(T)
-    prev_logz = 0.0
-    for t in range(T):
-        system, ess_t = _nsmc_step_ext(
-            system, m, proc, data.observations[t], rng
-        )
-        means[t] = system.states.mean(axis=0)
-        variances[t] = system.states.var(axis=0)
-        logz_inc[t] = system.logZ - prev_logz
-        prev_logz = system.logZ
-        ess_trace[t] = ess_t
-    return FilterOutput(
-        method=f"nsmc-{proc.kind}",
-        filter_means=means,
-        filter_vars=variances,
-        logz_increments=logz_inc,
-        ess_trace=ess_trace,
-    )
+    prepare = partial(proc.prepare, m)
+    method = f"nsmc-{proc.kind}"
+    return _fully_adapted_filter(method, prepare, m.n_x, data, N, rng, with_ess=True)
 
 
 # ---------------------------------------------------------------------------

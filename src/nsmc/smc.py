@@ -1,8 +1,17 @@
 """Generic sequential Monte Carlo machinery.
 
 Log-domain weight handling, multinomial resampling, effective sample
-size, the particle-system container, the common filter-output record and
-the bootstrap particle filter baseline.
+size, the particle-system container, the common filter-output record,
+the outer run loop and the bootstrap particle filter baseline.
+
+Every filter in the package runs through one outer loop, ``_drive``: it
+checks the data against the model dimension and folds a step function
+over the observations into a :class:`FilterOutput`.  A step reports its
+own filtering mean and variance, its normalizer increment and
+optionally an ESS.  The fully adapted step, ``_fully_adapted_step``, is
+shared by the fully adapted filter and the nested filter: they differ
+only in the auxiliary procedure that supplies the ``tau`` scores and the
+propagation draws.
 """
 
 from __future__ import annotations
@@ -15,14 +24,12 @@ import numpy as np
 
 from scipy.special import logsumexp
 
-from .exceptions import WeightCollapseError
+from .exceptions import InvalidInputError, WeightCollapseError
 from .model import (
     Dataset,
     IndependentModel,
-    IndependentSsmSpec,
     ModelSpec,
     StssmModel,
-    StssmSpec,
     make_model,
 )
 
@@ -80,8 +87,8 @@ def _categorical_rows(logw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One categorical draw per row of a batch of log-weight vectors.
 
     ``logw`` has shape ``(..., M)``; returns integer indices of shape
-    ``(...)``.  Rows whose weights all vanish fall back to index 0 (the
-    caller is responsible for masking such rows).
+    ``(...)``.  Rows whose weights all vanish fall back to the last
+    index, ``M - 1`` (the caller is responsible for masking such rows).
     """
     m = np.max(logw, axis=-1, keepdims=True)
     w = np.exp(logw - np.where(np.isfinite(m), m, 0.0))
@@ -133,6 +140,7 @@ class ParticleSystem:
     logw: np.ndarray  # (N,) log-weights (zeros when fully adapted)
     logZ: float
     t: int
+    log_increment: float = 0.0  # the step-t factor of logZ, as computed
 
     @property
     def n(self) -> int:
@@ -140,6 +148,11 @@ class ParticleSystem:
 
     def normalized(self) -> tuple[np.ndarray, float]:
         return normalize_logweights(self.logw)
+
+
+def _empty_system(N: int, n_x: int) -> ParticleSystem:
+    """``N`` particles at zero with uniform weights, before the first step."""
+    return ParticleSystem(np.zeros((N, n_x)), (), np.zeros(N), 0.0, 0)
 
 
 @dataclass(frozen=True)
@@ -222,6 +235,88 @@ class FilterOutput:
         )
 
 
+def _drive(method: str, n_x: int, data: Dataset, step, state) -> FilterOutput:
+    """Fold ``step`` over ``data.observations`` into a :class:`FilterOutput`.
+
+    ``step(state, t, y_t)`` advances the filter to the 1-based time ``t``
+    and returns ``(state, mean, var, log_increment, ess)``, with ``ess``
+    ``None`` for filters that keep no ESS trace.  Increments are stored
+    as the step computed them, never differenced from a running total.
+
+    Raises :class:`InvalidInputError` when the data dimension differs
+    from ``n_x`` or an observation is not finite.
+    """
+    if data.n_x != n_x:
+        raise InvalidInputError(
+            f"data have {data.n_x} components but the model has {n_x}"
+        )
+    if not np.all(np.isfinite(data.observations)):
+        raise InvalidInputError("observations contain non-finite values")
+    T = data.T
+    means = np.empty((T, n_x))
+    variances = np.empty((T, n_x))
+    logz_inc = np.empty(T)
+    ess_trace = []
+    for t in range(T):
+        state, means[t], variances[t], logz_inc[t], ess_t = step(
+            state, t + 1, data.observations[t]
+        )
+        ess_trace.append(ess_t)
+    return FilterOutput(
+        method=method,
+        filter_means=means,
+        filter_vars=variances,
+        logz_increments=logz_inc,
+        ess_trace=np.array(ess_trace) if T and ess_trace[0] is not None else None,
+    )
+
+
+def _fully_adapted_step(
+    system: ParticleSystem, prepare, y_t: np.ndarray, rng: np.random.Generator
+) -> tuple[ParticleSystem, np.ndarray]:
+    """One fully adapted outer step; returns the new system and the
+    normalized ``tau`` scores it resampled on.
+
+    ``prepare(t, x_prev, y_t, rng)`` returns an auxiliary object with
+    per-particle scores ``log_tau``, ``take(idx)`` for resampling and
+    ``draw(rng)`` for the propagation draw.  Ancestors are resampled
+    proportionally to ``tau``, the new state is drawn from the resampled
+    auxiliary object and the normalizer accrues ``log((1/N) sum tau)``.
+    Post-step weights stay uniform.
+    """
+    t = system.t + 1
+    aux = prepare(t, system.states, y_t, rng)
+    try:
+        probs, log_mean = normalize_logweights(aux.log_tau)
+    except WeightCollapseError:
+        raise WeightCollapseError(step=t, detail="all tau scores are zero") from None
+    ancestors = multinomial_resample(probs, system.n, rng)
+    new_system = ParticleSystem(
+        states=aux.take(ancestors).draw(rng),
+        ancestry=system.ancestry + (ancestors,),
+        logw=np.zeros(system.n),
+        logZ=system.logZ + log_mean,
+        t=t,
+        log_increment=log_mean,
+    )
+    return new_system, probs
+
+
+def _fully_adapted_filter(
+    method: str, prepare, n_x: int, data: Dataset, N: int, rng, with_ess: bool
+) -> FilterOutput:
+    """Run :func:`_fully_adapted_step` over ``data`` from ``N`` particles
+    at zero; ``with_ess`` keeps the ESS trace of the ``tau`` scores."""
+
+    def step(system, t, y_t):
+        system, probs = _fully_adapted_step(system, prepare, y_t, rng)
+        states = system.states
+        mean, var = states.mean(axis=0), states.var(axis=0)
+        return system, mean, var, system.log_increment, ess(probs) if with_ess else None
+
+    return _drive(method, n_x, data, step, _empty_system(N, n_x))
+
+
 def _weighted_summaries(states, probs):
     mean = probs @ states
     var = probs @ (states - mean) ** 2
@@ -245,61 +340,35 @@ def bootstrap_pf(
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    m = (
-        make_model(model)
-        if isinstance(model, (StssmSpec, IndependentSsmSpec))
-        else model
-    )
-    T, ys = data.T, data.observations
-    means = np.empty((T, m.n_x))
-    variances = np.empty((T, m.n_x))
-    logz_inc = np.empty(T)
-    ess_trace = np.empty(T)
-    log_n = np.log(N)
+    m = make_model(model)
 
-    states = m.sample_initial(N, rng)
-    logw_inc = m.log_obs(ys[0], states)
-    try:
-        probs, log_mean = normalize_logweights(logw_inc)
-    except WeightCollapseError:
-        raise WeightCollapseError(step=1) from None
-    logz_inc[0] = log_mean
-    with np.errstate(divide="ignore"):
-        logw = np.log(probs)
-    ess_trace[0] = ess(probs)
-    means[0], variances[0] = _weighted_summaries(states, probs)
-
-    for t in range(1, T):
-        probs, _ = normalize_logweights(logw)
-        do_resample = (
-            ess_threshold is None or ess(probs) < ess_threshold * N
-        )
-        if do_resample:
-            ancestors = multinomial_resample(probs, N, rng)
-            states = states[ancestors]
-            carried = np.zeros(N)
-        else:
-            carried = logw - logsumexp(logw)
-        states = m.sample_transition(states, rng)
-        logw_inc = m.log_obs(ys[t], states)
-        logw = carried + logw_inc
+    def step(state, t, y_t):
+        states, logw = state
+        resampled, carried = True, 0.0
+        if t > 1:
+            probs, _ = normalize_logweights(logw)
+            resampled = ess_threshold is None or ess(probs) < ess_threshold * N
+            if resampled:
+                states = states[multinomial_resample(probs, N, rng)]
+            else:
+                carried = logw - logsumexp(logw)
+        states = m.sample_transition(states, rng, t)
+        logw = carried + m.log_obs(y_t, states)
         try:
             probs, log_mean = normalize_logweights(logw)
         except WeightCollapseError:
-            raise WeightCollapseError(step=t + 1) from None
-        if do_resample:
-            logz_inc[t] = log_mean
+            raise WeightCollapseError(step=t) from None
+        if resampled:
+            log_inc = log_mean
         else:
             # Carried weights are normalized, so the increment is a
             # weighted mean rather than a plain mean.
-            logz_inc[t] = float(logsumexp(logw))
-        ess_trace[t] = ess(probs)
-        means[t], variances[t] = _weighted_summaries(states, probs)
+            log_inc = float(logsumexp(logw))
+        if t == 1:
+            # The first step carries its weights normalized.
+            with np.errstate(divide="ignore"):
+                logw = np.log(probs)
+        mean, var = _weighted_summaries(states, probs)
+        return (states, logw), mean, var, log_inc, ess(probs)
 
-    return FilterOutput(
-        method="bpf",
-        filter_means=means,
-        filter_vars=variances,
-        logz_increments=logz_inc,
-        ess_trace=ess_trace,
-    )
+    return _drive("bpf", m.n_x, data, step, (np.zeros((N, m.n_x)), None))

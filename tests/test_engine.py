@@ -1,0 +1,162 @@
+"""Tests of the shared outer run loop: input validation, the reduction
+identities on every output field, and the spec serialisation it reads."""
+
+import json
+
+import numpy as np
+import pytest
+
+from nsmc.cli import _run_method, main, parse_config
+from nsmc.exact import fapf_run, kalman_run
+from nsmc.exceptions import InvalidInputError, NsmcError
+from nsmc.model import (
+    Dataset,
+    IndependentSsmSpec,
+    StssmSpec,
+    TridiagPrecision,
+    load_dataset,
+    make_model,
+    save_dataset,
+    simulate,
+)
+from nsmc.nested import ExactFfbsProcedure, nsmc_run
+from nsmc.smc import _categorical_rows, bootstrap_pf
+
+CHAIN = StssmSpec.chain(n_x=4, tau=1.0, lam=1.0, obs_var=0.25, a_coef=0.5)
+
+RUNS = {
+    "kalman": lambda spec, data: kalman_run(spec, data),
+    "fapf": lambda spec, data: fapf_run(spec, data, 8, np.random.default_rng(1)),
+    "bpf": lambda spec, data: bootstrap_pf(spec, data, 8, np.random.default_rng(1)),
+    "nsmc": lambda spec, data: nsmc_run(spec, data, 8, 3, "smc+bs", np.random.default_rng(1)),
+}
+
+
+class TestInvalidInput:
+    def test_error_is_an_nsmc_value_error(self):
+        assert issubclass(InvalidInputError, NsmcError)
+        assert issubclass(InvalidInputError, ValueError)
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_dimension_mismatch_rejected(self, name):
+        wider = StssmSpec.chain(n_x=6, tau=1.0, lam=1.0, obs_var=0.25)
+        data = simulate(wider, 3, seed=2)
+        with pytest.raises(InvalidInputError, match="6 components"):
+            RUNS[name](CHAIN, data)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_non_finite_observation_rejected(self, name, bad):
+        obs = simulate(CHAIN, 3, seed=3).observations.copy()
+        obs[1, 2] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            RUNS[name](CHAIN, Dataset(T=3, observations=obs))
+
+    def test_cli_truncated_dataset_fails_replicates(self, tmp_path):
+        model = {"kind": "stssm", "n_x": 2, "T": 3, "tau": 1.0, "lambda": 1.0,
+                 "obs_var": 0.25, "a_coef": 0.5}
+        spec = StssmSpec.chain(n_x=2, tau=1.0, lam=1.0, obs_var=0.25, a_coef=0.5)
+        save_dataset(simulate(spec, 3, seed=4), spec, tmp_path / "d.csv")
+        lines = (tmp_path / "d.csv").read_text().splitlines()
+        (tmp_path / "d.csv").write_text("\n".join(lines[:-2]) + "\n")
+        cfg = {
+            "name": "trunc",
+            "model": model,
+            "data": {"path": str(tmp_path / "d.csv")},
+            "methods": [
+                {"name": "kalman", "kind": "kalman"},
+                {"name": "fapf", "kind": "fapf", "N": 5},
+                {"name": "bpf", "kind": "bpf", "N": 5},
+                {"name": "nsmc", "kind": "nsmc", "N": 5, "M": 2},
+                {"name": "gen", "kind": "nsmc-general", "N": 5},
+            ],
+            "replicates": 2,
+            "output_dir": str(tmp_path / "out"),
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 1
+        rows = (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]
+        assert len(rows) == 10
+        assert all(",failed," in r and "non-finite" in r for r in rows)
+        assert (tmp_path / "out" / "summary.csv").exists()
+
+
+class TestReductionOnEveryField:
+    CELLS = [
+        ("chain", 3, 10, 40),
+        ("chain", 1, 4, 7),
+        ("independent", 3, 10, 40),
+        ("independent", 10, 8, 7),
+    ]
+
+    @staticmethod
+    def _spec(kind, n_x):
+        if kind == "chain":
+            return StssmSpec.chain(n_x=n_x, tau=1.0, lam=0.7, obs_var=0.25)
+        return IndependentSsmSpec(n_x=n_x, a_coef=0.5, init_var=1.3, trans_var=1.3, obs_var=0.6)
+
+    @staticmethod
+    def _assert_fields_equal(a, b):
+        np.testing.assert_array_equal(a.filter_means, b.filter_means)
+        np.testing.assert_array_equal(a.filter_vars, b.filter_vars)
+        np.testing.assert_array_equal(a.logz_increments, b.logz_increments)
+        assert a.logZ == b.logZ
+
+    @pytest.mark.parametrize("kind,n_x,T,N", CELLS)
+    def test_fapf_equals_nested_exact_procedure(self, kind, n_x, T, N):
+        spec = self._spec(kind, n_x)
+        exact = spec if kind == "chain" else spec.to_stssm()
+        data = simulate(spec, T, seed=10 + T)
+        fa = fapf_run(exact, data, N, np.random.default_rng(T))
+        nested = nsmc_run(exact, data, N, 1, ExactFfbsProcedure(), np.random.default_rng(T))
+        self._assert_fields_equal(fa, nested)
+
+    @pytest.mark.parametrize("kind,n_x,T,N", CELLS)
+    def test_bootstrap_equals_cli_general_engine(self, kind, n_x, T, N):
+        spec = self._spec(kind, n_x)
+        data = simulate(spec, T, seed=20 + T)
+        config = parse_config({"model": {**spec.to_dict(), "T": T}, "data": {"seed": 0},
+                               "methods": [{"name": "gen", "kind": "nsmc-general", "N": N}]})
+        bpf = bootstrap_pf(spec, data, N, np.random.default_rng(T))
+        gen = _run_method(config.methods[0], config, make_model(spec), data,
+                          np.random.default_rng(T))
+        self._assert_fields_equal(bpf, gen)
+        assert gen.ess_trace is None and bpf.ess_trace is not None
+
+
+class TestSpecSerialisation:
+    def test_non_chain_precision_is_not_written(self, tmp_path):
+        prec = TridiagPrecision(diag=[2.0, 3.0, 4.0], offdiag=[-1.0, -0.5])
+        spec = StssmSpec(n_x=3, a_coef=0.5, noise_precision=prec, obs_var=1.0)
+        with pytest.raises(ValueError, match="chain precision"):
+            spec.to_dict()
+        data = Dataset(T=1, observations=np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="chain precision"):
+            save_dataset(data, spec, tmp_path / "d.csv")
+
+    @pytest.mark.parametrize("tau,lam", [(0.1, 0.2), (1e-3, 7.0), (2.5, 0.0)])
+    def test_chain_spec_round_trips(self, tau, lam):
+        spec = StssmSpec.chain(n_x=5, tau=tau, lam=lam, obs_var=0.3, a_coef=0.8)
+        back = StssmSpec.from_dict(spec.to_dict())
+        np.testing.assert_allclose(back.noise_precision.dense(), spec.noise_precision.dense(),
+                                   rtol=1e-12, atol=0.0)
+        assert (back.n_x, back.a_coef, back.obs_var) == (5, 0.8, 0.3)
+
+    def test_sidecar_keys_match_config_block(self, tmp_path):
+        spec = StssmSpec.chain(n_x=2, tau=1.0, lam=0.5, obs_var=0.25)
+        save_dataset(simulate(spec, 2, seed=1), spec, tmp_path / "d.csv")
+        meta = json.loads((tmp_path / "d.meta.json").read_text())
+        assert meta["kind"] == "stssm" and meta["lambda"] == 0.5
+        _, loaded = load_dataset(tmp_path / "d.csv")
+        np.testing.assert_array_equal(
+            loaded.noise_precision.dense(), spec.noise_precision.dense()
+        )
+
+
+def test_categorical_rows_all_minus_inf_falls_back_to_last_index():
+    logw = np.full((3, 5), -np.inf)
+    logw[1] = 0.0
+    idx = _categorical_rows(logw, np.random.default_rng(0))
+    assert idx[0] == 4 and idx[2] == 4
+    assert 0 <= idx[1] <= 4
