@@ -17,12 +17,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .exceptions import InvalidInputError
 from .model import (
     _LOG_2PI,
     ChainFactorization,
     Dataset,
     StssmSpec,
-    chain_factorization,
 )
 from .smc import FilterOutput, _drive, _fully_adapted_filter
 
@@ -65,7 +65,12 @@ def kalman_init(model: StssmSpec) -> KalmanBelief:
 def kalman_step(
     belief: KalmanBelief, model: StssmSpec, y_t: np.ndarray
 ) -> KalmanBelief:
-    """One predict-update cycle with identity observation matrix."""
+    """One predict-update cycle with identity observation matrix.
+
+    Raises :class:`InvalidInputError` when the log predictive density of
+    ``y_t`` is not finite, e.g. for an observation so far out that its
+    Mahalanobis distance overflows.
+    """
     from scipy.linalg import cho_factor, cho_solve
 
     n = model.n_x
@@ -91,8 +96,14 @@ def kalman_step(
     cov = 0.5 * (cov + cov.T)
 
     logdet = 2.0 * np.sum(np.log(np.diag(chol[0])))
-    maha = innovation @ cho_solve(chol, innovation)
+    with np.errstate(over="ignore"):
+        maha = innovation @ cho_solve(chol, innovation)
     log_pred = -0.5 * (n * _LOG_2PI + logdet + maha)
+    if not np.isfinite(log_pred):
+        raise InvalidInputError(
+            f"log predictive density is {log_pred}; the observation is "
+            "numerically impossible under the model"
+        )
     return KalmanBelief(mean=mean, cov=cov, loglik=belief.loglik + log_pred)
 
 
@@ -172,7 +183,8 @@ def ffbs_forward(
     """
     x_prev = np.asarray(x_prev, dtype=float)
     y_t = np.asarray(y_t, dtype=float)
-    fact = chain_factorization(model.noise_precision)
+    fact = model.noise_precision.fact
+    cond_var = fact.cond_var
     n = model.n_x
     sigma2 = model.obs_var
     ytil = y_t - model.a_coef * x_prev
@@ -185,7 +197,7 @@ def ffbs_forward(
     var_d = np.zeros(batch)
     for d in range(n):
         mean_pred = fact.phi[d] * mean_d
-        var_pred = fact.phi[d] ** 2 * var_d + fact.cond_var[d]
+        var_pred = fact.phi[d] ** 2 * var_d + cond_var[d]
         s = var_pred + sigma2
         resid = ytil[..., d] - mean_pred
         log_inc[..., d] = -0.5 * (_LOG_2PI + np.log(s) + resid * resid / s)

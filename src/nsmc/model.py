@@ -50,10 +50,17 @@ class TridiagPrecision:
         Main diagonal, length ``n`` (all positive).
     offdiag : np.ndarray
         Sub/super diagonal, length ``n - 1``.
+
+    ``fact`` is its :func:`chain_factorization`, computed once at
+    construction with read-only arrays.
     """
 
     diag: np.ndarray
     offdiag: np.ndarray
+    fact: ChainFactorization = field(init=False, repr=False, compare=False)
+    _cov: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         diag = np.asarray(self.diag, dtype=float)
@@ -67,7 +74,10 @@ class TridiagPrecision:
         if np.any(diag <= 0.0):
             raise ValueError("diagonal entries must be positive")
         # SPD check doubles as the factorization used everywhere else.
-        chain_factorization(self)
+        fact = chain_factorization(self)
+        fact.c.setflags(write=False)
+        fact.phi.setflags(write=False)
+        object.__setattr__(self, "fact", fact)
 
     @property
     def n(self) -> int:
@@ -82,16 +92,25 @@ class TridiagPrecision:
         return q
 
     def covariance(self) -> np.ndarray:
-        """Dense inverse, computed by banded solves against unit vectors."""
-        from scipy.linalg import solveh_banded
+        """Dense inverse, computed by banded solves against unit vectors.
 
-        if self.n == 1:
-            return np.array([[1.0 / self.diag[0]]])
-        ab = np.zeros((2, self.n))
-        ab[0, 1:] = self.offdiag
-        ab[1] = self.diag
-        cov = solveh_banded(ab, np.eye(self.n))
-        return 0.5 * (cov + cov.T)
+        Computed on the first call and cached; the returned array is
+        read-only because every later call returns the same one.
+        """
+        if self._cov is None:
+            from scipy.linalg import solveh_banded
+
+            if self.n == 1:
+                cov = np.array([[1.0 / self.diag[0]]])
+            else:
+                ab = np.zeros((2, self.n))
+                ab[0, 1:] = self.offdiag
+                ab[1] = self.diag
+                cov = solveh_banded(ab, np.eye(self.n))
+                cov = 0.5 * (cov + cov.T)
+            cov.setflags(write=False)
+            object.__setattr__(self, "_cov", cov)
+        return self._cov
 
 
 def chain_precision(tau: float, lam: float, n: int) -> TridiagPrecision:
@@ -192,7 +211,7 @@ def sample_gmrf_chain(
     ``size`` prepends batch dimensions; the returned array has shape
     ``size + (n,)``.
     """
-    fact = chain_factorization(prec)
+    fact = prec.fact
     n = fact.n
     z = rng.standard_normal(size + (n,))
     sd = np.sqrt(fact.cond_var)
@@ -472,7 +491,9 @@ def load_dataset(path: str | Path) -> tuple[Dataset, ModelSpec]:
 
 def _gauss_logpdf(x, mean, var):
     x = np.asarray(x, dtype=float)
-    return -0.5 * ((x - mean) ** 2 / var + np.log(2.0 * np.pi * var))
+    # A residual too large to square gives a density of exactly zero.
+    with np.errstate(over="ignore"):
+        return -0.5 * ((x - mean) ** 2 / var + np.log(2.0 * np.pi * var))
 
 
 @dataclass(frozen=True)
@@ -488,12 +509,6 @@ class StssmModel:
     """
 
     spec: StssmSpec
-    fact: ChainFactorization = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "fact", chain_factorization(self.spec.noise_precision)
-        )
 
     @property
     def n_x(self) -> int:
@@ -512,7 +527,8 @@ class StssmModel:
         self, x_prev: np.ndarray, x: np.ndarray, t: int = 2
     ) -> np.ndarray:
         """Batched ``log f(x | x_prev)``."""
-        return self.fact.log_density(x if t == 1 else x - self.spec.a_coef * x_prev)
+        fact = self.spec.noise_precision.fact
+        return fact.log_density(x if t == 1 else x - self.spec.a_coef * x_prev)
 
     def log_obs(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Batched ``log g(y | x)``, summed over components."""

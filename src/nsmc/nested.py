@@ -13,7 +13,12 @@ for the tractable cases.
 
 All inner machinery is batched over outer particles: arrays carry shape
 ``(n_stages, *batch, M)`` and every stage operation is vectorized across
-the batch, which is what makes replicated experiments cheap.
+the batch, which is what makes replicated experiments cheap.  The inner
+samplers carry and resample only the trailing prefix components a
+target's Markov structure reads (``InnerTargetSequence.markov_order``:
+one for the chain target, none for the independent target), so one
+outer step on those models costs O(N * M * n_x); targets that declare no
+order get the full prefix.
 
 Procedures see the model only through the ``t``-aware protocol of
 :mod:`nsmc.model` (transition sampler and densities, initial law at
@@ -44,7 +49,7 @@ from .model import (
     StssmSpec,
     make_model,
 )
-from .exact import _ExactFfbsAux, ffbs_backward, ffbs_forward
+from .exact import _ExactFfbsAux, ffbs_forward
 from .smc import (
     FilterOutput,
     ParticleSystem,
@@ -88,14 +93,22 @@ class InnerTargetSequence(ABC):
     that the inner normalizing constant equals the predictive density),
     plus stage proposals ``r_d``.
 
-    Trajectory prefixes are passed as arrays of shape
-    ``(d, *batch, M)``.  Only ``log_p`` is strictly required; the
-    incremental and backward hooks have generic defaults that structured
-    targets override for speed.
+    ``markov_order`` is the number of trailing prefix components that
+    ``sample_stage``, ``log_stage_proposal`` and ``log_p_increment``
+    read.  The inner samplers pass those hooks only the last
+    ``k = min(d, markov_order)`` components of the stage-``d`` prefix,
+    as an array of shape ``(k, *batch, M)``; ``None`` (the default)
+    passes the full prefix, ``k = d``.  A target that declares an order
+    must override ``log_p_increment``, because the generic default
+    evaluates ``log_p`` on the full prefix.  ``log_p`` and
+    ``log_suffix_ratio`` are not windowed.  Only ``log_p`` is strictly
+    required; the incremental and backward hooks have generic defaults
+    that structured targets override for speed.
     """
 
     n_stages: int
     batch_shape: tuple[int, ...]
+    markov_order: int | None = None
 
     @abstractmethod
     def sample_stage(self, d, prefix, m, rng) -> np.ndarray:
@@ -150,15 +163,15 @@ class ChainInnerTarget(InnerTargetSequence):
     ``t = 1`` the target is the initial law, whatever ``x_prev`` holds.
     """
 
+    markov_order = 1
+
     def __init__(
         self, spec: StssmSpec, x_prev, y_t, proposal: str = "prior", t: int = 2
     ):
-        from .model import chain_factorization
-
         if proposal not in ("prior", "optimal"):
             raise ValueError(f"unknown stage proposal: {proposal!r}")
         self.spec = spec
-        fact = chain_factorization(spec.noise_precision)
+        fact = spec.noise_precision.fact
         self.c = fact.c
         self.phi = fact.phi
         self.obs_var = spec.obs_var
@@ -233,6 +246,8 @@ class IndependentInnerTarget(InnerTargetSequence):
     observation factor; stages do not interact, so the backward kernel
     carries no cross terms.
     """
+
+    markov_order = 0
 
     def __init__(self, spec: IndependentSsmSpec, x_prev, y_t, t: int):
         self.spec = spec
@@ -341,6 +356,15 @@ class InnerState:
         return np.sum(_row_logmeanexp(self.logw), axis=0)
 
 
+def _extend_window(window, x, order):
+    """Append stage component ``x`` to a prefix window and keep its last
+    ``order`` rows (every row when ``order`` is ``None``)."""
+    joined = np.concatenate([window, x[None]], axis=0)
+    if order is None:
+        return joined
+    return joined[max(joined.shape[0] - order, 0) :]
+
+
 def inner_smc(
     target: InnerTargetSequence,
     m: int,
@@ -359,10 +383,15 @@ def inner_smc(
     :class:`InnerCollapseError` carrying the 1-based stage index.  With
     ``strict=False`` (the batched mode used inside the outer filter)
     collapsed rows get ``log_tau = -inf`` and are carried along inertly.
+
+    Only the last ``target.markov_order`` components of each prefix are
+    carried and resampled, so carrying the prefix costs
+    O(batch * M * markov_order) per stage rather than O(batch * M * d).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     n = target.n_stages
+    order = target.markov_order
     batch = target.batch_shape
     particles = np.empty((n,) + batch + (m,))
     ancestors = np.zeros((max(n - 1, 0),) + batch + (m,), dtype=np.intp)
@@ -378,24 +407,24 @@ def inner_smc(
     dead = ~np.isfinite(np.max(lw, axis=-1))
     if strict and np.any(dead):
         raise InnerCollapseError(stage=1)
-    traj = x[None]
+    window = _extend_window(empty, x, order)
 
     for d in range(1, n):
         resample_lw = np.where(dead[..., None], 0.0, logw[d - 1])
         idx = _multinomial_rows(resample_lw, m, rng)
         ancestors[d - 1] = idx
-        traj = np.take_along_axis(traj, idx[None], axis=-1)
-        x = target.sample_stage(d, traj, m, rng)
+        window = np.take_along_axis(window, idx[None], axis=-1)
+        x = target.sample_stage(d, window, m, rng)
         particles[d] = x
-        lw = target.log_p_increment(d, traj, x) - target.log_stage_proposal(
-            d, traj, x
+        lw = target.log_p_increment(d, window, x) - target.log_stage_proposal(
+            d, window, x
         )
         logw[d] = lw
         stage_dead = ~np.isfinite(np.max(lw, axis=-1))
         if strict and np.any(stage_dead):
             raise InnerCollapseError(stage=d + 1)
         dead = dead | stage_dead
-        traj = np.concatenate([traj, x[None]], axis=0)
+        window = _extend_window(window, x, order)
 
     log_tau = np.sum(_row_logmeanexp(logw), axis=0)
     return InnerState(
@@ -595,63 +624,21 @@ class _TransitionProposal:
         return self.model.log_transition(self.x_prev[..., None, :], x, self.t)
 
 
-class _FfbsProposal:
-    """Stage-free proposal: the exact locally optimal density, via the
-    component-wise forward/backward machinery.  Log-density evaluation
-    subtracts the exact normalizer, so importance weights against the
-    incremental target are constant."""
-
-    def __init__(self, model: StssmModel, t, x_prev, y_t):
-        self.model = model
-        self.x_prev = np.asarray(x_prev, dtype=float)
-        self.y_t = np.asarray(y_t, dtype=float)
-
-    def _cache(self, m):
-        tiled = np.broadcast_to(
-            self.x_prev[..., None, :],
-            self.x_prev.shape[:-1] + (m, self.x_prev.shape[-1]),
-        )
-        return ffbs_forward(self.model.spec, tiled, self.y_t), tiled
-
-    def sample(self, m, rng):
-        cache, tiled = self._cache(m)
-        v = ffbs_backward(cache, rng)
-        return self.model.spec.a_coef * tiled + v
-
-    def logpdf(self, x):
-        m = x.shape[-2]
-        cache, tiled = self._cache(m)
-        return (
-            self.model.log_gamma_ratio(tiled, x, self.y_t) - cache.log_nu
-        )
-
-
 class ImportanceProcedure(ProperWeightingProcedure):
-    """Plain importance sampling against the incremental target.
-
-    ``proposal="transition"`` draws candidates from the model transition;
-    ``proposal="ffbs"`` draws from the exact locally optimal proposal,
-    making ``tau`` zero-variance (tractable models only).
-    """
+    """Plain importance sampling against the incremental target, with
+    candidates drawn from the model transition."""
 
     kind = "is"
 
-    def __init__(self, m: int, proposal: str = "transition"):
+    def __init__(self, m: int):
         if m < 1:
             raise ValueError("m must be >= 1")
-        if proposal not in ("transition", "ffbs"):
-            raise ValueError(f"unknown IS proposal: {proposal!r}")
         self.m = m
-        self.proposal = proposal
 
     def prepare(self, model, t, x_prev, y_t, rng):
         x_prev = np.asarray(x_prev, dtype=float)
-        if self.proposal == "transition":
-            prop = _TransitionProposal(model, t, x_prev)
-        else:
-            prop = _FfbsProposal(model, t, x_prev, y_t)
         return _importance_aux(
-            prop,
+            _TransitionProposal(model, t, x_prev),
             lambda cand: model.log_gamma_ratio(x_prev[..., None, :], cand, y_t, t),
             self.m,
             rng,
@@ -741,11 +728,12 @@ class SelfNestedProcedure(ProperWeightingProcedure):
         particles = np.empty((n,) + batch + (mo,))
         ancestors = np.zeros((max(n - 1, 0),) + batch + (mo,), dtype=np.intp)
         log_tau = np.zeros(batch)
-        traj = np.empty((0,) + batch + (mo,))
+        order = target.markov_order
+        window = np.empty((0,) + batch + (mo,))
         for d in range(n):
             # Candidates: (*batch, mo, mi) from the stage proposal, with
-            # the conditioning value tiled across the inner axis.
-            prefix = np.broadcast_to(traj[..., None], (d,) + batch + (mo, mi))
+            # the conditioning window tiled across the inner axis.
+            prefix = np.broadcast_to(window[..., None], window.shape + (mi,))
             cand = tiled.sample_stage(d, prefix, mi, rng)
             lw = tiled.log_p_increment(d, prefix, cand) - (
                 tiled.log_stage_proposal(d, prefix, cand)
@@ -755,13 +743,13 @@ class SelfNestedProcedure(ProperWeightingProcedure):
             idx = _multinomial_rows(stage_log_tau, mo, rng)
             if d > 0:
                 ancestors[d - 1] = idx
-                traj = np.take_along_axis(traj, idx[None], axis=-1)
+                window = np.take_along_axis(window, idx[None], axis=-1)
             cand = np.take_along_axis(cand, idx[..., None], axis=-2)
             lw = np.take_along_axis(lw, idx[..., None], axis=-2)
             pick = _categorical_rows(lw, rng)
             x = np.take_along_axis(cand, pick[..., None], axis=-1)[..., 0]
             particles[d] = x
-            traj = np.concatenate([traj, x[None]], axis=0)
+            window = _extend_window(window, x, order)
         state = InnerState(
             particles=particles,
             ancestors=ancestors,
