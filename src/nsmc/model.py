@@ -17,8 +17,10 @@ bundles answer one protocol, indexed by the 1-based time ``t``:
 ``sample_transition``, ``log_transition`` and ``log_gamma_ratio`` draw
 from or evaluate the law of ``x_t`` given ``x_{t-1}``, which at ``t = 1``
 is the initial law (``x_prev`` is then ignored), and ``inner_target``
-builds the stage decomposition the nested filter runs on.  The filters
-therefore never branch on the model type.  Specs serialise through
+builds the stage decomposition the nested filter runs on.  The shared
+part (``spec``, ``n_x``, ``log_obs``, ``log_gamma_ratio``) lives in the
+base class :class:`ModelBundle`, so the filters never branch on the
+model type.  Specs serialise through
 ``to_dict``/``from_dict``, keyed like the model block of an experiment
 config, and ``SPEC_KINDS`` maps the ``kind`` key back to the class.
 """
@@ -497,22 +499,35 @@ def _gauss_logpdf(x, mean, var):
 
 
 @dataclass(frozen=True)
-class StssmModel:
-    """Sampler/evaluator bundle for :class:`StssmSpec`.
+class ModelBundle:
+    """Sampler/evaluator bundle for a model specification.
 
-    Exposes the generic target-sequence surface consumed by the particle
-    filters: a transition sampler, the observation log-density, the
-    incremental unnormalized target ratio (transition times likelihood)
-    in the log domain, and the inner target of one time step.  The
-    initial law (``t = 1``) is the noise law, i.e. the transition from
-    ``x_prev = 0``.
+    Holds the parts both model families share: the observation
+    log-density and the incremental unnormalized target ratio
+    (transition times likelihood) in the log domain.  Subclasses supply
+    ``sample_transition``, ``log_transition`` and ``inner_target``.
     """
 
-    spec: StssmSpec
+    spec: ModelSpec
 
     @property
     def n_x(self) -> int:
         return self.spec.n_x
+
+    def log_obs(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Batched ``log g(y | x)``, summed over components."""
+        return np.sum(_gauss_logpdf(x, y, self.spec.obs_var), axis=-1)
+
+    def log_gamma_ratio(
+        self, x_prev: np.ndarray, x: np.ndarray, y: np.ndarray, t: int = 2
+    ) -> np.ndarray:
+        """Incremental unnormalized target: ``log f + log g``."""
+        return self.log_transition(x_prev, x, t) + self.log_obs(y, x)
+
+
+class StssmModel(ModelBundle):
+    """Bundle for :class:`StssmSpec`.  The initial law (``t = 1``) is the
+    noise law, i.e. the transition from ``x_prev = 0``."""
 
     def sample_transition(
         self, x_prev: np.ndarray, rng: np.random.Generator, t: int = 2
@@ -530,16 +545,6 @@ class StssmModel:
         fact = self.spec.noise_precision.fact
         return fact.log_density(x if t == 1 else x - self.spec.a_coef * x_prev)
 
-    def log_obs(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Batched ``log g(y | x)``, summed over components."""
-        return np.sum(_gauss_logpdf(x, y, self.spec.obs_var), axis=-1)
-
-    def log_gamma_ratio(
-        self, x_prev: np.ndarray, x: np.ndarray, y: np.ndarray, t: int = 2
-    ) -> np.ndarray:
-        """Incremental unnormalized target: ``log f + log g``."""
-        return self.log_transition(x_prev, x, t) + self.log_obs(y, x)
-
     def inner_target(self, t: int, x_prev, y_t, proposal: str = "prior"):
         """Chain stage decomposition of ``gamma_t / gamma_{t-1}``."""
         from .nested import ChainInnerTarget
@@ -547,15 +552,8 @@ class StssmModel:
         return ChainInnerTarget(self.spec, x_prev, y_t, proposal=proposal, t=t)
 
 
-@dataclass(frozen=True)
-class IndependentModel:
-    """Sampler/evaluator bundle for :class:`IndependentSsmSpec`."""
-
-    spec: IndependentSsmSpec
-
-    @property
-    def n_x(self) -> int:
-        return self.spec.n_x
+class IndependentModel(ModelBundle):
+    """Bundle for :class:`IndependentSsmSpec`."""
 
     def _law(self, x_prev: np.ndarray, t: int):
         """Mean and variance of every component of ``x_t``."""
@@ -576,26 +574,19 @@ class IndependentModel:
         mean, var = self._law(x_prev, t)
         return np.sum(_gauss_logpdf(x, mean, var), axis=-1)
 
-    def log_obs(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return np.sum(_gauss_logpdf(x, y, self.spec.obs_var), axis=-1)
-
-    def log_gamma_ratio(
-        self, x_prev: np.ndarray, x: np.ndarray, y: np.ndarray, t: int = 2
-    ) -> np.ndarray:
-        return self.log_transition(x_prev, x, t) + self.log_obs(y, x)
-
     def inner_target(self, t: int, x_prev, y_t, proposal: str = "prior"):
-        """Per-coordinate stage decomposition; ``proposal`` is unused
-        because every stage proposes from its own transition."""
+        """Per-coordinate stage decomposition of ``gamma_t / gamma_{t-1}``;
+        ``proposal`` is ``"prior"`` (each coordinate's transition) or
+        ``"optimal"`` (its exact conditional given ``y_t``)."""
         from .nested import IndependentInnerTarget
 
-        return IndependentInnerTarget(self.spec, x_prev, y_t, t=t)
+        return IndependentInnerTarget(self.spec, x_prev, y_t, t=t, proposal=proposal)
 
 
-def make_model(spec) -> StssmModel | IndependentModel:
+def make_model(spec) -> ModelBundle:
     """Build the sampler/evaluator bundle for a model specification; a
     bundle passes through unchanged."""
-    if isinstance(spec, (StssmModel, IndependentModel)):
+    if isinstance(spec, ModelBundle):
         return spec
     if isinstance(spec, StssmSpec):
         return StssmModel(spec)

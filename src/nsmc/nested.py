@@ -9,7 +9,10 @@ draw ``x_t`` standing in for the locally optimal proposal.  Inner
 procedures provided here: an inner SMC over components finished by
 backward simulation or by an empirical draw, plain importance sampling,
 a one-level self-nested variant, and exact (zero-variance) procedures
-for the tractable cases.
+for the tractable cases.  Both model families have the same stage law, a
+first-order Gaussian chain over the components, so all stage code is in
+:class:`GaussianStageTarget`; ``ChainInnerTarget`` and
+``IndependentInnerTarget`` (the chain with ``phi = 0``) only build it.
 
 All inner machinery is batched over outer particles: arrays carry shape
 ``(n_stages, *batch, M)`` and every stage operation is vectorized across
@@ -43,6 +46,7 @@ from .exceptions import InnerCollapseError, WeightCollapseError
 from .model import (
     _LOG_2PI,
     Dataset,
+    IndependentModel,
     IndependentSsmSpec,
     ModelSpec,
     StssmModel,
@@ -151,151 +155,129 @@ class InnerTargetSequence(ABC):
         return self
 
 
-class ChainInnerTarget(InnerTargetSequence):
-    """Stage targets for the chain-noise linear-Gaussian model.
+class GaussianStageTarget(InnerTargetSequence):
+    """Stage targets whose stage law is a first-order Gaussian chain.
 
-    ``p_d`` collects, for components up to ``d``, the observation factors
-    and the chain Markov factors of the transition noise.  Every factor
-    is a normalized 1-d Gaussian, so the final-stage normalizing constant
-    is exactly the predictive density of ``y_t``.  The default proposal
-    is the per-component transition conditional ("prior"); the locally
-    optimal per-component proposal is available as ``"optimal"``.  At
-    ``t = 1`` the target is the initial law, whatever ``x_prev`` holds.
+    ``p_d`` multiplies, for components up to ``d``, the conditional laws
+    ``Normal(x_e; alpha_e + phi_e * x_{e-1}, var_e)`` and the observation
+    factors ``Normal(y_e; x_e, obs_var)``.  ``alpha`` has shape
+    ``(*batch, n)``; ``phi``, the precisions ``c`` and ``var = 1 / c``
+    have shape ``(n,)`` (both are kept: ``1 / (1 / v)`` need not be
+    ``v``).  Every factor is a normalized 1-d Gaussian, so the
+    final-stage normalizing constant is the predictive density of
+    ``y_t``.  ``proposal`` is ``"prior"`` (the stage law) or
+    ``"optimal"`` (the locally optimal per-component law).  With
+    ``markov_order = 0`` the prefix and ``phi`` are not read.
     """
 
     markov_order = 1
 
-    def __init__(
-        self, spec: StssmSpec, x_prev, y_t, proposal: str = "prior", t: int = 2
-    ):
+    def __init__(self, alpha, phi, c, var, y_t, obs_var, proposal="prior"):
         if proposal not in ("prior", "optimal"):
             raise ValueError(f"unknown stage proposal: {proposal!r}")
-        self.spec = spec
-        fact = spec.noise_precision.fact
-        self.c = fact.c
-        self.phi = fact.phi
-        self.obs_var = spec.obs_var
-        self.proposal = proposal
-        self.y = np.asarray(y_t, dtype=float)
-        x_prev = np.asarray(x_prev, dtype=float)
-        self.x_prev = x_prev
-        self.n_stages = spec.n_x
-        self.batch_shape = x_prev.shape[:-1]
-        # Per-stage conditional mean is alpha_d + phi_d * x_{d-1}.
-        ax = np.zeros_like(x_prev) if t == 1 else spec.a_coef * x_prev
-        alpha = ax.copy()
-        alpha[..., 1:] -= self.phi[1:] * ax[..., :-1]
         self.alpha = alpha
+        self.phi = phi
+        self.c = c
+        self.var = var
+        self.y = np.asarray(y_t, dtype=float)
+        self.obs_var = obs_var
+        self.proposal = proposal
+        self.n_stages = alpha.shape[-1]
+        self.batch_shape = alpha.shape[:-1]
 
     def _cond_mean(self, d, prefix):
-        mean = self.alpha[..., d]
-        if d > 0:
-            return mean[..., None] + self.phi[d] * prefix[-1]
-        return np.broadcast_to(mean[..., None], mean.shape + (1,))
+        mean = self.alpha[..., d, None]
+        if d > 0 and self.markov_order:
+            return mean + self.phi[d] * prefix[-1]
+        return mean
+
+    def _optimal_law(self, d, mean):
+        post_prec = self.c[d] + 1.0 / self.obs_var
+        post_mean = (self.c[d] * mean + self.y[d] / self.obs_var) / post_prec
+        return post_mean, 1.0 / post_prec
 
     def sample_stage(self, d, prefix, m, rng):
         mean = self._cond_mean(d, prefix)
         z = rng.standard_normal(self.batch_shape + (m,))
         if self.proposal == "prior":
-            return mean + np.sqrt(1.0 / self.c[d]) * z
-        post_prec = self.c[d] + 1.0 / self.obs_var
-        post_mean = (self.c[d] * mean + self.y[d] / self.obs_var) / post_prec
-        return post_mean + np.sqrt(1.0 / post_prec) * z
+            return mean + np.sqrt(self.var[d]) * z
+        post_mean, post_var = self._optimal_law(d, mean)
+        return post_mean + np.sqrt(post_var) * z
 
     def log_stage_proposal(self, d, prefix, x_d):
         mean = self._cond_mean(d, prefix)
         if self.proposal == "prior":
-            return _gauss_logpdf(x_d, mean, 1.0 / self.c[d])
-        post_prec = self.c[d] + 1.0 / self.obs_var
-        post_mean = (self.c[d] * mean + self.y[d] / self.obs_var) / post_prec
-        return _gauss_logpdf(x_d, post_mean, 1.0 / post_prec)
+            return _gauss_logpdf(x_d, mean, self.var[d])
+        return _gauss_logpdf(x_d, *self._optimal_law(d, mean))
 
-    def _log_factor(self, d, prefix, x_d):
+    def log_p_increment(self, d, prefix, x_d):
         mean = self._cond_mean(d, prefix)
-        return _gauss_logpdf(x_d, mean, 1.0 / self.c[d]) + _gauss_logpdf(
+        return _gauss_logpdf(x_d, mean, self.var[d]) + _gauss_logpdf(
             self.y[d], x_d, self.obs_var
         )
 
     def log_p(self, d, traj):
-        total = self._log_factor(0, None, traj[0])
+        total = self.log_p_increment(0, traj[:0], traj[0])
         for e in range(1, d + 1):
-            total = total + self._log_factor(e, traj[:e], traj[e])
+            total = total + self.log_p_increment(e, traj[:e], traj[e])
         return total
 
-    def log_p_increment(self, d, prefix, x_d):
-        return self._log_factor(d, prefix, x_d)
-
     def log_suffix_ratio(self, d, state, suffix):
+        if self.markov_order == 0:
+            return np.zeros(self.batch_shape + (state.particles.shape[-1],))
         # Only the factor linking components d and d+1 varies with the
         # stage-d candidate; everything further down the chain cancels.
         nxt = d + 1
         mean = self.alpha[..., nxt, None] + self.phi[nxt] * state.particles[d]
-        return _gauss_logpdf(suffix[0][..., None], mean, 1.0 / self.c[nxt])
+        return _gauss_logpdf(suffix[0][..., None], mean, self.var[nxt])
 
     def take(self, idx):
         out = copy.copy(self)
-        out.x_prev, out.alpha = self.x_prev[idx], self.alpha[idx]
-        out.batch_shape = out.x_prev.shape[:-1]
+        out.alpha = self.alpha[idx]
+        out.batch_shape = out.alpha.shape[:-1]
         return out
 
 
-class IndependentInnerTarget(InnerTargetSequence):
+class ChainInnerTarget(GaussianStageTarget):
+    """Stage targets for the chain-noise linear-Gaussian model: the
+    chain Markov factors of the transition noise.  At ``t = 1`` the
+    target is the initial law, whatever ``x_prev`` holds."""
+
+    def __init__(
+        self, spec: StssmSpec, x_prev, y_t, proposal: str = "prior", t: int = 2
+    ):
+        fact = spec.noise_precision.fact
+        x_prev = np.asarray(x_prev, dtype=float)
+        # Per-stage conditional mean is alpha_d + phi_d * x_{d-1}.
+        ax = np.zeros_like(x_prev) if t == 1 else spec.a_coef * x_prev
+        alpha = ax.copy()
+        alpha[..., 1:] -= fact.phi[1:] * ax[..., :-1]
+        super().__init__(
+            alpha, fact.phi, fact.c, fact.cond_var, y_t, spec.obs_var, proposal
+        )
+
+
+class IndependentInnerTarget(GaussianStageTarget):
     """Stage targets for the independent product model.
 
     Each stage contributes one coordinate's transition (or initial) and
     observation factor; stages do not interact, so the backward kernel
-    carries no cross terms.
+    carries no cross terms.  With ``proposal="optimal"`` every stage
+    weight is constant and the inner estimate is exact.
     """
 
     markov_order = 0
 
-    def __init__(self, spec: IndependentSsmSpec, x_prev, y_t, t: int):
-        self.spec = spec
-        self.y = np.asarray(y_t, dtype=float)
+    def __init__(
+        self, spec: IndependentSsmSpec, x_prev, y_t, t: int, proposal: str = "prior"
+    ):
         x_prev = np.asarray(x_prev, dtype=float)
-        self.x_prev = x_prev
-        self.n_stages = spec.n_x
-        self.batch_shape = x_prev.shape[:-1]
-        if t == 1:
-            self.mean = np.broadcast_to(
-                spec.init_mean, x_prev.shape
-            ).astype(float)
-            self.var = spec.init_var
-        else:
-            self.mean = spec.a_coef * x_prev
-            self.var = spec.trans_var
-        self.obs_var = spec.obs_var
-
-    def sample_stage(self, d, prefix, m, rng):
-        z = rng.standard_normal(self.batch_shape + (m,))
-        return self.mean[..., d, None] + np.sqrt(self.var) * z
-
-    def log_stage_proposal(self, d, prefix, x_d):
-        return _gauss_logpdf(x_d, self.mean[..., d, None], self.var)
-
-    def _log_factor(self, d, x_d):
-        return _gauss_logpdf(x_d, self.mean[..., d, None], self.var) + (
-            _gauss_logpdf(self.y[d], x_d, self.obs_var)
+        mean, var = IndependentModel(spec)._law(x_prev, t)
+        alpha = np.broadcast_to(mean, x_prev.shape).astype(float)
+        var = np.full(spec.n_x, var)
+        super().__init__(
+            alpha, np.zeros(spec.n_x), 1.0 / var, var, y_t, spec.obs_var, proposal
         )
-
-    def log_p(self, d, traj):
-        total = self._log_factor(0, traj[0])
-        for e in range(1, d + 1):
-            total = total + self._log_factor(e, traj[e])
-        return total
-
-    def log_p_increment(self, d, prefix, x_d):
-        return self._log_factor(d, x_d)
-
-    def log_suffix_ratio(self, d, state, suffix):
-        shape = self.batch_shape + (state.particles.shape[-1],)
-        return np.zeros(shape)
-
-    def take(self, idx):
-        out = copy.copy(self)
-        out.x_prev, out.mean = self.x_prev[idx], self.mean[idx]
-        out.batch_shape = out.x_prev.shape[:-1]
-        return out
 
 
 def make_inner_target(model, t: int, x_prev, y_t, proposal: str = "prior"):
@@ -531,7 +513,6 @@ class ProperWeightingProcedure(ABC):
     """
 
     kind: str = ""
-    recursion_depth: int = 0
     #: whether tau is a deterministic function of the outer state only,
     #: allowing the auxiliary simulation to run after resampling.
     tau_independent_of_u: bool = False
@@ -701,7 +682,6 @@ class SelfNestedProcedure(ProperWeightingProcedure):
     final backward simulation."""
 
     kind = "self-nested"
-    recursion_depth = 1
 
     def __init__(self, m_outer: int, m_inner: int, sub_ordering=None):
         if m_outer < 1 or m_inner < 1:

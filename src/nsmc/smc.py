@@ -25,13 +25,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .exceptions import InvalidInputError, WeightCollapseError
-from .model import (
-    Dataset,
-    IndependentModel,
-    ModelSpec,
-    StssmModel,
-    make_model,
-)
+from .model import Dataset, ModelBundle, ModelSpec, make_model
 
 __all__ = [
     "normalize_logweights",
@@ -104,12 +98,12 @@ def _multinomial_rows(
 ) -> np.ndarray:
     """``count`` categorical draws per row; shape ``(..., count)``.
 
-    Rows are packed into one sorted array with integer offsets so a
-    single ``searchsorted`` serves every row; this keeps memory linear
-    in ``rows * max(m, count)``.
+    A draw with uniform ``u`` is the number of its own row's cumulative
+    probabilities not above ``u``, found by a binary search vectorized
+    over all draws, so resolution does not depend on the batch size.
+    Memory is ``rows * count`` indices; time is ``O(rows * count * log m)``.
     """
     m_size = logw.shape[-1]
-    batch = logw.shape[:-1]
     shift = np.max(logw, axis=-1, keepdims=True)
     w = np.exp(logw - np.where(np.isfinite(shift), shift, 0.0))
     cum = np.cumsum(w, axis=-1)
@@ -117,14 +111,18 @@ def _multinomial_rows(
     safe = np.where(total > 0.0, total, 1.0)
     p = cum / safe
     p[..., -1] = 1.0
-    u = rng.random(batch + (count,))
-    rows = int(np.prod(batch)) if batch else 1
-    offsets = 2.0 * np.arange(rows, dtype=float)
-    flat_p = (p.reshape(rows, m_size) + offsets[:, None]).ravel()
-    flat_u = (u.reshape(rows, count) + offsets[:, None]).ravel()
-    idx = np.searchsorted(flat_p, flat_u, side="right")
-    idx = idx - np.repeat(np.arange(rows) * m_size, count)
-    return np.minimum(idx, m_size - 1).reshape(batch + (count,))
+    u = rng.random(logw.shape[:-1] + (count,))
+    # Flat position just before each row; since p[..., -1] = 1.0 > u, no
+    # search leaves its row.
+    before_row = np.arange(0, p.size, m_size).reshape(p.shape[:-1] + (1,)) - 1
+    flat_p = p.reshape(-1)
+    idx = np.zeros(u.shape, dtype=np.intp)
+    step = 1 << (m_size.bit_length() - 1)
+    while step:
+        probe = np.minimum(idx + step, m_size)
+        idx = np.where(flat_p[before_row + probe] <= u, probe, idx)
+        step >>= 1
+    return idx
 
 
 @dataclass(frozen=True)
@@ -324,7 +322,7 @@ def _weighted_summaries(states, probs):
 
 
 def bootstrap_pf(
-    model: ModelSpec | StssmModel | IndependentModel,
+    model: ModelSpec | ModelBundle,
     data: Dataset,
     N: int,
     rng: np.random.Generator,
