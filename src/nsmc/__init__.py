@@ -67,7 +67,6 @@ from .nested import (
     nsmc_run,
     nsmc_step,
     proper_weighting_check,
-    self_nested_proc,
 )
 from .diagnostics import ReplicateSummary, aggregate, squared_error, unbiasedness_test
 from .asymptotics import (

@@ -16,6 +16,17 @@ written next to the results so every output directory is reproducible
 from its own contents.  Exit codes: 0 success, 1 partial failure
 (some replicate collapsed or a selftest check failed), 2 usage or
 configuration errors.
+
+Choosing ``stage_proposal`` for ``smc+bs`` and ``smc+empirical``:
+``"prior"`` (the default) draws each component from its conditional law
+under the transition; ``"optimal"`` also conditions it on its own
+observation, at the same cost per step.  On the chain model at n_x = 100
+(T = 3, N = 100, M = 20, 12 filter seeds), the median squared logZ error
+against Kalman is 6.66 nats^2 with the prior and 1.02 with the optimal
+proposal (0.0146 and 0.0024 at n_x = 10); the prior needs M = 80, at 2.8
+times the cost, to reach 0.72.  On the independent model the optimal
+proposal is exact.  ``"prior"`` stays the default so that existing
+configs keep their results.
 """
 
 from __future__ import annotations

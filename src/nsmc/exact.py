@@ -108,7 +108,10 @@ def kalman_step(
 
 
 def kalman_run(model: StssmSpec, data: Dataset) -> FilterOutput:
-    """Filter a whole dataset; marginal variances land in ``filter_vars``."""
+    """Filter a whole dataset; marginal variances land in ``filter_vars``.
+    A model other than a ``StssmSpec`` raises :class:`InvalidInputError`."""
+    if not isinstance(model, StssmSpec):
+        raise InvalidInputError(f"kalman_run needs a StssmSpec, got {type(model).__name__}")
 
     def step(belief, t, y_t):
         new = kalman_step(belief, model, y_t)
@@ -287,8 +290,11 @@ def fapf_run(
     resampling weights, propagation draws come from the locally optimal
     proposal via backward sampling, and all post-propagation importance
     weights are exactly uniform.  ``logZ`` accumulates
-    ``log((1/N) * sum_i nu_i)``.
+    ``log((1/N) * sum_i nu_i)``.  Raises :class:`InvalidInputError`
+    unless ``model`` is a ``StssmSpec``.
     """
+    if not isinstance(model, StssmSpec):
+        raise InvalidInputError(f"fapf_run needs a StssmSpec, got {type(model).__name__}")
     if N < 1:
         raise ValueError("N must be >= 1")
 

@@ -14,6 +14,11 @@ first-order Gaussian chain over the components, so all stage code is in
 :class:`GaussianStageTarget`; ``ChainInnerTarget`` and
 ``IndependentInnerTarget`` (the chain with ``phi = 0``) only build it.
 
+The inner samplers call one stage hook, ``InnerTargetSequence.propagate``,
+which draws stage ``d`` from the stage proposal ``r_d`` and weights the
+draws by ``p_d / (p_{d-1} r_d)`` in one call, so work that the draw and
+the weight share is done once.
+
 All inner machinery is batched over outer particles: arrays carry shape
 ``(n_stages, *batch, M)`` and every stage operation is vectorized across
 the batch, which is what makes replicated experiments cheap.  The inner
@@ -97,17 +102,18 @@ class InnerTargetSequence(ABC):
     that the inner normalizing constant equals the predictive density),
     plus stage proposals ``r_d``.
 
+    The samplers call one hook per stage, ``propagate``, which draws from
+    ``r_d`` and weights by ``p_d / (p_{d-1} r_d)``.  It and ``log_p`` are
+    required; ``log_suffix_ratio`` and ``take`` have generic defaults
+    that structured targets override.
+
     ``markov_order`` is the number of trailing prefix components that
-    ``sample_stage``, ``log_stage_proposal`` and ``log_p_increment``
-    read.  The inner samplers pass those hooks only the last
+    ``propagate`` reads.  The samplers pass it only the last
     ``k = min(d, markov_order)`` components of the stage-``d`` prefix,
-    as an array of shape ``(k, *batch, M)``; ``None`` (the default)
-    passes the full prefix, ``k = d``.  A target that declares an order
-    must override ``log_p_increment``, because the generic default
-    evaluates ``log_p`` on the full prefix.  ``log_p`` and
-    ``log_suffix_ratio`` are not windowed.  Only ``log_p`` is strictly
-    required; the incremental and backward hooks have generic defaults
-    that structured targets override for speed.
+    as a window of shape ``(k, *batch, M)``, or ``(k, *batch, 1)`` from
+    the self-nested sampler; ``None`` (the default) passes the full
+    prefix, ``k = d``.  ``log_p`` and ``log_suffix_ratio`` are not
+    windowed.
     """
 
     n_stages: int
@@ -115,24 +121,13 @@ class InnerTargetSequence(ABC):
     markov_order: int | None = None
 
     @abstractmethod
-    def sample_stage(self, d, prefix, m, rng) -> np.ndarray:
-        """Draw stage-``d`` components from ``r_d``; shape ``(*batch, m)``."""
-
-    @abstractmethod
-    def log_stage_proposal(self, d, prefix, x_d) -> np.ndarray:
-        """``log r_d(x_d | prefix)``."""
+    def propagate(self, d, window, m, rng) -> tuple[np.ndarray, np.ndarray]:
+        """Draw ``x_d`` from ``r_d`` given ``window``; return ``x_d`` and
+        ``log (p_d / (p_{d-1} r_d))``, both of shape ``(*batch, m)``."""
 
     @abstractmethod
     def log_p(self, d, traj) -> np.ndarray:
         """``log p_d`` on full prefixes ``traj`` of shape ``(d+1, *batch, M)``."""
-
-    def log_p_increment(self, d, prefix, x_d) -> np.ndarray:
-        """``log (p_d / p_{d-1})`` for the extension of ``prefix`` by ``x_d``."""
-        joined = np.concatenate([prefix, x_d[None]], axis=0)
-        inc = self.log_p(d, joined)
-        if d > 0:
-            inc = inc - self.log_p(d - 1, prefix)
-        return inc
 
     def log_suffix_ratio(self, d, state: "InnerState", suffix) -> np.ndarray:
         """``log p_{n-1}((x_{0:d}^j, suffix)) - log p_d(x_{0:d}^j)``.
@@ -191,36 +186,31 @@ class GaussianStageTarget(InnerTargetSequence):
             return mean + self.phi[d] * prefix[-1]
         return mean
 
-    def _optimal_law(self, d, mean):
-        post_prec = self.c[d] + 1.0 / self.obs_var
-        post_mean = (self.c[d] * mean + self.y[d] / self.obs_var) / post_prec
-        return post_mean, 1.0 / post_prec
+    def _factors(self, d, mean, x_d):
+        """The stage-``d`` conditional law's log-density at ``x_d`` and
+        ``log (p_d / p_{d-1})``, which adds the observation factor."""
+        trans = _gauss_logpdf(x_d, mean, self.var[d])
+        return trans, trans + _gauss_logpdf(self.y[d], x_d, self.obs_var)
 
-    def sample_stage(self, d, prefix, m, rng):
-        mean = self._cond_mean(d, prefix)
+    def propagate(self, d, window, m, rng):
+        mean = self._cond_mean(d, window)
         z = rng.standard_normal(self.batch_shape + (m,))
         if self.proposal == "prior":
-            return mean + np.sqrt(self.var[d]) * z
-        post_mean, post_var = self._optimal_law(d, mean)
-        return post_mean + np.sqrt(post_var) * z
-
-    def log_stage_proposal(self, d, prefix, x_d):
-        mean = self._cond_mean(d, prefix)
-        if self.proposal == "prior":
-            return _gauss_logpdf(x_d, mean, self.var[d])
-        return _gauss_logpdf(x_d, *self._optimal_law(d, mean))
-
-    def log_p_increment(self, d, prefix, x_d):
-        mean = self._cond_mean(d, prefix)
-        return _gauss_logpdf(x_d, mean, self.var[d]) + _gauss_logpdf(
-            self.y[d], x_d, self.obs_var
-        )
+            x = mean + np.sqrt(self.var[d]) * z
+            # The proposal density is the transition term itself.
+            trans, inc = self._factors(d, mean, x)
+            return x, inc - trans
+        post_prec = self.c[d] + 1.0 / self.obs_var
+        post_mean = (self.c[d] * mean + self.y[d] / self.obs_var) / post_prec
+        post_var = 1.0 / post_prec
+        x = post_mean + np.sqrt(post_var) * z
+        return x, self._factors(d, mean, x)[1] - _gauss_logpdf(x, post_mean, post_var)
 
     def log_p(self, d, traj):
-        total = self.log_p_increment(0, traj[:0], traj[0])
-        for e in range(1, d + 1):
-            total = total + self.log_p_increment(e, traj[:e], traj[e])
-        return total
+        return sum(
+            self._factors(e, self._cond_mean(e, traj[:e]), traj[e])[1]
+            for e in range(d + 1)
+        )
 
     def log_suffix_ratio(self, d, state, suffix):
         if self.markov_order == 0:
@@ -280,11 +270,6 @@ class IndependentInnerTarget(GaussianStageTarget):
         )
 
 
-def make_inner_target(model, t: int, x_prev, y_t, proposal: str = "prior"):
-    """Stage decomposition of ``gamma_t / gamma_{t-1}`` for a model."""
-    return model.inner_target(t, x_prev, y_t, proposal)
-
-
 # ---------------------------------------------------------------------------
 # Inner SMC, backward simulation, empirical draw
 # ---------------------------------------------------------------------------
@@ -310,10 +295,6 @@ class InnerState:
     def n_stages(self) -> int:
         return self.particles.shape[0]
 
-    @property
-    def m(self) -> int:
-        return self.particles.shape[-1]
-
     def take(self, idx: np.ndarray) -> "InnerState":
         return InnerState(
             particles=self.particles[:, idx],
@@ -325,7 +306,7 @@ class InnerState:
     def stage_trajectories(self, d: int) -> np.ndarray:
         """Prefixes ``x_{0:d}^j`` as formed at stage ``d``; ``(d+1, *batch, M)``."""
         batch = self.particles.shape[1:-1]
-        m = self.m
+        m = self.particles.shape[-1]
         idx = np.broadcast_to(np.arange(m), batch + (m,)).copy()
         out = np.empty((d + 1,) + batch + (m,))
         for e in range(d, -1, -1):
@@ -373,40 +354,25 @@ def inner_smc(
     if m < 1:
         raise ValueError("m must be >= 1")
     n = target.n_stages
-    order = target.markov_order
     batch = target.batch_shape
     particles = np.empty((n,) + batch + (m,))
     ancestors = np.zeros((max(n - 1, 0),) + batch + (m,), dtype=np.intp)
     logw = np.empty((n,) + batch + (m,))
+    dead = np.zeros(batch, dtype=bool)
+    window = np.empty((0,) + batch + (m,))
 
-    empty = np.empty((0,) + batch + (m,))
-    x = target.sample_stage(0, empty, m, rng)
-    particles[0] = x
-    lw = target.log_p_increment(0, empty, x) - target.log_stage_proposal(
-        0, empty, x
-    )
-    logw[0] = lw
-    dead = ~np.isfinite(np.max(lw, axis=-1))
-    if strict and np.any(dead):
-        raise InnerCollapseError(stage=1)
-    window = _extend_window(empty, x, order)
-
-    for d in range(1, n):
-        resample_lw = np.where(dead[..., None], 0.0, logw[d - 1])
-        idx = _multinomial_rows(resample_lw, m, rng)
-        ancestors[d - 1] = idx
-        window = np.take_along_axis(window, idx[None], axis=-1)
-        x = target.sample_stage(d, window, m, rng)
-        particles[d] = x
-        lw = target.log_p_increment(d, window, x) - target.log_stage_proposal(
-            d, window, x
-        )
-        logw[d] = lw
-        stage_dead = ~np.isfinite(np.max(lw, axis=-1))
+    for d in range(n):
+        if d:
+            resample_lw = np.where(dead[..., None], 0.0, logw[d - 1])
+            idx = _multinomial_rows(resample_lw, m, rng)
+            ancestors[d - 1] = idx
+            window = np.take_along_axis(window, idx[None], axis=-1)
+        particles[d], logw[d] = target.propagate(d, window, m, rng)
+        stage_dead = ~np.isfinite(np.max(logw[d], axis=-1))
         if strict and np.any(stage_dead):
             raise InnerCollapseError(stage=d + 1)
         dead = dead | stage_dead
-        window = _extend_window(window, x, order)
+        window = _extend_window(window, particles[d], target.markov_order)
 
     log_tau = np.sum(_row_logmeanexp(logw), axis=0)
     return InnerState(
@@ -708,16 +674,11 @@ class SelfNestedProcedure(ProperWeightingProcedure):
         particles = np.empty((n,) + batch + (mo,))
         ancestors = np.zeros((max(n - 1, 0),) + batch + (mo,), dtype=np.intp)
         log_tau = np.zeros(batch)
-        order = target.markov_order
         window = np.empty((0,) + batch + (mo,))
         for d in range(n):
-            # Candidates: (*batch, mo, mi) from the stage proposal, with
-            # the conditioning window tiled across the inner axis.
-            prefix = np.broadcast_to(window[..., None], window.shape + (mi,))
-            cand = tiled.sample_stage(d, prefix, mi, rng)
-            lw = tiled.log_p_increment(d, prefix, cand) - (
-                tiled.log_stage_proposal(d, prefix, cand)
-            )
+            # Candidates: (*batch, mo, mi) from the stage proposal; the
+            # window's trailing unit axis broadcasts over the inner axis.
+            cand, lw = tiled.propagate(d, window[..., None], mi, rng)
             stage_log_tau = _row_logmeanexp(lw)  # (*batch, mo)
             log_tau = log_tau + _row_logmeanexp(stage_log_tau)
             idx = _multinomial_rows(stage_log_tau, mo, rng)
@@ -727,9 +688,8 @@ class SelfNestedProcedure(ProperWeightingProcedure):
             cand = np.take_along_axis(cand, idx[..., None], axis=-2)
             lw = np.take_along_axis(lw, idx[..., None], axis=-2)
             pick = _categorical_rows(lw, rng)
-            x = np.take_along_axis(cand, pick[..., None], axis=-1)[..., 0]
-            particles[d] = x
-            window = _extend_window(window, x, order)
+            particles[d] = np.take_along_axis(cand, pick[..., None], axis=-1)[..., 0]
+            window = _extend_window(window, particles[d], target.markov_order)
         state = InnerState(
             particles=particles,
             ancestors=ancestors,
@@ -758,13 +718,6 @@ def make_procedure(kind: str, m: int, **kwargs) -> ProperWeightingProcedure:
     if kind not in PROCEDURES:
         raise ValueError(f"unknown procedure kind: {kind!r}")
     return PROCEDURES[kind][0](m, **kwargs)
-
-
-def self_nested_proc(
-    m_outer: int, m_inner: int, sub_ordering=None
-) -> SelfNestedProcedure:
-    """Depth-1 self-nested procedure; deeper recursion is rejected."""
-    return SelfNestedProcedure(m_outer, m_inner, sub_ordering=sub_ordering)
 
 
 # ---------------------------------------------------------------------------

@@ -83,8 +83,11 @@ def _categorical_rows(logw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     ``logw`` has shape ``(..., M)``; returns integer indices of shape
     ``(...)``.  Rows whose weights all vanish fall back to the last
     index, ``M - 1`` (the caller is responsible for masking such rows).
+    A NaN log-weight raises ``ValueError``.
     """
     m = np.max(logw, axis=-1, keepdims=True)
+    if np.any(np.isnan(m)):  # the maximum of a row is NaN iff it holds one
+        raise ValueError("log-weights contain NaN")
     w = np.exp(logw - np.where(np.isfinite(m), m, 0.0))
     cum = np.cumsum(w, axis=-1)
     total = cum[..., -1:]
@@ -102,9 +105,12 @@ def _multinomial_rows(
     probabilities not above ``u``, found by a binary search vectorized
     over all draws, so resolution does not depend on the batch size.
     Memory is ``rows * count`` indices; time is ``O(rows * count * log m)``.
+    A NaN log-weight raises ``ValueError``.
     """
     m_size = logw.shape[-1]
     shift = np.max(logw, axis=-1, keepdims=True)
+    if np.any(np.isnan(shift)):  # the maximum of a row is NaN iff it holds one
+        raise ValueError("log-weights contain NaN")
     w = np.exp(logw - np.where(np.isfinite(shift), shift, 0.0))
     cum = np.cumsum(w, axis=-1)
     total = cum[..., -1:]
@@ -143,9 +149,6 @@ class ParticleSystem:
     @property
     def n(self) -> int:
         return self.states.shape[0]
-
-    def normalized(self) -> tuple[np.ndarray, float]:
-        return normalize_logweights(self.logw)
 
 
 def _empty_system(N: int, n_x: int) -> ParticleSystem:

@@ -197,3 +197,10 @@ class TestAsymptoticsCommand:
         assert rows[0] == "M,sigma_nsmc,sigma_fa"
         last = rows[-1].split(",")
         assert abs(float(last[1]) - float(last[2])) <= 1e-6 * float(last[2])
+
+
+def test_selftest_runs_in_process(capsys):
+    assert main(["selftest", "--reps", "2000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 11
+    assert all(line.endswith("PASS") for line in lines)

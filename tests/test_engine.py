@@ -52,6 +52,12 @@ class TestInvalidInput:
         with pytest.raises(InvalidInputError, match="non-finite"):
             RUNS[name](CHAIN, Dataset(T=3, observations=obs))
 
+    @pytest.mark.parametrize("name", ["fapf", "kalman"])
+    def test_exact_filters_reject_independent_spec(self, name):
+        spec = IndependentSsmSpec(n_x=4, a_coef=0.5)
+        with pytest.raises(InvalidInputError, match="needs a StssmSpec"):
+            RUNS[name](spec, simulate(spec, 3, seed=4))
+
     def test_cli_truncated_dataset_fails_replicates(self, tmp_path):
         model = {"kind": "stssm", "n_x": 2, "T": 3, "tau": 1.0, "lambda": 1.0,
                  "obs_var": 0.25, "a_coef": 0.5}

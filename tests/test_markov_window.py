@@ -23,7 +23,7 @@ MODELS = {
 
 class FullPrefix(InnerTargetSequence):
     """Delegates every hook to ``inner`` but declares no Markov order, so
-    the samplers hand it the full prefix."""
+    the samplers hand ``propagate`` the full, unsliced prefix."""
 
     markov_order = None
 
@@ -32,17 +32,11 @@ class FullPrefix(InnerTargetSequence):
         self.n_stages = inner.n_stages
         self.batch_shape = inner.batch_shape
 
-    def sample_stage(self, d, prefix, m, rng):
-        return self.inner.sample_stage(d, prefix, m, rng)
-
-    def log_stage_proposal(self, d, prefix, x_d):
-        return self.inner.log_stage_proposal(d, prefix, x_d)
+    def propagate(self, d, window, m, rng):
+        return self.inner.propagate(d, window, m, rng)
 
     def log_p(self, d, traj):
         return self.inner.log_p(d, traj)
-
-    def log_p_increment(self, d, prefix, x_d):
-        return self.inner.log_p_increment(d, prefix, x_d)
 
     def log_suffix_ratio(self, d, state, suffix):
         return self.inner.log_suffix_ratio(d, state, suffix)
@@ -100,19 +94,11 @@ def test_self_nested_window_is_bitwise_full_prefix(kind):
 
 def _recording(cls):
     class Recording(cls):
-        """Records the prefix length every windowed hook receives."""
+        """Records the prefix length every ``propagate`` call receives."""
 
-        def sample_stage(self, d, prefix, m, rng):
-            self.widths.append(prefix.shape[0])
-            return super().sample_stage(d, prefix, m, rng)
-
-        def log_stage_proposal(self, d, prefix, x_d):
-            self.widths.append(prefix.shape[0])
-            return super().log_stage_proposal(d, prefix, x_d)
-
-        def log_p_increment(self, d, prefix, x_d):
-            self.widths.append(prefix.shape[0])
-            return super().log_p_increment(d, prefix, x_d)
+        def propagate(self, d, window, m, rng):
+            self.widths.append(window.shape[0])
+            return super().propagate(d, window, m, rng)
 
     return Recording
 
@@ -134,6 +120,6 @@ def test_hooks_receive_only_the_markov_window(kind, cls, order):
     x_prev, y = _inputs(6)
     inner_smc(model.inner_target(2, x_prev, y), 5, np.random.default_rng(7))
     SelfNestedProcedure(4, 3).prepare(model, 2, x_prev, y, np.random.default_rng(9))
-    # Three hooks per stage, every stage, in both samplers.
-    assert len(widths) == 2 * 3 * N_X
+    # One hook call per stage, every stage, in both samplers.
+    assert len(widths) == 2 * N_X
     assert max(widths) <= order

@@ -1,6 +1,8 @@
 """Tests for the nested filter: inner SMC, backward simulation, proper
 weighting, reduction identities and the outer loop."""
 
+import zlib
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare, kstest, norm
@@ -21,21 +23,20 @@ from nsmc.nested import (
     general_nsmc_step,
     inner_smc,
     is_inner,
-    make_inner_target,
     make_procedure,
     nsmc_init,
     nsmc_run,
     nsmc_step,
     proper_weighting_check,
-    self_nested_proc,
 )
 
 from oracles import dense_conditional
 
 
 class Gaussian1dTarget(InnerTargetSequence):
-    """Single-stage target with analytic mass, defined only through the
-    required interface so the generic default hooks get exercised."""
+    """Single-stage target with analytic mass whose stage weight is
+    built from ``log_p`` alone, so the generic default hooks get
+    exercised."""
 
     def __init__(self, loc, scale, mass, prop_loc, prop_scale, batch=()):
         self.loc, self.scale, self.mass = loc, scale, mass
@@ -43,13 +44,14 @@ class Gaussian1dTarget(InnerTargetSequence):
         self.n_stages = 1
         self.batch_shape = batch
 
-    def sample_stage(self, d, prefix, m, rng):
-        return self.prop_loc + self.prop_scale * rng.standard_normal(
+    def propagate(self, d, window, m, rng):
+        x = self.prop_loc + self.prop_scale * rng.standard_normal(
             self.batch_shape + (m,)
         )
-
-    def log_stage_proposal(self, d, prefix, x_d):
-        return norm.logpdf(x_d, self.prop_loc, self.prop_scale)
+        inc = self.log_p(d, np.concatenate([window, x[None]], axis=0))
+        if d > 0:
+            inc = inc - self.log_p(d - 1, window)
+        return x, inc - norm.logpdf(x, self.prop_loc, self.prop_scale)
 
     def log_p(self, d, traj):
         return np.log(self.mass) + norm.logpdf(traj[d], self.loc, self.scale)
@@ -86,7 +88,7 @@ class TestInnerSmc:
         spec = StssmSpec.chain(n_x=6, tau=1.0, lam=1.0, obs_var=0.25)
         model = make_model(spec)
         rng = np.random.default_rng(3)
-        target = make_inner_target(model, 2, rng.standard_normal((8, 6)), rng.standard_normal(6))
+        target = model.inner_target(2, rng.standard_normal((8, 6)), rng.standard_normal(6))
         state = inner_smc(target, 12, rng)
         np.testing.assert_allclose(
             state.log_tau, state.recompute_log_tau(), atol=1e-12
@@ -101,9 +103,6 @@ class TestInnerSmc:
             def log_p(self, d, traj):
                 base = norm.logpdf(traj[: d + 1], 0.0, 1.0).sum(axis=0)
                 return base if d < 2 else np.full_like(base, -np.inf)
-
-            def log_stage_proposal(self, d, prefix, x_d):
-                return norm.logpdf(x_d, 0.0, 1.0)
 
         with pytest.raises(InnerCollapseError) as err:
             inner_smc(DoomedTarget(), 8, np.random.default_rng(4))
@@ -127,23 +126,37 @@ class TestGenericDefaults:
     """The chain target's fast hooks must agree with the generic
     implementations built on full prefix evaluation."""
 
-    def _target_and_state(self):
+    def _target_and_state(self, proposal="prior"):
         spec = StssmSpec.chain(n_x=4, tau=1.0, lam=0.8, obs_var=0.3, a_coef=0.5)
         model = make_model(spec)
         rng = np.random.default_rng(6)
         x_prev = rng.standard_normal(4)
         y = rng.standard_normal(4)
-        target = make_inner_target(model, 2, x_prev, y)
+        target = model.inner_target(2, x_prev, y, proposal)
         state = inner_smc(target, 6, rng)
         return target, state, rng
 
     def test_increment_matches_generic(self):
-        target, state, rng = self._target_and_state()
-        prefix = state.stage_trajectories(1)
-        x_d = rng.standard_normal(prefix.shape[1:])
-        fast = target.log_p_increment(2, prefix, x_d)
-        generic = InnerTargetSequence.log_p_increment(target, 2, prefix, x_d)
-        np.testing.assert_allclose(fast, generic, atol=1e-10)
+        # The stage weight is log p_2 - log p_1 - log r_2, with r_2 the
+        # chain's conditional law (prior) or that law times the stage-2
+        # likelihood, normalized (optimal).
+        for proposal in ("prior", "optimal"):
+            target, state, rng = self._target_and_state(proposal)
+            prefix = state.stage_trajectories(1)
+            x_d, log_w = target.propagate(2, prefix, prefix.shape[-1], rng)
+            mean = target.alpha[..., 2, None] + target.phi[2] * prefix[-1]
+            var = target.var[2]
+            if proposal == "optimal":
+                prec = 1.0 / var + 1.0 / target.obs_var
+                mean = (mean / var + target.y[2] / target.obs_var) / prec
+                var = 1.0 / prec
+            joined = np.concatenate([prefix, x_d[None]], axis=0)
+            generic = (
+                target.log_p(2, joined)
+                - target.log_p(1, prefix)
+                - norm.logpdf(x_d, mean, np.sqrt(var))
+            )
+            np.testing.assert_allclose(log_w, generic, atol=1e-10)
 
     def test_suffix_ratio_matches_generic_up_to_constant(self):
         target, state, rng = self._target_and_state()
@@ -172,7 +185,7 @@ class TestBackwardSimulate:
         spec = StssmSpec.chain(n_x=3, tau=1.0, lam=1.0, obs_var=0.5)
         model = make_model(spec)
         rng = np.random.default_rng(8)
-        target = make_inner_target(model, 2, np.zeros(3), np.ones(3))
+        target = model.inner_target(2, np.zeros(3), np.ones(3))
         state = inner_smc(target, 1, rng)
         x = backward_simulate(state, target, rng)
         np.testing.assert_array_equal(x, state.particles[:, 0])
@@ -193,7 +206,7 @@ class TestBackwardSimulate:
         draws = []
         for _ in range(n_draws // chunk):
             tiled = np.broadcast_to(x_prev, (chunk, 2))
-            target = make_inner_target(model, 2, tiled, y)
+            target = model.inner_target(2, tiled, y)
             state = inner_smc(target, 2000, rng, strict=False)
             draws.append(backward_simulate(state, target, rng)[:, 0])
         draws = np.concatenate(draws)
@@ -279,7 +292,7 @@ class TestProperWeighting:
     )
     def test_procedures_properly_weighted(self, kind, m):
         proc = make_procedure(kind, m)
-        rng = np.random.default_rng(abs(hash((kind, m))) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(repr((kind, m)).encode()))
         checks = proper_weighting_check(
             proc, self.SPEC, self.X_PREV, self.Y, 30000, rng
         )
@@ -304,7 +317,7 @@ class TestProperWeighting:
 class TestSelfNested:
     def test_depth_cap(self):
         with pytest.raises(ValueError):
-            self_nested_proc(4, 4, sub_ordering=[2, 1, 0])
+            SelfNestedProcedure(4, 4, sub_ordering=[2, 1, 0])
 
     def test_m_inner_one_still_unbiased(self):
         spec = TestProperWeighting.SPEC

@@ -1,5 +1,5 @@
 """Property tests for the log-weight primitives, plus the exact per-row
-resolution of ``_multinomial_rows``."""
+resolution of ``_multinomial_rows`` and the rejection of NaN rows."""
 
 import numpy as np
 import pytest
@@ -92,6 +92,24 @@ def test_multinomial_rows_keeps_batch_shape(logw, count, seed):
     assert idx.shape == logw.shape[:-1] + (count,)
     assert np.all((idx >= 0) & (idx < logw.shape[-1]))
     _assert_no_dead_draws(logw.reshape(-1, logw.shape[-1]), idx.reshape(-1, count))
+
+
+@PROPERTY
+@given(logw=weight_rows(), row=st.integers(0, 5), col=st.integers(0, 7))
+def test_row_samplers_reject_nan(logw, row, col):
+    logw[row % logw.shape[0], col % logw.shape[1]] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        _categorical_rows(logw, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="NaN"):
+        _multinomial_rows(logw, 3, np.random.default_rng(0))
+
+
+def test_row_samplers_reject_nan_rows():
+    logw = np.array([[0.0, np.nan, 1.0], [np.nan, np.nan, np.nan]])
+    with pytest.raises(ValueError, match="NaN"):
+        _categorical_rows(logw, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="NaN"):
+        _multinomial_rows(logw, 3, np.random.default_rng(0))
 
 
 class _ConstantUniforms:
