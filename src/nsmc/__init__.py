@@ -40,7 +40,6 @@ from .smc import (
 )
 from .exact import (
     FfbsCache,
-    GaussianMessage,
     KalmanBelief,
     fapf_run,
     ffbs_backward,
@@ -61,7 +60,6 @@ from .nested import (
     empirical_draw,
     general_nsmc_step,
     inner_smc,
-    is_inner,
     make_procedure,
     nsmc_init,
     nsmc_run,

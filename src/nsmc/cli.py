@@ -57,6 +57,7 @@ from .model import (
 )
 from .nested import (
     PROCEDURES,
+    STAGE_PROPOSALS,
     ExactTransitionProcedure,
     general_nsmc_step,
     make_procedure,
@@ -120,9 +121,19 @@ class ExperimentConfig:
 
 
 def _require(block: dict, key: str, where: str):
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
     if key not in block:
         raise ConfigError(f"{where}.{key}: missing required field")
     return block[key]
+
+
+def _as_int(value, field: str) -> int:
+    """``int(value)``, with a :class:`ConfigError` naming ``field``."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field}: expected an integer, got {value!r}") from None
 
 
 def _spec_from_block(cls, block: dict, where: str):
@@ -131,7 +142,7 @@ def _spec_from_block(cls, block: dict, where: str):
         return cls.from_dict(block)
     except KeyError as err:
         raise ConfigError(f"{where}.{err.args[0]}: missing required field") from None
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise ConfigError(f"{where}: {err}") from None
 
 
@@ -142,21 +153,25 @@ def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
     name = raw.get("name", base_name)
     mblock = _require(raw, "model", "model")
     kind = _require(mblock, "kind", "model")
-    T = int(_require(mblock, "T", "model"))
+    T = _as_int(_require(mblock, "T", "model"), "model.T")
     if T < 1:
         raise ConfigError("model.T: must be >= 1")
-    if kind not in SPEC_KINDS:
+    if not isinstance(kind, str) or kind not in SPEC_KINDS:
         raise ConfigError(f"model.kind: unknown kind {kind!r}")
     model = _spec_from_block(SPEC_KINDS[kind], mblock, "model")
 
     dblock = _require(raw, "data", "data")
+    if not isinstance(dblock, dict):
+        raise ConfigError("data: expected a JSON object")
     data_path = dblock.get("path")
-    data_seed = int(dblock.get("seed", 0))
+    data_seed = _as_int(dblock.get("seed", 0), "data.seed")
     if data_path is None and "seed" not in dblock:
         raise ConfigError("data: needs either a seed or a path")
 
     methods = []
     raw_methods = _require(raw, "methods", "methods")
+    if not isinstance(raw_methods, list):
+        raise ConfigError("methods: expected a list of method objects")
     if not raw_methods:
         raise ConfigError("methods: at least one method is required")
     for i, m in enumerate(raw_methods):
@@ -164,15 +179,15 @@ def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
         mk = _require(m, "kind", where)
         if mk not in VALID_METHOD_KINDS:
             raise ConfigError(f"{where}.kind: unknown kind {mk!r}")
-        n = int(m.get("N", 0))
-        mm = int(m.get("M", 0))
+        n = _as_int(m.get("N", 0), f"{where}.N")
+        mm = _as_int(m.get("M", 0), f"{where}.M")
         inner = m.get("inner", "smc+bs")
         stage_proposal = m.get("stage_proposal", "prior")
         if inner not in VALID_INNER:
             raise ConfigError(f"{where}.inner: unknown inner procedure {inner!r}")
-        if stage_proposal not in ("prior", "optimal"):
+        if stage_proposal not in STAGE_PROPOSALS:
             raise ConfigError(
-                f"{where}.stage_proposal: must be 'prior' or 'optimal'"
+                f"{where}.stage_proposal: must be one of {STAGE_PROPOSALS}"
             )
         if mk != "kalman" and n < 1:
             raise ConfigError(f"{where}.N: must be >= 1 for kind {mk!r}")
@@ -195,7 +210,7 @@ def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
     if len(set(names)) != len(names):
         raise ConfigError("methods: method names must be unique")
 
-    replicates = int(raw.get("replicates", 1))
+    replicates = _as_int(raw.get("replicates", 1), "replicates")
     if replicates < 1:
         raise ConfigError("replicates: must be >= 1")
     return ExperimentConfig(

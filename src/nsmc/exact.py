@@ -31,7 +31,6 @@ __all__ = [
     "kalman_init",
     "kalman_step",
     "kalman_run",
-    "GaussianMessage",
     "FfbsCache",
     "ffbs_forward",
     "ffbs_backward",
@@ -126,51 +125,20 @@ def kalman_run(model: StssmSpec, data: Dataset) -> FilterOutput:
 
 
 @dataclass(frozen=True)
-class GaussianMessage:
-    """Scalar filtered message for one component.
-
-    ``log_scale`` is the accumulated log of the incremental normalizer up
-    to and including this component.
-    """
-
-    mean: float
-    var: float
-    log_scale: float
-
-
-@dataclass(frozen=True)
 class FfbsCache:
     """Forward-pass messages for one conditional target, batched.
 
     Leading dimensions are arbitrary batch dimensions (one row per
     particle); the trailing dimension indexes state components.  The
-    chain factorization and the conditioning context are retained so the
-    backward pass (and tests) can replay the computation.
+    chain factorization and ``x_prev`` are kept for the backward pass and
+    the draw ``x_t = a * x_prev + v``.
     """
 
     filt_mean: np.ndarray  # (..., n_x)
     filt_var: np.ndarray  # (..., n_x)
-    log_scale_inc: np.ndarray  # (..., n_x) increments of log nu
     log_nu: np.ndarray  # (...,)
     fact: ChainFactorization
     x_prev: np.ndarray  # (..., n_x)
-    y_t: np.ndarray  # (n_x,)
-    model: StssmSpec
-
-    @property
-    def messages(self) -> list[GaussianMessage]:
-        """Per-component messages (unbatched caches only)."""
-        if self.filt_mean.ndim != 1:
-            raise ValueError("messages view requires an unbatched cache")
-        log_scale = np.cumsum(self.log_scale_inc)
-        return [
-            GaussianMessage(
-                mean=float(self.filt_mean[d]),
-                var=float(self.filt_var[d]),
-                log_scale=float(log_scale[d]),
-            )
-            for d in range(self.filt_mean.size)
-        ]
 
 
 def ffbs_forward(
@@ -213,12 +181,9 @@ def ffbs_forward(
     return FfbsCache(
         filt_mean=filt_mean,
         filt_var=filt_var,
-        log_scale_inc=log_inc,
         log_nu=np.sum(log_inc, axis=-1),
         fact=fact,
         x_prev=x_prev,
-        y_t=y_t,
-        model=model,
     )
 
 
@@ -265,7 +230,6 @@ class _ExactFfbsAux:
             c,
             filt_mean=c.filt_mean[idx],
             filt_var=c.filt_var[idx],
-            log_scale_inc=c.log_scale_inc[idx],
             log_nu=c.log_nu[idx],
             x_prev=c.x_prev[idx],
         )

@@ -34,8 +34,9 @@ Procedures see the model only through the ``t``-aware protocol of
 type.  ``PROCEDURES`` is the one table of procedure names.  The outer
 filter is the package's fully adapted step (:mod:`nsmc.smc`) driven by a
 procedure; with :class:`ExactFfbsProcedure` it is the fully adapted
-particle filter.  :func:`general_nsmc_step` is the general algorithm with
-arbitrary proposals and adjustment multipliers.
+particle filter.  :func:`general_nsmc_step` is the general algorithm:
+any proposal the procedure is properly weighted for, with the
+procedure scores or constants as adjustment multipliers.
 """
 
 from __future__ import annotations
@@ -104,8 +105,11 @@ class InnerTargetSequence(ABC):
 
     The samplers call one hook per stage, ``propagate``, which draws from
     ``r_d`` and weights by ``p_d / (p_{d-1} r_d)``.  It and ``log_p`` are
-    required; ``log_suffix_ratio`` and ``take`` have generic defaults
-    that structured targets override.
+    required; ``log_suffix_ratio`` has a generic default that structured
+    targets override.  A target used inside the outer filter also needs
+    ``take(idx)``, which reindexes its batch dimension for outer
+    resampling; there is no default, because a target returned unchanged
+    would silently skip that resampling.
 
     ``markov_order`` is the number of trailing prefix components that
     ``propagate`` reads.  The samplers pass it only the last
@@ -145,9 +149,10 @@ class InnerTargetSequence(ABC):
         joined = np.concatenate([prefixes, tail], axis=0)
         return self.log_p(self.n_stages - 1, joined) - self.log_p(d, prefixes)
 
-    def take(self, idx: np.ndarray) -> "InnerTargetSequence":
-        """Reindex the batch dimension (outer resampling support)."""
-        return self
+
+#: Stage proposals of :class:`GaussianStageTarget`: the stage law itself,
+#: or the locally optimal per-component law.
+STAGE_PROPOSALS = ("prior", "optimal")
 
 
 class GaussianStageTarget(InnerTargetSequence):
@@ -168,7 +173,7 @@ class GaussianStageTarget(InnerTargetSequence):
     markov_order = 1
 
     def __init__(self, alpha, phi, c, var, y_t, obs_var, proposal="prior"):
-        if proposal not in ("prior", "optimal"):
+        if proposal not in STAGE_PROPOSALS:
             raise ValueError(f"unknown stage proposal: {proposal!r}")
         self.alpha = alpha
         self.phi = phi
@@ -433,35 +438,6 @@ def empirical_draw(
     return out
 
 
-def is_inner(
-    proposal,
-    log_target,
-    m: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Properly weighted pair by plain importance sampling.
-
-    ``proposal`` must expose ``sample(m, rng) -> (*batch, m, n_x)`` and
-    ``logpdf(x) -> (*batch, m)``; ``log_target`` evaluates the
-    unnormalized target density on the candidates.  Draws ``m``
-    candidates, sets ``tau`` to the mean importance weight and returns
-    one candidate drawn proportionally to the weights.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    aux = _importance_aux(proposal, log_target, m, rng)
-    if aux.logw.ndim == 1 and not np.isfinite(aux.log_tau):
-        raise InnerCollapseError(stage=1, detail="all importance weights zero")
-    return aux.draw(rng), aux.log_tau
-
-
-def _importance_aux(proposal, log_target, m, rng) -> "_ImportanceAux":
-    """``m`` candidates from ``proposal`` with their importance weights."""
-    cand = proposal.sample(m, rng)
-    logw = np.asarray(log_target(cand)) - np.asarray(proposal.logpdf(cand))
-    return _ImportanceAux(candidates=cand, logw=logw, log_tau=_row_logmeanexp(logw))
-
-
 # ---------------------------------------------------------------------------
 # Properly weighted procedures
 # ---------------------------------------------------------------------------
@@ -479,9 +455,6 @@ class ProperWeightingProcedure(ABC):
     """
 
     kind: str = ""
-    #: whether tau is a deterministic function of the outer state only,
-    #: allowing the auxiliary simulation to run after resampling.
-    tau_independent_of_u: bool = False
 
     @abstractmethod
     def prepare(self, model, t, x_prev, y_t, rng):
@@ -521,6 +494,8 @@ class InnerSmcProcedure(ProperWeightingProcedure):
             raise ValueError("m must be >= 1")
         if kappa not in ("backward", "empirical"):
             raise ValueError(f"unknown kappa: {kappa!r}")
+        if stage_proposal not in STAGE_PROPOSALS:
+            raise ValueError(f"unknown stage proposal: {stage_proposal!r}")
         self.m = m
         self.kappa = kappa
         self.stage_proposal = stage_proposal
@@ -552,28 +527,13 @@ class _ImportanceAux:
         )[..., 0, :]
 
 
-class _TransitionProposal:
-    """Stage-free proposal: the model transition ``f(x_t | x_{t-1})``."""
-
-    def __init__(self, model, t, x_prev):
-        self.model = model
-        self.t = t
-        self.x_prev = np.asarray(x_prev, dtype=float)
-
-    def sample(self, m, rng):
-        tiled = np.broadcast_to(
-            self.x_prev[..., None, :],
-            self.x_prev.shape[:-1] + (m, self.x_prev.shape[-1]),
-        )
-        return self.model.sample_transition(tiled, rng, self.t)
-
-    def logpdf(self, x):
-        return self.model.log_transition(self.x_prev[..., None, :], x, self.t)
-
-
 class ImportanceProcedure(ProperWeightingProcedure):
-    """Plain importance sampling against the incremental target, with
-    candidates drawn from the model transition."""
+    """Plain importance sampling against the incremental target.
+
+    Draws ``m`` candidates from the model transition and weights each by
+    the incremental target over the transition density; ``tau`` is the
+    mean weight, and the draw picks one candidate proportionally to the
+    weights."""
 
     kind = "is"
 
@@ -583,13 +543,15 @@ class ImportanceProcedure(ProperWeightingProcedure):
         self.m = m
 
     def prepare(self, model, t, x_prev, y_t, rng):
-        x_prev = np.asarray(x_prev, dtype=float)
-        return _importance_aux(
-            _TransitionProposal(model, t, x_prev),
-            lambda cand: model.log_gamma_ratio(x_prev[..., None, :], cand, y_t, t),
-            self.m,
-            rng,
+        x_prev = np.asarray(x_prev, dtype=float)[..., None, :]
+        tiled = np.broadcast_to(
+            x_prev, x_prev.shape[:-2] + (self.m, x_prev.shape[-1])
         )
+        cand = model.sample_transition(tiled, rng, t)
+        logw = model.log_gamma_ratio(x_prev, cand, y_t, t) - model.log_transition(
+            x_prev, cand, t
+        )
+        return _ImportanceAux(candidates=cand, logw=logw, log_tau=_row_logmeanexp(logw))
 
 
 class ExactFfbsProcedure(ProperWeightingProcedure):
@@ -599,7 +561,6 @@ class ExactFfbsProcedure(ProperWeightingProcedure):
     sampler."""
 
     kind = "exact-ffbs"
-    tau_independent_of_u = True
 
     def prepare(self, model, t, x_prev, y_t, rng):
         if not isinstance(model, StssmModel):
@@ -633,7 +594,6 @@ class ExactTransitionProcedure(ProperWeightingProcedure):
     algorithm it reproduces the bootstrap filter."""
 
     kind = "exact-transition"
-    tau_independent_of_u = True
 
     def prepare(self, model, t, x_prev, y_t, rng):
         return _ExactTransitionAux(
@@ -649,14 +609,9 @@ class SelfNestedProcedure(ProperWeightingProcedure):
 
     kind = "self-nested"
 
-    def __init__(self, m_outer: int, m_inner: int, sub_ordering=None):
+    def __init__(self, m_outer: int, m_inner: int):
         if m_outer < 1 or m_inner < 1:
             raise ValueError("m_outer and m_inner must be >= 1")
-        if sub_ordering is not None:
-            raise ValueError(
-                "only the natural component order is supported for chain "
-                "stage sequences"
-            )
         self.m = m_outer
         self.m_inner = m_inner
 
@@ -766,8 +721,7 @@ def general_nsmc_step(
     y_t: np.ndarray,
     rng: np.random.Generator,
 ) -> ParticleSystem:
-    """One step of the general algorithm with arbitrary proposal and
-    adjustment multipliers.
+    """One step of the general algorithm with adjustment multipliers.
 
     ``proc`` must be properly weighted for the (unnormalized) proposal
     ``r_t``.  ``log_r`` evaluates it: a callable ``(x_prev, x, y_t)``, or
@@ -776,8 +730,8 @@ def general_nsmc_step(
     transition), for which the weight cancellations are carried out
     algebraically and therefore hold exactly in floating point.
     ``nu_hat`` selects the adjustment multiplier: ``"tau"`` uses the
-    procedure score, ``"one"`` constant multipliers, or a callable
-    ``(x_prev,) -> log nu_hat``.  Carried weights are
+    procedure score and ``"one"`` constant multipliers; anything else
+    raises ``ValueError``.  Carried weights are
 
     ``w_t = (gamma_t / gamma_{t-1}) * tau / (nu_hat * r_t)``,
 
@@ -785,17 +739,22 @@ def general_nsmc_step(
     target and ``nu_hat = tau``, and to the bootstrap filter when
     ``r_t = f`` with unit multipliers and exact transition draws.
 
-    When the multipliers do not depend on the auxiliary variable the
-    simulation runs after resampling, so freshly selected ancestors get
-    conditionally independent draws.  ``model`` is a bundle from
-    :func:`make_model`.
+    With constant multipliers the resampling does not read the auxiliary
+    variable, so the simulation runs after resampling and freshly
+    selected ancestors get conditionally independent draws.  ``model`` is
+    a bundle from :func:`make_model`.
     """
+    if nu_hat not in ("tau", "one"):
+        raise ValueError(f"nu_hat must be 'tau' or 'one', got {nu_hat!r}")
+    if not callable(log_r) and log_r not in ("gamma-ratio", "transition"):
+        raise ValueError(
+            f"log_r must be a callable, 'gamma-ratio' or 'transition', got {log_r!r}"
+        )
     t = system.t + 1
     N = system.n
     logw_prev = system.logw
 
-    defer = nu_hat == "one" and proc.tau_independent_of_u
-    if defer:
+    if nu_hat == "one":
         log_nu = np.zeros(N)
         if t == 1:
             # No state exists yet and the multipliers are constant, so
@@ -808,24 +767,21 @@ def general_nsmc_step(
                 raise WeightCollapseError(step=t) from None
             ancestors = multinomial_resample(probs, N, rng)
         aux = proc.prepare(model, t, system.states[ancestors], y_t, rng)
-        log_nu_res = np.zeros(N)
+        adj = 0.0
     else:
         aux = proc.prepare(model, t, system.states, y_t, rng)
-        if nu_hat == "tau":
-            log_nu = np.asarray(aux.log_tau, dtype=float)
-        elif nu_hat == "one":
-            log_nu = np.zeros(N)
-        else:
-            log_nu = np.asarray(nu_hat(system.states), dtype=float)
+        log_nu = np.asarray(aux.log_tau, dtype=float)
         try:
-            probs, _ = normalize_logweights(logw_prev + log_nu)
+            probs, log_mean_adjusted = normalize_logweights(logw_prev + log_nu)
         except WeightCollapseError:
             raise WeightCollapseError(
                 step=t, detail="all adjusted weights are zero"
             ) from None
         ancestors = multinomial_resample(probs, N, rng)
         aux = aux.take(ancestors)
-        log_nu_res = log_nu[ancestors]
+        # Normalizer adjustment: log (sum w_prev*nu / sum w_prev), from
+        # the two shifted log-means, so a tiny nu cannot underflow it.
+        adj = log_mean_adjusted - normalize_logweights(logw_prev)[1]
 
     x_prev_res = system.states[ancestors]
     states = aux.draw(rng)
@@ -838,13 +794,9 @@ def general_nsmc_step(
         log_gamma = model.log_gamma_ratio(x_prev_res, states, y_t, t)
         core = log_gamma - np.asarray(log_r(x_prev_res, states, y_t))
     # Grouped so the fully adapted configuration cancels exactly.
-    logw = core + (log_tau_res - log_nu_res)
+    logw = core + (log_tau_res - log_nu[ancestors])
 
-    # Normalizer increment: (sum w_prev*nu / sum w_prev) * (1/N) sum w_t.
-    shift = np.max(logw_prev)
-    adj = np.log(np.sum(np.exp(logw_prev - shift + log_nu))) - np.log(
-        np.sum(np.exp(logw_prev - shift))
-    )
+    # Normalizer increment: adjustment times (1/N) sum w_t.
     try:
         _, log_mean_w = normalize_logweights(logw)
     except WeightCollapseError:

@@ -16,9 +16,7 @@ propagation draws.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -158,12 +156,9 @@ def _empty_system(N: int, n_x: int) -> ParticleSystem:
 
 @dataclass(frozen=True)
 class FilterOutput:
-    """Per-step summaries of one filter run.
-
-    Serialized as CSV with header ``t,stat,component,value``; the
-    ``component`` column is empty for scalar statistics (``logZ_increment``
-    and ``ess``).  Time and component indices are 1-based in the file.
-    """
+    """Per-step summaries of one filter run: filtering means and
+    variances, normalizer increments and, for the filters that keep one,
+    the ESS trace.  Row ``t`` holds time ``t + 1``."""
 
     method: str
     filter_means: np.ndarray  # (T, n_x)
@@ -182,58 +177,6 @@ class FilterOutput:
     @property
     def logZ(self) -> float:
         return float(np.sum(self.logz_increments))
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(Path(path), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "stat", "component", "value"])
-            for t in range(self.T):
-                for d in range(self.n_x):
-                    writer.writerow(
-                        [t + 1, "mean", d + 1, repr(float(self.filter_means[t, d]))]
-                    )
-                for d in range(self.n_x):
-                    writer.writerow(
-                        [t + 1, "var", d + 1, repr(float(self.filter_vars[t, d]))]
-                    )
-                writer.writerow(
-                    [t + 1, "logZ_increment", "", repr(float(self.logz_increments[t]))]
-                )
-                if self.ess_trace is not None:
-                    writer.writerow([t + 1, "ess", "", repr(float(self.ess_trace[t]))])
-
-    @classmethod
-    def from_csv(cls, path: str | Path, method: str = "") -> "FilterOutput":
-        rows = []
-        with open(Path(path), newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            rows = list(reader)
-        T = max(int(r[0]) for r in rows)
-        n_x = max(int(r[2]) for r in rows if r[1] == "mean")
-        means = np.full((T, n_x), np.nan)
-        variances = np.full((T, n_x), np.nan)
-        logz = np.full(T, np.nan)
-        ess_vals = np.full(T, np.nan)
-        has_ess = False
-        for r in rows:
-            t = int(r[0]) - 1
-            if r[1] == "mean":
-                means[t, int(r[2]) - 1] = float(r[3])
-            elif r[1] == "var":
-                variances[t, int(r[2]) - 1] = float(r[3])
-            elif r[1] == "logZ_increment":
-                logz[t] = float(r[3])
-            elif r[1] == "ess":
-                ess_vals[t] = float(r[3])
-                has_ess = True
-        return cls(
-            method=method,
-            filter_means=means,
-            filter_vars=variances,
-            logz_increments=logz,
-            ess_trace=ess_vals if has_ess else None,
-        )
 
 
 def _drive(method: str, n_x: int, data: Dataset, step, state) -> FilterOutput:

@@ -40,7 +40,79 @@ def _write(tmp_path, cfg, name="cfg.json"):
     return path
 
 
+def _with(block=None, drop=(), **fields):
+    """Edit of a config: drop keys and set fields, at the top level or
+    in ``block``; returns a new document."""
+
+    def edit(cfg):
+        target = cfg if block is None else cfg[block]
+        target = {k: v for k, v in target.items() if k not in drop}
+        target.update(fields)
+        return target if block is None else {**cfg, block: target}
+
+    return edit
+
+
+def _method(**fields):
+    """Edit that leaves one nested method with ``fields``."""
+    return _with(methods=[{"name": "m", "kind": "nsmc", "N": 5, "M": 3, **fields}])
+
+
+#: (id, edit of the base config, pattern the ConfigError must match).
+BAD_CONFIGS = [
+    ("top-level-list", lambda cfg: [cfg], "top level"),
+    ("model-missing", _with(drop=("model",)), "model.model: missing"),
+    ("model-not-object", _with(model=[1]), "model: expected a JSON object"),
+    ("model-kind-unknown", _with("model", kind="grid"), "model.kind: unknown"),
+    ("model-kind-not-string", _with("model", kind=["stssm"]), "model.kind: unknown"),
+    ("model-field-missing", _with("model", drop=("tau",)), "model.tau: missing"),
+    ("model-field-not-number", _with("model", tau=[1.0]), "model: "),
+    ("T-missing", _with("model", drop=("T",)), "model.T: missing"),
+    ("T-not-integer", _with("model", T="abc"), "model.T: expected an integer"),
+    ("T-below-one", _with("model", T=0), "model.T: must be >= 1"),
+    ("data-missing", _with(drop=("data",)), "data.data: missing"),
+    ("data-not-object", _with(data=5), "data: expected a JSON object"),
+    ("data-no-seed-or-path", _with(data={}), "data: needs either"),
+    ("seed-not-integer", _with(data={"seed": "x"}), "data.seed: expected an integer"),
+    ("methods-missing", _with(drop=("methods",)), "methods.methods: missing"),
+    ("methods-not-list", _with(methods={"kind": "kalman"}), "methods: expected a list"),
+    ("methods-empty", _with(methods=[]), "methods: at least one"),
+    ("method-not-object", _with(methods=["kalman"]), r"methods\[0\]: expected"),
+    ("method-kind-missing", _with(methods=[{"N": 5}]), r"methods\[0\].kind: missing"),
+    ("method-kind-unknown", _method(kind="magic"), r"methods\[0\].kind: unknown"),
+    ("N-not-integer", _method(N="many"), r"methods\[0\].N: expected an integer"),
+    ("N-below-one", _method(N=0), r"methods\[0\].N: must be >= 1"),
+    ("M-not-integer", _method(M=[3]), r"methods\[0\].M: expected an integer"),
+    ("M-below-one", _method(M=0), r"methods\[0\].M: must be >= 1"),
+    ("self-nested-M-one", _method(M=1, inner="self-nested"), "self-nested needs M >= 2"),
+    ("inner-unknown", _method(inner="pmcmc"), r"methods\[0\].inner: unknown"),
+    ("stage-proposal-unknown", _method(stage_proposal="bogus"), r"methods\[0\].stage_proposal"),
+    (
+        "duplicate-names",
+        _with(methods=[{"name": "a", "kind": "kalman"}] * 2),
+        "names must be unique",
+    ),
+    ("replicates-not-integer", _with(replicates="two"), "replicates: expected an integer"),
+    ("replicates-below-one", _with(replicates=0), "replicates: must be >= 1"),
+]
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "edit,pattern",
+        [case[1:] for case in BAD_CONFIGS],
+        ids=[case[0] for case in BAD_CONFIGS],
+    )
+    def test_bad_config_names_the_field(self, tmp_path, edit, pattern):
+        with pytest.raises(ConfigError, match=pattern):
+            parse_config(edit(_base_config(tmp_path)))
+
+    def test_mistyped_field_exits_2_through_main(self, tmp_path, capsys):
+        cfg = _base_config(tmp_path)
+        cfg["model"]["T"] = "abc"
+        assert main(["run", "--config", str(_write(tmp_path, cfg))]) == 2
+        assert "model.T: expected an integer" in capsys.readouterr().err
+
     def test_unknown_method_kind(self, tmp_path):
         cfg = _base_config(tmp_path, methods=[{"name": "x", "kind": "magic", "N": 5}])
         with pytest.raises(ConfigError, match=r"methods\[0\].kind"):

@@ -104,13 +104,6 @@ class TestFfbsForward:
             log_nu, _, _ = dense_conditional(spec, x_prev, y)
             assert abs(np.exp(cache.log_nu - log_nu) - 1.0) <= 1e-8
 
-    def test_log_nu_is_sum_of_message_scales(self):
-        spec = StssmSpec.chain(n_x=5, tau=1.0, lam=0.8, obs_var=0.4)
-        rng = np.random.default_rng(8)
-        cache = ffbs_forward(spec, rng.standard_normal(5), rng.standard_normal(5))
-        msgs = cache.messages
-        np.testing.assert_allclose(msgs[-1].log_scale, cache.log_nu, rtol=1e-12)
-
 
 class TestFfbsBackward:
     def test_decoupled_marginals(self):
@@ -227,15 +220,3 @@ class TestFapf:
         )
         se = ratios.std(ddof=1) / np.sqrt(ratios.size)
         assert abs(ratios.mean() - 1.0) < 3 * se
-
-    def test_all_methods_share_output_schema(self, tmp_path):
-        spec = StssmSpec.chain(n_x=2, tau=1.0, lam=1.0, obs_var=0.5)
-        data = simulate(spec, 3, seed=20)
-        out = fapf_run(spec, data, 10, np.random.default_rng(1))
-        path = tmp_path / "out.csv"
-        out.to_csv(path)
-        from nsmc.smc import FilterOutput
-
-        loaded = FilterOutput.from_csv(path, method="fapf")
-        np.testing.assert_allclose(loaded.filter_means, out.filter_means)
-        np.testing.assert_allclose(loaded.logz_increments, out.logz_increments)

@@ -22,7 +22,6 @@ from nsmc.nested import (
     empirical_draw,
     general_nsmc_step,
     inner_smc,
-    is_inner,
     make_procedure,
     nsmc_init,
     nsmc_run,
@@ -230,47 +229,6 @@ class TestEmpiricalDraw:
         assert result.pvalue > 0.01
 
 
-class _GaussianProposal:
-    def __init__(self, loc, scale, n_x=1, batch=()):
-        self.loc, self.scale = loc, scale
-        self.n_x, self.batch = n_x, batch
-
-    def sample(self, m, rng):
-        return self.loc + self.scale * rng.standard_normal(
-            self.batch + (m, self.n_x)
-        )
-
-    def logpdf(self, x):
-        return norm.logpdf(x, self.loc, self.scale).sum(axis=-1)
-
-
-class TestIsInner:
-    def test_matched_proposal_recovers_mass_exactly(self):
-        rng = np.random.default_rng(11)
-        mass = 3.3
-        prop = _GaussianProposal(0.0, 1.0)
-
-        def log_target(x):
-            return np.log(mass) + norm.logpdf(x[..., 0], 0.0, 1.0)
-
-        x, log_tau = is_inner(prop, log_target, 7, rng)
-        np.testing.assert_allclose(np.exp(log_tau), mass, rtol=1e-12)
-
-    @pytest.mark.parametrize("m", [1, 8])
-    def test_tau_unbiased(self, m):
-        rng = np.random.default_rng(12)
-        mass = 1.9
-        prop = _GaussianProposal(0.0, 1.3, batch=(10**5,))
-
-        def log_target(x):
-            return np.log(mass) + norm.logpdf(x[..., 0], 0.4, 0.9)
-
-        _, log_tau = is_inner(prop, log_target, m, rng)
-        taus = np.exp(log_tau)
-        se = taus.std(ddof=1) / np.sqrt(taus.size)
-        assert abs(taus.mean() - mass) < 3 * se
-
-
 class TestProperWeighting:
     """Definition-level audit: E[tau * phi(x)] = nu * E_q[phi] for every
     inner procedure, against the dense conditional oracle."""
@@ -313,12 +271,12 @@ class TestProperWeighting:
         for phi, (est, truth, z) in checks.items():
             assert abs(z) <= 3.5
 
+    def test_unknown_stage_proposal_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="stage proposal"):
+            InnerSmcProcedure(5, stage_proposal="bogus")
+
 
 class TestSelfNested:
-    def test_depth_cap(self):
-        with pytest.raises(ValueError):
-            SelfNestedProcedure(4, 4, sub_ordering=[2, 1, 0])
-
     def test_m_inner_one_still_unbiased(self):
         spec = TestProperWeighting.SPEC
         proc = SelfNestedProcedure(6, 1)
@@ -528,6 +486,57 @@ class TestReductionIdentities:
         vals = np.array(vals)
         se = vals.std(ddof=1) / np.sqrt(vals.size)
         assert abs(vals.mean() - 1.0) < 3 * se
+
+    @pytest.mark.parametrize(
+        "n_x,make_proc",
+        [
+            (3, lambda: InnerSmcProcedure(4)),
+            (10, ExactFfbsProcedure),
+            # log nu is about -1000 here, so exp(log nu) underflows.
+            (800, ExactFfbsProcedure),
+        ],
+        ids=["smc-bs-n3", "exact-n10", "exact-n800"],
+    )
+    def test_general_fa_mode_equals_nsmc_step_bitwise(self, n_x, make_proc):
+        spec = StssmSpec.chain(n_x=n_x, tau=1.0, lam=1.0, obs_var=0.25, a_coef=0.5)
+        data = simulate(spec, 3, seed=42)
+        model = make_model(spec)
+        systems = []
+        for general in (False, True):
+            rng = np.random.default_rng(43)
+            system = nsmc_init(model, 12)
+            for t in range(data.T):
+                y = data.observations[t]
+                if general:
+                    system = general_nsmc_step(
+                        system, model, make_proc(), "gamma-ratio", "tau", y, rng
+                    )
+                else:
+                    system = nsmc_step(system, model, make_proc(), y, rng)
+            systems.append(system)
+        fa, gen = systems
+        assert np.isfinite(gen.logZ)
+        assert gen.logZ == fa.logZ
+        np.testing.assert_array_equal(gen.states, fa.states)
+        for a, b in zip(gen.ancestry, fa.ancestry):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "log_r,nu_hat",
+        [
+            ("gamma_ratio", "tau"),
+            ("gamma-ratio", "ones"),
+            ("gamma-ratio", lambda x_prev: np.zeros(len(x_prev))),
+        ],
+        ids=["typo-log-r", "typo-nu-hat", "callable-nu-hat"],
+    )
+    def test_general_rejects_unknown_forms(self, log_r, nu_hat):
+        model = make_model(self.SPEC)
+        with pytest.raises(ValueError):
+            general_nsmc_step(
+                nsmc_init(model, 4), model, InnerSmcProcedure(2), log_r, nu_hat,
+                np.zeros(3), np.random.default_rng(0),
+            )
 
 
 class TestNsmcRun:

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import chisquare
 
 from nsmc.exceptions import WeightCollapseError
 from nsmc.exact import kalman_run
-from nsmc.model import IndependentSsmSpec, StssmSpec, simulate
+from nsmc.model import IndependentSsmSpec, StssmSpec, make_model, simulate
 from nsmc.smc import (
     bootstrap_pf,
     ess,
@@ -172,6 +173,26 @@ class TestBootstrap:
         )
         se = ratios.std(ddof=1) / np.sqrt(ratios.size)
         assert abs(ratios.mean() - 1.0) < 3 * se
+
+    def test_never_resampling_equals_sequential_importance_sampling(self):
+        # ess_threshold=0 never resamples after t = 1, so the filter is
+        # plain SIS: logZ is the log-mean of the trajectory likelihoods
+        # and the last filter mean is their weighted mean.
+        spec = StssmSpec.chain(n_x=3, tau=1.0, lam=1.0, obs_var=0.25)
+        data = simulate(spec, 5, seed=20)
+        N = 50
+        out = bootstrap_pf(spec, data, N, np.random.default_rng(21), ess_threshold=0.0)
+
+        model = make_model(spec)
+        rng = np.random.default_rng(21)
+        x = np.zeros((N, 3))
+        loglik = np.zeros(N)
+        for t in range(data.T):
+            x = model.sample_transition(x, rng, t + 1)
+            loglik += model.log_obs(data.observations[t], x)
+        np.testing.assert_allclose(out.logZ, logsumexp(loglik) - np.log(N), rtol=1e-12)
+        weights = np.exp(loglik - logsumexp(loglik))
+        np.testing.assert_allclose(out.filter_means[-1], weights @ x, rtol=1e-12)
 
     def test_weight_collapse_reports_step(self):
         # An observation far enough out that the squared residual
