@@ -51,7 +51,6 @@ from .model import (
     IndependentSsmSpec,
     StssmSpec,
     load_dataset,
-    make_model,
     save_dataset,
     simulate,
 )
@@ -120,16 +119,26 @@ class ExperimentConfig:
         }
 
 
-def _require(block: dict, key: str, where: str):
+def _require(block: dict, key: str, where: str | None = None):
+    """``block[key]``; ``where`` names ``block`` in errors (``None`` for
+    the top level of the document)."""
     if not isinstance(block, dict):
-        raise ConfigError(f"{where}: expected a JSON object")
+        raise ConfigError(f"{where or 'top level'}: expected a JSON object")
     if key not in block:
-        raise ConfigError(f"{where}.{key}: missing required field")
+        name = key if where is None else f"{where}.{key}"
+        raise ConfigError(f"{name}: missing required field")
     return block[key]
 
 
 def _as_int(value, field: str) -> int:
-    """``int(value)``, with a :class:`ConfigError` naming ``field``."""
+    """``int(value)``, with a :class:`ConfigError` naming ``field``.
+
+    Booleans and non-integral numbers are refused rather than truncated.
+    """
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(f"{field}: expected an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError):
@@ -138,6 +147,8 @@ def _as_int(value, field: str) -> int:
 
 def _spec_from_block(cls, block: dict, where: str):
     """``cls.from_dict(block)`` with errors named after the config block."""
+    if "n_x" in block:
+        _as_int(block["n_x"], f"{where}.n_x")
     try:
         return cls.from_dict(block)
     except KeyError as err:
@@ -151,7 +162,7 @@ def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
     name = raw.get("name", base_name)
-    mblock = _require(raw, "model", "model")
+    mblock = _require(raw, "model")
     kind = _require(mblock, "kind", "model")
     T = _as_int(_require(mblock, "T", "model"), "model.T")
     if T < 1:
@@ -160,7 +171,7 @@ def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
         raise ConfigError(f"model.kind: unknown kind {kind!r}")
     model = _spec_from_block(SPEC_KINDS[kind], mblock, "model")
 
-    dblock = _require(raw, "data", "data")
+    dblock = _require(raw, "data")
     if not isinstance(dblock, dict):
         raise ConfigError("data: expected a JSON object")
     data_path = dblock.get("path")
@@ -169,7 +180,7 @@ def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
         raise ConfigError("data: needs either a seed or a path")
 
     methods = []
-    raw_methods = _require(raw, "methods", "methods")
+    raw_methods = _require(raw, "methods")
     if not isinstance(raw_methods, list):
         raise ConfigError("methods: expected a list of method objects")
     if not raw_methods:
@@ -295,12 +306,11 @@ def _run_method(
 def _run_replicate(args) -> list[tuple]:
     """Worker: run every method for one replicate; returns result rows."""
     config, data, replicate = args
-    model = make_model(config.model)
     rows = []
     for k, method in enumerate(config.methods):
         rng = _method_rng(config, replicate, k)
         try:
-            out = _run_method(method, config, model, data, rng)
+            out = _run_method(method, config, config.model, data, rng)
         except NsmcError as err:
             rows.append((replicate, method.name, "failed", "", "", str(err)))
             continue
@@ -424,19 +434,26 @@ def _cmd_run(config: ExperimentConfig, out_dir: Path, workers: int, verbose: boo
     return status
 
 
-def _cmd_asymptotics(raw: dict, out_dir: Path, verbose: bool) -> int:
-    block = raw.get("asymptotics")
-    if block is None:
-        raise ConfigError("asymptotics: missing 'asymptotics' block in config")
+def _cmd_asymptotics(raw: dict, out: str | None, verbose: bool) -> int:
+    block = _require(raw, "asymptotics")
+    t = _as_int(_require(block, "t", "asymptotics"), "asymptotics.t")
     spec = _spec_from_block(IndependentSsmSpec, {"n_x": 1, **block}, "asymptotics")
-    t = int(_require(block, "t", "asymptotics"))
-    n_x = int(block.get("n_x", 1))
-    m_grid = [int(m) for m in _require(block, "m_grid", "asymptotics")]
+    raw_grid = _require(block, "m_grid", "asymptotics")
+    if not isinstance(raw_grid, list):
+        raise ConfigError("asymptotics.m_grid: expected a list of integers")
+    m_grid = [_as_int(m, f"asymptotics.m_grid[{i}]") for i, m in enumerate(raw_grid)]
     if any(m < 2 for m in m_grid):
         raise ConfigError("asymptotics.m_grid: entries must be >= 2")
     ys = block.get("ys")
-    ys_arr = None if ys is None else np.asarray(ys, dtype=float)
-    curve = variance_curve(spec, t, n_x, m_grid, ys=ys_arr)
+    try:
+        ys_arr = None if ys is None else np.asarray(ys, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"asymptotics.ys: expected numbers, got {ys!r}") from None
+    try:
+        curve = variance_curve(spec, t, spec.n_x, m_grid, ys=ys_arr)
+    except ValueError as err:
+        raise ConfigError(f"asymptotics: {err}") from None
+    out_dir = Path(out or raw.get("output_dir", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "variance_curve.csv"
     with open(path, "w", newline="") as fh:
@@ -494,8 +511,7 @@ def main(argv=None) -> int:
             return _cmd_selftest(args.reps, args.verbose)
         raw = _read_json(args.config)
         if args.command == "asymptotics":
-            out_dir = Path(args.out or raw.get("output_dir", "out"))
-            return _cmd_asymptotics(raw, out_dir, args.verbose)
+            return _cmd_asymptotics(raw, args.out, args.verbose)
         config = parse_config(raw, base_name=Path(args.config).stem)
         if args.out is not None:
             config = replace(config, output_dir=args.out)

@@ -8,7 +8,8 @@ draws from the locally optimal proposal; both come from scalar forward
 filtering / backward sampling over the state components, exploiting the
 chain structure of the process noise.  Both filters run through the
 package's outer run loop; the FAPF is its fully adapted step with the
-exact FFBS auxiliary object, the same step the nested filter uses.
+forward-pass cache as the exact auxiliary object, the same step the
+nested filter uses.
 """
 
 from __future__ import annotations
@@ -130,8 +131,13 @@ class FfbsCache:
 
     Leading dimensions are arbitrary batch dimensions (one row per
     particle); the trailing dimension indexes state components.  The
-    chain factorization and ``x_prev`` are kept for the backward pass and
-    the draw ``x_t = a * x_prev + v``.
+    chain factorization, ``x_prev`` and ``a_coef`` are kept for the
+    backward pass and the draw ``x_t = a_coef * x_prev + v``.
+
+    The cache is also the exact auxiliary object of the fully adapted
+    step: ``log_tau`` is the predictive density, ``take`` reindexes the
+    batch (outer resampling) and ``draw`` samples the locally optimal
+    proposal.
     """
 
     filt_mean: np.ndarray  # (..., n_x)
@@ -139,6 +145,25 @@ class FfbsCache:
     log_nu: np.ndarray  # (...,)
     fact: ChainFactorization
     x_prev: np.ndarray  # (..., n_x)
+    a_coef: float
+
+    @property
+    def log_tau(self):
+        return self.log_nu
+
+    def take(self, idx):
+        """Reindex the batch dimension (outer resampling)."""
+        return replace(
+            self,
+            filt_mean=self.filt_mean[idx],
+            filt_var=self.filt_var[idx],
+            log_nu=self.log_nu[idx],
+            x_prev=self.x_prev[idx],
+        )
+
+    def draw(self, rng):
+        v = ffbs_backward(self, rng)
+        return self.a_coef * self.x_prev + v
 
 
 def ffbs_forward(
@@ -184,6 +209,7 @@ def ffbs_forward(
         log_nu=np.sum(log_inc, axis=-1),
         fact=fact,
         x_prev=x_prev,
+        a_coef=model.a_coef,
     )
 
 
@@ -211,35 +237,6 @@ def ffbs_backward(cache: FfbsCache, rng: np.random.Generator) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class _ExactFfbsAux:
-    """Exact auxiliary object of the fully adapted step: ``tau`` is the
-    predictive density and draws come from the locally optimal proposal."""
-
-    cache: FfbsCache
-    a_coef: float
-
-    @property
-    def log_tau(self):
-        return self.cache.log_nu
-
-    def take(self, idx):
-        """Reindex the batch dimension (outer resampling)."""
-        c = self.cache
-        cache = replace(
-            c,
-            filt_mean=c.filt_mean[idx],
-            filt_var=c.filt_var[idx],
-            log_nu=c.log_nu[idx],
-            x_prev=c.x_prev[idx],
-        )
-        return _ExactFfbsAux(cache=cache, a_coef=self.a_coef)
-
-    def draw(self, rng):
-        v = ffbs_backward(self.cache, rng)
-        return self.a_coef * self.cache.x_prev + v
-
-
 # ---------------------------------------------------------------------------
 # Fully adapted particle filter
 # ---------------------------------------------------------------------------
@@ -263,7 +260,7 @@ def fapf_run(
         raise ValueError("N must be >= 1")
 
     def prepare(t, x_prev, y_t, rng):
-        return _ExactFfbsAux(ffbs_forward(model, x_prev, y_t), model.a_coef)
+        return ffbs_forward(model, x_prev, y_t)
 
     n = model.n_x
     return _fully_adapted_filter("fapf", prepare, n, data, N, rng, with_ess=False)

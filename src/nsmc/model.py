@@ -12,15 +12,15 @@ validation.  All densities are handled in the log domain throughout the
 package: with state dimensions up to a hundred, raw density products
 underflow.
 
-``make_model`` turns a spec into a sampler/evaluator bundle.  Both
-bundles answer one protocol, indexed by the 1-based time ``t``:
-``sample_transition``, ``log_transition`` and ``log_gamma_ratio`` draw
-from or evaluate the law of ``x_t`` given ``x_{t-1}``, which at ``t = 1``
-is the initial law (``x_prev`` is then ignored), and ``inner_target``
-builds the stage decomposition the nested filter runs on.  The shared
-part (``spec``, ``n_x``, ``log_obs``, ``log_gamma_ratio``) lives in the
-base class :class:`ModelBundle`, so the filters never branch on the
-model type.  Specs serialise through
+Each spec is its own sampler/evaluator.  Both answer one protocol,
+indexed by the 1-based time ``t``: ``sample_transition``,
+``log_transition`` and ``log_gamma_ratio`` draw from or evaluate the law
+of ``x_t`` given ``x_{t-1}``, which at ``t = 1`` is the initial law
+(``x_prev`` is then ignored), and ``inner_target`` builds the stage
+decomposition the nested filter runs on.  The shared part (``log_obs``,
+``log_gamma_ratio``) lives in their base class :class:`ModelBundle`, so
+the filters never branch on the model type; ``make_model`` checks that
+its argument is one and returns it.  Specs serialise through
 ``to_dict``/``from_dict``, keyed like the model block of an experiment
 config, and ``SPEC_KINDS`` maps the ``kind`` key back to the class.
 """
@@ -229,13 +229,42 @@ def sample_gmrf_chain(
 # ---------------------------------------------------------------------------
 
 
+def _gauss_logpdf(x, mean, var):
+    x = np.asarray(x, dtype=float)
+    # A residual too large to square gives a density of exactly zero.
+    with np.errstate(over="ignore"):
+        return -0.5 * ((x - mean) ** 2 / var + np.log(2.0 * np.pi * var))
+
+
+class ModelBundle:
+    """Base class of the model specs: the sampler/evaluator protocol.
+
+    Holds the parts both model families share: the observation
+    log-density and the incremental unnormalized target ratio
+    (transition times likelihood) in the log domain.  Subclasses supply
+    ``n_x``, ``obs_var``, ``sample_transition``, ``log_transition`` and
+    ``inner_target``.
+    """
+
+    def log_obs(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Batched ``log g(y | x)``, summed over components."""
+        return np.sum(_gauss_logpdf(x, y, self.obs_var), axis=-1)
+
+    def log_gamma_ratio(
+        self, x_prev: np.ndarray, x: np.ndarray, y: np.ndarray, t: int = 2
+    ) -> np.ndarray:
+        """Incremental unnormalized target: ``log f + log g``."""
+        return self.log_transition(x_prev, x, t) + self.log_obs(y, x)
+
+
 @dataclass(frozen=True)
-class StssmSpec:
+class StssmSpec(ModelBundle):
     """Linear-Gaussian spatio-temporal state-space model.
 
     ``x_t = a_coef * x_{t-1} + v_t`` with ``v_t`` a chain GMRF draw, and
     ``y_t = x_t + e_t`` with isotropic observation noise.  The initial
-    state is a pure noise draw, ``x_1 ~ N(0, Q^{-1})``.
+    state is a pure noise draw, ``x_1 ~ N(0, Q^{-1})``: the initial law
+    (``t = 1``) is the transition from ``x_prev = 0``.
     """
 
     n_x: int
@@ -301,9 +330,39 @@ class StssmSpec:
             a_coef=float(block.get("a_coef", 0.5)),
         )
 
+    def sample_transition(
+        self, x_prev: np.ndarray, rng: np.random.Generator, t: int = 2
+    ) -> np.ndarray:
+        """One draw of ``x_t`` per row of ``x_prev``."""
+        v = sample_gmrf_chain(self.noise_precision, rng, size=x_prev.shape[:-1])
+        return v if t == 1 else self.a_coef * x_prev + v
+
+    def log_transition(
+        self, x_prev: np.ndarray, x: np.ndarray, t: int = 2
+    ) -> np.ndarray:
+        """Batched ``log f(x | x_prev)``."""
+        fact = self.noise_precision.fact
+        return fact.log_density(x if t == 1 else x - self.a_coef * x_prev)
+
+    def inner_target(self, t: int, x_prev, y_t, proposal: str = "prior"):
+        """Chain stage decomposition of ``gamma_t / gamma_{t-1}``: the
+        chain Markov factors of the transition noise (Markov order 1)."""
+        from .nested import GaussianStageTarget
+
+        fact = self.noise_precision.fact
+        x_prev = np.asarray(x_prev, dtype=float)
+        # Per-stage conditional mean is alpha_d + phi_d * x_{d-1}.
+        ax = np.zeros_like(x_prev) if t == 1 else self.a_coef * x_prev
+        alpha = ax.copy()
+        alpha[..., 1:] -= fact.phi[1:] * ax[..., :-1]
+        return GaussianStageTarget(
+            alpha, fact.phi, fact.c, fact.cond_var, y_t, self.obs_var, proposal,
+            markov_order=1,
+        )
+
 
 @dataclass(frozen=True)
-class IndependentSsmSpec:
+class IndependentSsmSpec(ModelBundle):
     """``n_x`` independent copies of a scalar linear-Gaussian SSM.
 
     Every coordinate shares the same scalar dynamics
@@ -363,11 +422,55 @@ class IndependentSsmSpec:
             obs_var=float(block["obs_var"]),
         )
 
+    def _law(self, x_prev: np.ndarray, t: int):
+        """Mean and variance of every component of ``x_t``."""
+        if t == 1:
+            return self.init_mean, self.init_var
+        return self.a_coef * x_prev, self.trans_var
 
-ModelSpec = StssmSpec | IndependentSsmSpec
+    def sample_transition(
+        self, x_prev: np.ndarray, rng: np.random.Generator, t: int = 2
+    ) -> np.ndarray:
+        mean, var = self._law(x_prev, t)
+        return mean + np.sqrt(var) * rng.standard_normal(x_prev.shape)
+
+    def log_transition(
+        self, x_prev: np.ndarray, x: np.ndarray, t: int = 2
+    ) -> np.ndarray:
+        mean, var = self._law(x_prev, t)
+        return np.sum(_gauss_logpdf(x, mean, var), axis=-1)
+
+    def inner_target(self, t: int, x_prev, y_t, proposal: str = "prior"):
+        """Per-coordinate stage decomposition of ``gamma_t / gamma_{t-1}``.
+
+        Each stage contributes one coordinate's transition (or initial)
+        and observation factor; stages do not interact (Markov order 0),
+        so the backward kernel carries no cross terms.  With
+        ``proposal="optimal"`` every stage weight is constant and the
+        inner estimate is exact.
+        """
+        from .nested import GaussianStageTarget
+
+        x_prev = np.asarray(x_prev, dtype=float)
+        mean, var = self._law(x_prev, t)
+        alpha = np.broadcast_to(mean, x_prev.shape).astype(float)
+        var = np.full(self.n_x, var)
+        return GaussianStageTarget(
+            alpha, np.zeros(self.n_x), 1.0 / var, var, y_t, self.obs_var, proposal,
+            markov_order=0,
+        )
+
 
 #: The ``kind`` key of a serialised spec mapped to its class.
 SPEC_KINDS = {"stssm": StssmSpec, "independent": IndependentSsmSpec}
+
+
+def make_model(spec) -> ModelBundle:
+    """Return ``spec`` unchanged: every spec is its own sampler/evaluator.
+    Anything that is not a :class:`ModelBundle` raises ``TypeError``."""
+    if not isinstance(spec, ModelBundle):
+        raise TypeError(f"unsupported model spec: {type(spec).__name__}")
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +503,7 @@ class Dataset:
         return self.observations.shape[1]
 
 
-def simulate(model: ModelSpec, T: int, seed: int) -> Dataset:
+def simulate(model: ModelBundle, T: int, seed: int) -> Dataset:
     """Draw latent and observed trajectories from the generative model.
 
     A pure function of ``(model, T, seed)``: identical inputs give
@@ -434,7 +537,7 @@ def simulate(model: ModelSpec, T: int, seed: int) -> Dataset:
     raise TypeError(f"unsupported model spec: {type(model).__name__}")
 
 
-def save_dataset(data: Dataset, model: ModelSpec, path: str | Path) -> None:
+def save_dataset(data: Dataset, model: ModelBundle, path: str | Path) -> None:
     """Write a dataset as CSV with a JSON sidecar of model parameters.
 
     The CSV has header ``t,d,y[,x]`` with one row per (time, component),
@@ -459,7 +562,7 @@ def save_dataset(data: Dataset, model: ModelSpec, path: str | Path) -> None:
         fh.write("\n")
 
 
-def load_dataset(path: str | Path) -> tuple[Dataset, ModelSpec]:
+def load_dataset(path: str | Path) -> tuple[Dataset, ModelBundle]:
     """Read back a dataset written by :func:`save_dataset`."""
     path = Path(path)
     with open(path.with_suffix(".meta.json")) as fh:
@@ -484,112 +587,3 @@ def load_dataset(path: str | Path) -> tuple[Dataset, ModelSpec]:
         seed=meta["seed"],
     )
     return data, SPEC_KINDS[meta["kind"]].from_dict(meta)
-
-
-# ---------------------------------------------------------------------------
-# Target-sequence adapters used by the particle filters
-# ---------------------------------------------------------------------------
-
-
-def _gauss_logpdf(x, mean, var):
-    x = np.asarray(x, dtype=float)
-    # A residual too large to square gives a density of exactly zero.
-    with np.errstate(over="ignore"):
-        return -0.5 * ((x - mean) ** 2 / var + np.log(2.0 * np.pi * var))
-
-
-@dataclass(frozen=True)
-class ModelBundle:
-    """Sampler/evaluator bundle for a model specification.
-
-    Holds the parts both model families share: the observation
-    log-density and the incremental unnormalized target ratio
-    (transition times likelihood) in the log domain.  Subclasses supply
-    ``sample_transition``, ``log_transition`` and ``inner_target``.
-    """
-
-    spec: ModelSpec
-
-    @property
-    def n_x(self) -> int:
-        return self.spec.n_x
-
-    def log_obs(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Batched ``log g(y | x)``, summed over components."""
-        return np.sum(_gauss_logpdf(x, y, self.spec.obs_var), axis=-1)
-
-    def log_gamma_ratio(
-        self, x_prev: np.ndarray, x: np.ndarray, y: np.ndarray, t: int = 2
-    ) -> np.ndarray:
-        """Incremental unnormalized target: ``log f + log g``."""
-        return self.log_transition(x_prev, x, t) + self.log_obs(y, x)
-
-
-class StssmModel(ModelBundle):
-    """Bundle for :class:`StssmSpec`.  The initial law (``t = 1``) is the
-    noise law, i.e. the transition from ``x_prev = 0``."""
-
-    def sample_transition(
-        self, x_prev: np.ndarray, rng: np.random.Generator, t: int = 2
-    ) -> np.ndarray:
-        """One draw of ``x_t`` per row of ``x_prev``."""
-        v = sample_gmrf_chain(
-            self.spec.noise_precision, rng, size=x_prev.shape[:-1]
-        )
-        return v if t == 1 else self.spec.a_coef * x_prev + v
-
-    def log_transition(
-        self, x_prev: np.ndarray, x: np.ndarray, t: int = 2
-    ) -> np.ndarray:
-        """Batched ``log f(x | x_prev)``."""
-        fact = self.spec.noise_precision.fact
-        return fact.log_density(x if t == 1 else x - self.spec.a_coef * x_prev)
-
-    def inner_target(self, t: int, x_prev, y_t, proposal: str = "prior"):
-        """Chain stage decomposition of ``gamma_t / gamma_{t-1}``."""
-        from .nested import ChainInnerTarget
-
-        return ChainInnerTarget(self.spec, x_prev, y_t, proposal=proposal, t=t)
-
-
-class IndependentModel(ModelBundle):
-    """Bundle for :class:`IndependentSsmSpec`."""
-
-    def _law(self, x_prev: np.ndarray, t: int):
-        """Mean and variance of every component of ``x_t``."""
-        s = self.spec
-        if t == 1:
-            return s.init_mean, s.init_var
-        return s.a_coef * x_prev, s.trans_var
-
-    def sample_transition(
-        self, x_prev: np.ndarray, rng: np.random.Generator, t: int = 2
-    ) -> np.ndarray:
-        mean, var = self._law(x_prev, t)
-        return mean + np.sqrt(var) * rng.standard_normal(x_prev.shape)
-
-    def log_transition(
-        self, x_prev: np.ndarray, x: np.ndarray, t: int = 2
-    ) -> np.ndarray:
-        mean, var = self._law(x_prev, t)
-        return np.sum(_gauss_logpdf(x, mean, var), axis=-1)
-
-    def inner_target(self, t: int, x_prev, y_t, proposal: str = "prior"):
-        """Per-coordinate stage decomposition of ``gamma_t / gamma_{t-1}``;
-        ``proposal`` is ``"prior"`` (each coordinate's transition) or
-        ``"optimal"`` (its exact conditional given ``y_t``)."""
-        from .nested import IndependentInnerTarget
-
-        return IndependentInnerTarget(self.spec, x_prev, y_t, t=t, proposal=proposal)
-
-
-def make_model(spec) -> ModelBundle:
-    """Build the sampler/evaluator bundle for a model specification; a
-    bundle passes through unchanged."""
-    if isinstance(spec, ModelBundle):
-        return spec
-    if isinstance(spec, StssmSpec):
-        return StssmModel(spec)
-    if isinstance(spec, IndependentSsmSpec):
-        return IndependentModel(spec)
-    raise TypeError(f"unsupported model spec: {type(spec).__name__}")

@@ -11,8 +11,8 @@ backward simulation or by an empirical draw, plain importance sampling,
 a one-level self-nested variant, and exact (zero-variance) procedures
 for the tractable cases.  Both model families have the same stage law, a
 first-order Gaussian chain over the components, so all stage code is in
-:class:`GaussianStageTarget`; ``ChainInnerTarget`` and
-``IndependentInnerTarget`` (the chain with ``phi = 0``) only build it.
+:class:`GaussianStageTarget`, which each spec's ``inner_target`` builds
+(the independent model is the chain with ``phi = 0``).
 
 The inner samplers call one stage hook, ``InnerTargetSequence.propagate``,
 which draws stage ``d`` from the stage proposal ``r_d`` and weights the
@@ -24,9 +24,9 @@ All inner machinery is batched over outer particles: arrays carry shape
 the batch, which is what makes replicated experiments cheap.  The inner
 samplers carry and resample only the trailing prefix components a
 target's Markov structure reads (``InnerTargetSequence.markov_order``:
-one for the chain target, none for the independent target), so one
-outer step on those models costs O(N * M * n_x); targets that declare no
-order get the full prefix.
+the chain spec builds its stage target with order one, the independent
+spec with order zero), so one outer step on those models costs
+O(N * M * n_x); targets that declare no order get the full prefix.
 
 Procedures see the model only through the ``t``-aware protocol of
 :mod:`nsmc.model` (transition sampler and densities, initial law at
@@ -49,17 +49,8 @@ from functools import partial
 import numpy as np
 
 from .exceptions import InnerCollapseError, WeightCollapseError
-from .model import (
-    _LOG_2PI,
-    Dataset,
-    IndependentModel,
-    IndependentSsmSpec,
-    ModelSpec,
-    StssmModel,
-    StssmSpec,
-    make_model,
-)
-from .exact import _ExactFfbsAux, ffbs_forward
+from .model import _LOG_2PI, Dataset, ModelBundle, StssmSpec, make_model
+from .exact import ffbs_forward
 from .smc import (
     FilterOutput,
     ParticleSystem,
@@ -112,7 +103,8 @@ class InnerTargetSequence(ABC):
     would silently skip that resampling.
 
     ``markov_order`` is the number of trailing prefix components that
-    ``propagate`` reads.  The samplers pass it only the last
+    ``propagate`` reads (:class:`GaussianStageTarget` takes it as a
+    constructor argument).  The samplers pass it only the last
     ``k = min(d, markov_order)`` components of the stage-``d`` prefix,
     as a window of shape ``(k, *batch, M)``, or ``(k, *batch, 1)`` from
     the self-nested sampler; ``None`` (the default) passes the full
@@ -166,13 +158,12 @@ class GaussianStageTarget(InnerTargetSequence):
     ``v``).  Every factor is a normalized 1-d Gaussian, so the
     final-stage normalizing constant is the predictive density of
     ``y_t``.  ``proposal`` is ``"prior"`` (the stage law) or
-    ``"optimal"`` (the locally optimal per-component law).  With
-    ``markov_order = 0`` the prefix and ``phi`` are not read.
+    ``"optimal"`` (the locally optimal per-component law).
+    ``markov_order`` is 1 for a chain, or 0 when the stages do not
+    interact; the prefix and ``phi`` are then not read.
     """
 
-    markov_order = 1
-
-    def __init__(self, alpha, phi, c, var, y_t, obs_var, proposal="prior"):
+    def __init__(self, alpha, phi, c, var, y_t, obs_var, proposal, markov_order):
         if proposal not in STAGE_PROPOSALS:
             raise ValueError(f"unknown stage proposal: {proposal!r}")
         self.alpha = alpha
@@ -182,6 +173,7 @@ class GaussianStageTarget(InnerTargetSequence):
         self.y = np.asarray(y_t, dtype=float)
         self.obs_var = obs_var
         self.proposal = proposal
+        self.markov_order = markov_order
         self.n_stages = alpha.shape[-1]
         self.batch_shape = alpha.shape[:-1]
 
@@ -231,48 +223,6 @@ class GaussianStageTarget(InnerTargetSequence):
         out.alpha = self.alpha[idx]
         out.batch_shape = out.alpha.shape[:-1]
         return out
-
-
-class ChainInnerTarget(GaussianStageTarget):
-    """Stage targets for the chain-noise linear-Gaussian model: the
-    chain Markov factors of the transition noise.  At ``t = 1`` the
-    target is the initial law, whatever ``x_prev`` holds."""
-
-    def __init__(
-        self, spec: StssmSpec, x_prev, y_t, proposal: str = "prior", t: int = 2
-    ):
-        fact = spec.noise_precision.fact
-        x_prev = np.asarray(x_prev, dtype=float)
-        # Per-stage conditional mean is alpha_d + phi_d * x_{d-1}.
-        ax = np.zeros_like(x_prev) if t == 1 else spec.a_coef * x_prev
-        alpha = ax.copy()
-        alpha[..., 1:] -= fact.phi[1:] * ax[..., :-1]
-        super().__init__(
-            alpha, fact.phi, fact.c, fact.cond_var, y_t, spec.obs_var, proposal
-        )
-
-
-class IndependentInnerTarget(GaussianStageTarget):
-    """Stage targets for the independent product model.
-
-    Each stage contributes one coordinate's transition (or initial) and
-    observation factor; stages do not interact, so the backward kernel
-    carries no cross terms.  With ``proposal="optimal"`` every stage
-    weight is constant and the inner estimate is exact.
-    """
-
-    markov_order = 0
-
-    def __init__(
-        self, spec: IndependentSsmSpec, x_prev, y_t, t: int, proposal: str = "prior"
-    ):
-        x_prev = np.asarray(x_prev, dtype=float)
-        mean, var = IndependentModel(spec)._law(x_prev, t)
-        alpha = np.broadcast_to(mean, x_prev.shape).astype(float)
-        var = np.full(spec.n_x, var)
-        super().__init__(
-            alpha, np.zeros(spec.n_x), 1.0 / var, var, y_t, spec.obs_var, proposal
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -563,10 +513,9 @@ class ExactFfbsProcedure(ProperWeightingProcedure):
     kind = "exact-ffbs"
 
     def prepare(self, model, t, x_prev, y_t, rng):
-        if not isinstance(model, StssmModel):
+        if not isinstance(model, StssmSpec):
             raise TypeError("exact-ffbs requires the chain-noise model")
-        cache = ffbs_forward(model.spec, np.asarray(x_prev, dtype=float), y_t)
-        return _ExactFfbsAux(cache=cache, a_coef=model.spec.a_coef)
+        return ffbs_forward(model, x_prev, y_t)
 
 
 @dataclass(frozen=True)
@@ -706,7 +655,7 @@ def nsmc_step(
     new state is drawn by the procedure's propagation kernel on the
     resampled auxiliary state, and the normalizer estimate accrues
     ``log((1/N) sum tau)``.  Post-step weights stay uniform.  ``model``
-    is a bundle from :func:`make_model`.
+    is a model spec (a :class:`~nsmc.model.ModelBundle`).
     """
     _check_uniform(system)
     return _fully_adapted_step(system, partial(proc.prepare, model), y_t, rng)[0]
@@ -742,7 +691,7 @@ def general_nsmc_step(
     With constant multipliers the resampling does not read the auxiliary
     variable, so the simulation runs after resampling and freshly
     selected ancestors get conditionally independent draws.  ``model`` is
-    a bundle from :func:`make_model`.
+    a model spec (a :class:`~nsmc.model.ModelBundle`).
     """
     if nu_hat not in ("tau", "one"):
         raise ValueError(f"nu_hat must be 'tau' or 'one', got {nu_hat!r}")
@@ -812,7 +761,7 @@ def general_nsmc_step(
 
 
 def nsmc_run(
-    model: ModelSpec,
+    model: ModelBundle,
     data: Dataset,
     N: int,
     M: int,
@@ -881,10 +830,9 @@ def proper_weighting_check(
     ``phi in {1, x1, x1^2, x1*x2}``.  Returns per-phi tuples
     ``(estimate, truth, z_score)``.
     """
-    model = make_model(spec)
     x_prev = np.asarray(x_prev, dtype=float)
     tiled = np.broadcast_to(x_prev, (n_reps,) + x_prev.shape)
-    aux = proc.prepare(model, t, tiled, y_t, rng)
+    aux = proc.prepare(spec, t, tiled, y_t, rng)
     xs = aux.draw(rng)
     tau = np.exp(np.asarray(aux.log_tau, dtype=float))
 

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .exceptions import InvalidInputError, WeightCollapseError
-from .model import Dataset, ModelBundle, ModelSpec, make_model
+from .model import Dataset, ModelBundle, make_model
 
 __all__ = [
     "normalize_logweights",
@@ -268,7 +268,7 @@ def _weighted_summaries(states, probs):
 
 
 def bootstrap_pf(
-    model: ModelSpec | ModelBundle,
+    model: ModelBundle,
     data: Dataset,
     N: int,
     rng: np.random.Generator,

@@ -1,6 +1,7 @@
 """End-to-end tests of the experiment harness and its file outputs."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ def _method(**fields):
 #: (id, edit of the base config, pattern the ConfigError must match).
 BAD_CONFIGS = [
     ("top-level-list", lambda cfg: [cfg], "top level"),
-    ("model-missing", _with(drop=("model",)), "model.model: missing"),
+    ("model-missing", _with(drop=("model",)), "^model: missing"),
     ("model-not-object", _with(model=[1]), "model: expected a JSON object"),
     ("model-kind-unknown", _with("model", kind="grid"), "model.kind: unknown"),
     ("model-kind-not-string", _with("model", kind=["stssm"]), "model.kind: unknown"),
@@ -70,11 +71,13 @@ BAD_CONFIGS = [
     ("T-missing", _with("model", drop=("T",)), "model.T: missing"),
     ("T-not-integer", _with("model", T="abc"), "model.T: expected an integer"),
     ("T-below-one", _with("model", T=0), "model.T: must be >= 1"),
-    ("data-missing", _with(drop=("data",)), "data.data: missing"),
+    ("T-not-integral", _with("model", T=2.9), "model.T: expected an integer"),
+    ("n_x-not-integral", _with("model", n_x=2.5), "model.n_x: expected an integer"),
+    ("data-missing", _with(drop=("data",)), "^data: missing"),
     ("data-not-object", _with(data=5), "data: expected a JSON object"),
     ("data-no-seed-or-path", _with(data={}), "data: needs either"),
     ("seed-not-integer", _with(data={"seed": "x"}), "data.seed: expected an integer"),
-    ("methods-missing", _with(drop=("methods",)), "methods.methods: missing"),
+    ("methods-missing", _with(drop=("methods",)), "^methods: missing"),
     ("methods-not-list", _with(methods={"kind": "kalman"}), "methods: expected a list"),
     ("methods-empty", _with(methods=[]), "methods: at least one"),
     ("method-not-object", _with(methods=["kalman"]), r"methods\[0\]: expected"),
@@ -82,6 +85,7 @@ BAD_CONFIGS = [
     ("method-kind-unknown", _method(kind="magic"), r"methods\[0\].kind: unknown"),
     ("N-not-integer", _method(N="many"), r"methods\[0\].N: expected an integer"),
     ("N-below-one", _method(N=0), r"methods\[0\].N: must be >= 1"),
+    ("N-boolean", _method(N=True), r"methods\[0\].N: expected an integer"),
     ("M-not-integer", _method(M=[3]), r"methods\[0\].M: expected an integer"),
     ("M-below-one", _method(M=0), r"methods\[0\].M: must be >= 1"),
     ("self-nested-M-one", _method(M=1, inner="self-nested"), "self-nested needs M >= 2"),
@@ -94,6 +98,7 @@ BAD_CONFIGS = [
     ),
     ("replicates-not-integer", _with(replicates="two"), "replicates: expected an integer"),
     ("replicates-below-one", _with(replicates=0), "replicates: must be >= 1"),
+    ("replicates-not-integral", _with(replicates=1.5), "replicates: expected an integer"),
 ]
 
 
@@ -251,24 +256,56 @@ class TestRunExperiment:
         assert np.any(out.ess_trace > 10)
 
 
+def _asymptotics_config(tmp_path, **fields):
+    block = {"a_coef": 0.5, "obs_var": 1.0, "t": 2, "n_x": 2, "m_grid": [2, 5]}
+    return {"asymptotics": {**block, **fields}, "output_dir": str(tmp_path / "asym")}
+
+
 class TestAsymptoticsCommand:
     def test_curve_csv(self, tmp_path):
-        cfg = {
-            "asymptotics": {
-                "a_coef": 0.5,
-                "obs_var": 1.0,
-                "t": 2,
-                "n_x": 2,
-                "m_grid": [2, 5, 10, 100, 10**9],
-            },
-            "output_dir": str(tmp_path / "asym"),
-        }
+        cfg = _asymptotics_config(tmp_path, m_grid=[2, 5, 10, 100, 10**9])
         path = _write(tmp_path, cfg)
         assert main(["asymptotics", "--config", str(path)]) == 0
         rows = (tmp_path / "asym" / "variance_curve.csv").read_text().splitlines()
         assert rows[0] == "M,sigma_nsmc,sigma_fa"
         last = rows[-1].split(",")
         assert abs(float(last[1]) - float(last[2])) <= 1e-6 * float(last[2])
+
+    @pytest.mark.parametrize(
+        "fields, pattern",
+        [
+            ({"t": "abc"}, "asymptotics.t: expected an integer"),
+            ({"t": 2.5}, "asymptotics.t: expected an integer"),
+            ({"n_x": "two"}, "asymptotics.n_x: expected an integer"),
+            ({"n_x": 1.5}, "asymptotics.n_x: expected an integer"),
+            ({"m_grid": [2, "x"]}, r"asymptotics.m_grid\[1\]: expected an integer"),
+            ({"m_grid": 5}, "asymptotics.m_grid: expected a list"),
+            ({"ys": ["a", "b"]}, "asymptotics.ys: expected numbers"),
+            ({"t": 0}, "asymptotics: t must be >= 1"),
+            ({"ys": [0.1]}, "asymptotics: ys must have length t"),
+        ],
+        ids=["t-text", "t-fraction", "n_x-text", "n_x-fraction", "m_grid-entry",
+             "m_grid-not-list", "ys-text", "t-below-one", "ys-length"],
+    )
+    def test_mistyped_field_exits_2(self, tmp_path, capsys, fields, pattern):
+        path = _write(tmp_path, _asymptotics_config(tmp_path, **fields))
+        assert main(["asymptotics", "--config", str(path)]) == 2
+        assert re.search(pattern, capsys.readouterr().err)
+        assert not (tmp_path / "asym").exists()
+
+    @pytest.mark.parametrize(
+        "doc, pattern",
+        [
+            ([1], "top level: expected a JSON object"),
+            ({}, "asymptotics: missing required field"),
+            ({"asymptotics": [1]}, "asymptotics: expected a JSON object"),
+        ],
+        ids=["top-level-list", "block-missing", "block-not-object"],
+    )
+    def test_malformed_document_exits_2(self, tmp_path, capsys, doc, pattern):
+        path = _write(tmp_path, doc)
+        assert main(["asymptotics", "--config", str(path)]) == 2
+        assert re.search(pattern, capsys.readouterr().err)
 
 
 def test_selftest_runs_in_process(capsys):

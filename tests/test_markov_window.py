@@ -6,8 +6,7 @@ import pytest
 
 from nsmc.model import IndependentSsmSpec, StssmSpec, make_model
 from nsmc.nested import (
-    ChainInnerTarget,
-    IndependentInnerTarget,
+    GaussianStageTarget,
     InnerTargetSequence,
     SelfNestedProcedure,
     inner_smc,
@@ -46,7 +45,7 @@ class FullPrefix(InnerTargetSequence):
 
 
 class TargetModel:
-    """Stands in for a model bundle; ``make(t, x_prev, y_t, proposal)``
+    """Stands in for a model spec; ``make(t, x_prev, y_t, proposal)``
     builds its inner targets."""
 
     def __init__(self, make):
@@ -92,27 +91,21 @@ def test_self_nested_window_is_bitwise_full_prefix(kind):
     )
 
 
-def _recording(cls):
-    class Recording(cls):
-        """Records the prefix length every ``propagate`` call receives."""
+class Recording(GaussianStageTarget):
+    """Records the prefix length every ``propagate`` call receives."""
 
-        def propagate(self, d, window, m, rng):
-            self.widths.append(window.shape[0])
-            return super().propagate(d, window, m, rng)
-
-    return Recording
+    def propagate(self, d, window, m, rng):
+        self.widths.append(window.shape[0])
+        return super().propagate(d, window, m, rng)
 
 
-@pytest.mark.parametrize(
-    "kind, cls, order",
-    [("chain", ChainInnerTarget, 1), ("independent", IndependentInnerTarget, 0)],
-)
-def test_hooks_receive_only_the_markov_window(kind, cls, order):
-    recording = _recording(cls)
+@pytest.mark.parametrize("kind, order", [("chain", 1), ("independent", 0)])
+def test_hooks_receive_only_the_markov_window(kind, order):
     widths = []
 
     def make(t, x_prev, y_t, proposal):
-        target = recording(MODELS[kind].spec, x_prev, y_t, t=t)
+        target = MODELS[kind].inner_target(t, x_prev, y_t, proposal)
+        target.__class__ = Recording
         target.widths = widths  # ``take`` copies share the list
         return target
 

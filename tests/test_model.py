@@ -12,6 +12,7 @@ from nsmc.model import (
     chain_factorization,
     chain_precision,
     load_dataset,
+    make_model,
     sample_gmrf_chain,
     save_dataset,
     simulate,
@@ -196,3 +197,62 @@ class TestIndependentSpec:
             st.noise_precision.dense(), np.eye(3) / 0.5
         )
         assert st.obs_var == 0.1
+
+
+def _stssm(n_x=2, obs_var=1.0, prec_n=2):
+    return StssmSpec(
+        n_x=n_x, a_coef=0.5, noise_precision=chain_precision(1.0, 1.0, prec_n),
+        obs_var=obs_var,
+    )
+
+
+def _independent(**fields):
+    return IndependentSsmSpec(**{"n_x": 2, "a_coef": 0.5, **fields})
+
+
+#: (id, call that must fail, exception type, message pattern): one row
+#: per ``raise`` of the model-layer validators.
+BAD_MODEL_INPUTS = [
+    ("diag-empty", lambda: TridiagPrecision([], []), ValueError, "non-empty 1-d"),
+    ("diag-2d", lambda: TridiagPrecision(np.ones((2, 2)), [0.0]), ValueError, "non-empty 1-d"),
+    ("offdiag-length", lambda: TridiagPrecision([1.0, 1.0], [0.0, 0.0]), ValueError, "len"),
+    ("diag-nonpositive", lambda: TridiagPrecision([1.0, 0.0], [0.0]), ValueError, "positive"),
+    (
+        "not-spd-inner-pivot",
+        lambda: TridiagPrecision([1.0, 1.0, 1.0], [0.0, 2.0]),
+        np.linalg.LinAlgError,
+        r"\(pivot 2\)",
+    ),
+    (
+        "not-spd-first-pivot",
+        lambda: TridiagPrecision([1.0, 1.0], [2.0]),
+        np.linalg.LinAlgError,
+        "not positive definite$",
+    ),
+    ("tau-nonpositive", lambda: chain_precision(0.0, 1.0, 3), ValueError, "tau"),
+    ("lambda-negative", lambda: chain_precision(1.0, -0.1, 3), ValueError, "lambda"),
+    ("n-below-one", lambda: chain_precision(1.0, 1.0, 0), ValueError, "n must be"),
+    ("stssm-n_x", lambda: _stssm(n_x=0), ValueError, "n_x must be"),
+    ("stssm-obs_var", lambda: _stssm(obs_var=0.0), ValueError, "obs_var must be"),
+    ("stssm-size", lambda: _stssm(prec_n=3), ValueError, "size must match"),
+    ("indep-init_var", lambda: _independent(init_var=0.0), ValueError, "init_var"),
+    ("indep-trans_var", lambda: _independent(trans_var=-1.0), ValueError, "trans_var"),
+    ("indep-obs_var", lambda: _independent(obs_var=0.0), ValueError, "obs_var"),
+    ("indep-n_x", lambda: _independent(n_x=0), ValueError, "n_x must be"),
+    ("make-model-non-model", lambda: make_model({"kind": "stssm"}), TypeError, "dict"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, exc, pattern",
+    [case[1:] for case in BAD_MODEL_INPUTS],
+    ids=[case[0] for case in BAD_MODEL_INPUTS],
+)
+def test_model_validators_reject_bad_input(call, exc, pattern):
+    with pytest.raises(exc, match=pattern):
+        call()
+
+
+@pytest.mark.parametrize("spec", [_stssm(), _independent()], ids=["stssm", "independent"])
+def test_make_model_returns_the_spec(spec):
+    assert make_model(spec) is spec

@@ -11,7 +11,6 @@ from nsmc.exceptions import InnerCollapseError, WeightCollapseError
 from nsmc.exact import fapf_run, ffbs_forward, kalman_run
 from nsmc.model import IndependentSsmSpec, StssmSpec, make_model, simulate
 from nsmc.nested import (
-    ChainInnerTarget,
     ExactFfbsProcedure,
     ExactTransitionProcedure,
     ImportanceProcedure,
