@@ -263,11 +263,7 @@ def _method_rng(config: ExperimentConfig, replicate: int, method_idx: int):
 
 
 def _run_method(
-    method: MethodConfig,
-    config: ExperimentConfig,
-    model,
-    data: Dataset,
-    rng,
+    method: MethodConfig, config: ExperimentConfig, data: Dataset, rng
 ) -> FilterOutput:
     if method.kind == "kalman":
         if not isinstance(config.model, StssmSpec):
@@ -292,7 +288,7 @@ def _run_method(
     # nsmc-general: the bootstrap-reduction configuration of the general
     # algorithm (transition proposal, unit multipliers, exact draws);
     # richer configurations are library-level.
-    proc = ExactTransitionProcedure()
+    proc, model = ExactTransitionProcedure(), config.model
 
     def step(system, t, y_t):
         system = general_nsmc_step(system, model, proc, "transition", "one", y_t, rng)
@@ -310,7 +306,7 @@ def _run_replicate(args) -> list[tuple]:
     for k, method in enumerate(config.methods):
         rng = _method_rng(config, replicate, k)
         try:
-            out = _run_method(method, config, config.model, data, rng)
+            out = _run_method(method, config, data, rng)
         except NsmcError as err:
             rows.append((replicate, method.name, "failed", "", "", str(err)))
             continue

@@ -236,6 +236,15 @@ def _gauss_logpdf(x, mean, var):
         return -0.5 * ((x - mean) ** 2 / var + np.log(2.0 * np.pi * var))
 
 
+def _real(block: dict, key: str, default=None) -> float:
+    """A real field of a ``from_dict`` block (``default`` when given and
+    absent); a boolean or a string raises ``TypeError`` naming ``key``."""
+    value = block[key] if default is None else block.get(key, default)
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"{key}: expected a number, got {value!r}")
+    return float(value)
+
+
 class ModelBundle:
     """Base class of the model specs: the sampler/evaluator protocol.
 
@@ -324,10 +333,10 @@ class StssmSpec(ModelBundle):
         keys are ignored and a missing field raises ``KeyError``."""
         return cls.chain(
             n_x=int(block["n_x"]),
-            tau=float(block["tau"]),
-            lam=float(block["lambda"]),
-            obs_var=float(block["obs_var"]),
-            a_coef=float(block.get("a_coef", 0.5)),
+            tau=_real(block, "tau"),
+            lam=_real(block, "lambda"),
+            obs_var=_real(block, "obs_var"),
+            a_coef=_real(block, "a_coef", 0.5),
         )
 
     def sample_transition(
@@ -415,11 +424,11 @@ class IndependentSsmSpec(ModelBundle):
         ``KeyError``."""
         return cls(
             n_x=int(block["n_x"]),
-            a_coef=float(block.get("a_coef", 0.5)),
-            init_mean=float(block.get("init_mean", 0.0)),
-            init_var=float(block.get("init_var", 1.0)),
-            trans_var=float(block.get("trans_var", 1.0)),
-            obs_var=float(block["obs_var"]),
+            a_coef=_real(block, "a_coef", 0.5),
+            init_mean=_real(block, "init_mean", 0.0),
+            init_var=_real(block, "init_var", 1.0),
+            trans_var=_real(block, "trans_var", 1.0),
+            obs_var=_real(block, "obs_var"),
         )
 
     def _law(self, x_prev: np.ndarray, t: int):

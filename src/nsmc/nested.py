@@ -59,6 +59,10 @@ from .smc import (
     _fully_adapted_filter,
     _fully_adapted_step,
     _multinomial_rows,
+    _pick_rows,
+    _row_log_mean,
+    _row_logmeanexp,
+    _row_weights,
     multinomial_resample,
     normalize_logweights,
 )
@@ -66,17 +70,6 @@ from .smc import (
 
 def _gauss_logpdf(x, mean, var):
     return -0.5 * ((x - mean) ** 2 / var + np.log(var) + _LOG_2PI)
-
-
-def _row_logmeanexp(logw: np.ndarray) -> np.ndarray:
-    """``log((1/M) sum exp(logw))`` along the last axis, -inf safe."""
-    m = np.max(logw, axis=-1)
-    shift = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = shift + np.log(
-            np.sum(np.exp(logw - shift[..., None]), axis=-1)
-        ) - np.log(logw.shape[-1])
-    return np.where(np.isfinite(m), out, -np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +263,6 @@ class InnerState:
                 idx = np.take_along_axis(self.ancestors[e - 1], idx, axis=-1)
         return out
 
-    def recompute_log_tau(self) -> np.ndarray:
-        return np.sum(_row_logmeanexp(self.logw), axis=0)
-
 
 def _extend_window(window, x, order):
     """Append stage component ``x`` to a prefix window and keep its last
@@ -301,6 +291,7 @@ def inner_smc(
     :class:`InnerCollapseError` carrying the 1-based stage index.  With
     ``strict=False`` (the batched mode used inside the outer filter)
     collapsed rows get ``log_tau = -inf`` and are carried along inertly.
+    A NaN or ``+inf`` stage weight raises ``ValueError`` in either mode.
 
     Only the last ``target.markov_order`` components of each prefix are
     carried and resampled, so carrying the prefix costs
@@ -323,7 +314,10 @@ def inner_smc(
             ancestors[d - 1] = idx
             window = np.take_along_axis(window, idx[None], axis=-1)
         particles[d], logw[d] = target.propagate(d, window, m, rng)
-        stage_dead = ~np.isfinite(np.max(logw[d], axis=-1))
+        stage_max = np.max(logw[d], axis=-1)
+        if not np.all(stage_max < np.inf):
+            raise ValueError("log-weights contain NaN or +inf")
+        stage_dead = np.isneginf(stage_max)
         if strict and np.any(stage_dead):
             raise InnerCollapseError(stage=d + 1)
         dead = dead | stage_dead
@@ -554,7 +548,9 @@ class SelfNestedProcedure(ProperWeightingProcedure):
     """One-level self-nesting: the auxiliary simulation is itself the
     outer algorithm run over the component stages, with per-stage scores
     from importance sampling and uniform stage weights handed to the
-    final backward simulation."""
+    final backward simulation.  Each stage makes one weight pass over its
+    ``(batch, mo, mi)`` candidates for both the stage scores and the pick
+    among the resampled systems' candidates, gathered by flat index."""
 
     kind = "self-nested"
 
@@ -579,20 +575,22 @@ class SelfNestedProcedure(ProperWeightingProcedure):
         ancestors = np.zeros((max(n - 1, 0),) + batch + (mo,), dtype=np.intp)
         log_tau = np.zeros(batch)
         window = np.empty((0,) + batch + (mo,))
+        # Flat index of the first (batch, mo) system of each batch row.
+        row0 = np.arange(0, batch[0] * mo, mo)[:, None]
         for d in range(n):
             # Candidates: (*batch, mo, mi) from the stage proposal; the
             # window's trailing unit axis broadcasts over the inner axis.
             cand, lw = tiled.propagate(d, window[..., None], mi, rng)
-            stage_log_tau = _row_logmeanexp(lw)  # (*batch, mo)
+            w, shift = _row_weights(lw)
+            stage_log_tau = _row_log_mean(w, shift)  # (*batch, mo)
             log_tau = log_tau + _row_logmeanexp(stage_log_tau)
             idx = _multinomial_rows(stage_log_tau, mo, rng)
             if d > 0:
                 ancestors[d - 1] = idx
                 window = np.take_along_axis(window, idx[None], axis=-1)
-            cand = np.take_along_axis(cand, idx[..., None], axis=-2)
-            lw = np.take_along_axis(lw, idx[..., None], axis=-2)
-            pick = _categorical_rows(lw, rng)
-            particles[d] = np.take_along_axis(cand, pick[..., None], axis=-1)[..., 0]
+            rows = (row0 + idx).reshape(-1)
+            pick = _pick_rows(w.reshape(-1, mi)[rows], rng)
+            particles[d] = cand.reshape(-1, mi)[rows, pick].reshape(batch + (mo,))
             window = _extend_window(window, particles[d], target.markov_order)
         state = InnerState(
             particles=particles,

@@ -39,19 +39,14 @@ def normalize_logweights(logw: np.ndarray) -> tuple[np.ndarray, float]:
     """Normalize log-weights with a max shift.
 
     Returns the probability vector and ``log((1/N) * sum(exp(logw)))``.
-    Entries of ``-inf`` are allowed; if every entry is ``-inf`` a
-    :class:`WeightCollapseError` is raised.
+    Entries of ``-inf`` are allowed; all ``-inf`` raises
+    :class:`WeightCollapseError`, and a NaN or ``+inf`` ``ValueError``.
     """
-    logw = np.asarray(logw, dtype=float)
-    if np.any(np.isnan(logw)):
-        raise ValueError("log-weights contain NaN")
-    m = np.max(logw)
-    if not np.isfinite(m):
-        raise WeightCollapseError(step=-1, detail="all log-weights are -inf")
-    w = np.exp(logw - m)
+    w, shift = _row_weights(np.asarray(logw, dtype=float))
     total = w.sum()
-    log_mean = m + np.log(total) - np.log(logw.size)
-    return w / total, float(log_mean)
+    if total == 0.0:
+        raise WeightCollapseError(step=-1, detail="all log-weights are -inf")
+    return w / total, float(shift[0] + np.log(total) - np.log(w.size))
 
 
 def ess(probabilities: np.ndarray) -> float:
@@ -75,23 +70,42 @@ def multinomial_resample(
     return np.searchsorted(cum, u, side="right")
 
 
-def _categorical_rows(logw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One categorical draw per row of a batch of log-weight vectors.
-
-    ``logw`` has shape ``(..., M)``; returns integer indices of shape
-    ``(...)``.  Rows whose weights all vanish fall back to the last
-    index, ``M - 1`` (the caller is responsible for masking such rows).
-    A NaN log-weight raises ``ValueError``.
-    """
+def _row_weights(logw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one weight pass over log-weight rows ``(..., M)``: returns
+    ``w = exp(logw - shift)`` and ``shift``, shape ``(..., 1)``, the row
+    maximum, or 0 for a row of ``-inf`` entries, whose weights are then
+    all 0.  A NaN or ``+inf`` log-weight raises ``ValueError``."""
     m = np.max(logw, axis=-1, keepdims=True)
-    if np.any(np.isnan(m)):  # the maximum of a row is NaN iff it holds one
-        raise ValueError("log-weights contain NaN")
-    w = np.exp(logw - np.where(np.isfinite(m), m, 0.0))
+    if not np.all(m < np.inf):  # a row's maximum is NaN iff it holds a NaN
+        raise ValueError("log-weights contain NaN or +inf")
+    shift = np.where(np.isfinite(m), m, 0.0)
+    return np.exp(logw - shift), shift
+
+
+def _row_log_mean(w: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Row log-means of ``exp(logw)`` from :func:`_row_weights`' output."""
+    with np.errstate(divide="ignore"):
+        return shift[..., 0] + np.log(np.sum(w, axis=-1)) - np.log(w.shape[-1])
+
+
+def _row_logmeanexp(logw: np.ndarray) -> np.ndarray:
+    """``log((1/M) sum exp(logw))`` along the last axis, -inf safe."""
+    return _row_log_mean(*_row_weights(logw))
+
+
+def _pick_rows(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One index per row of nonnegative weights ``(..., M)``, from one
+    uniform per row; a row of zeros falls back to the last index,
+    ``M - 1`` (the caller is responsible for masking such rows)."""
     cum = np.cumsum(w, axis=-1)
-    total = cum[..., -1:]
-    u = rng.random(logw.shape[:-1] + (1,)) * total
-    idx = np.sum(cum <= u, axis=-1)
-    return np.minimum(idx, logw.shape[-1] - 1)
+    u = rng.random(w.shape[:-1] + (1,)) * cum[..., -1:]
+    return np.minimum(np.sum(cum <= u, axis=-1), w.shape[-1] - 1)
+
+
+def _categorical_rows(logw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One categorical draw per row of log-weights ``(..., M)``, by
+    :func:`_pick_rows` on the :func:`_row_weights` of ``logw``."""
+    return _pick_rows(_row_weights(logw)[0], rng)
 
 
 def _multinomial_rows(
@@ -103,17 +117,10 @@ def _multinomial_rows(
     probabilities not above ``u``, found by a binary search vectorized
     over all draws, so resolution does not depend on the batch size.
     Memory is ``rows * count`` indices; time is ``O(rows * count * log m)``.
-    A NaN log-weight raises ``ValueError``.
     """
     m_size = logw.shape[-1]
-    shift = np.max(logw, axis=-1, keepdims=True)
-    if np.any(np.isnan(shift)):  # the maximum of a row is NaN iff it holds one
-        raise ValueError("log-weights contain NaN")
-    w = np.exp(logw - np.where(np.isfinite(shift), shift, 0.0))
-    cum = np.cumsum(w, axis=-1)
-    total = cum[..., -1:]
-    safe = np.where(total > 0.0, total, 1.0)
-    p = cum / safe
+    cum = np.cumsum(_row_weights(logw)[0], axis=-1)
+    p = cum / np.where(cum[..., -1:] > 0.0, cum[..., -1:], 1.0)
     p[..., -1] = 1.0
     u = rng.random(logw.shape[:-1] + (count,))
     # Flat position just before each row; since p[..., -1] = 1.0 > u, no

@@ -68,6 +68,14 @@ BAD_CONFIGS = [
     ("model-kind-not-string", _with("model", kind=["stssm"]), "model.kind: unknown"),
     ("model-field-missing", _with("model", drop=("tau",)), "model.tau: missing"),
     ("model-field-not-number", _with("model", tau=[1.0]), "model: "),
+    ("model-field-string", _with("model", tau="1.0"), "model: tau: expected a number"),
+    ("model-field-boolean", _with("model", **{"lambda": True}), "model: lambda: expected a number"),
+    ("a_coef-boolean", _with("model", a_coef=True), "model: a_coef: expected a number"),
+    (
+        "independent-field-boolean",
+        _with("model", kind="independent", init_mean=False),
+        "model: init_mean: expected a number",
+    ),
     ("T-missing", _with("model", drop=("T",)), "model.T: missing"),
     ("T-not-integer", _with("model", T="abc"), "model.T: expected an integer"),
     ("T-below-one", _with("model", T=0), "model.T: must be >= 1"),
@@ -245,13 +253,10 @@ class TestRunExperiment:
         )
         config = parse_config(cfg)
         from nsmc.cli import _run_method
-        from nsmc.model import make_model, simulate as sim
+        from nsmc.model import simulate as sim
 
         data = sim(config.model, config.T, seed=config.data_seed)
-        out = _run_method(
-            config.methods[0], config, make_model(config.model), data,
-            np.random.default_rng(0),
-        )
+        out = _run_method(config.methods[0], config, data, np.random.default_rng(0))
         # ESS can only reach 70 if 70 particles were actually used.
         assert np.any(out.ess_trace > 10)
 
@@ -283,9 +288,10 @@ class TestAsymptoticsCommand:
             ({"ys": ["a", "b"]}, "asymptotics.ys: expected numbers"),
             ({"t": 0}, "asymptotics: t must be >= 1"),
             ({"ys": [0.1]}, "asymptotics: ys must have length t"),
+            ({"a_coef": True}, "asymptotics: a_coef: expected a number"),
         ],
         ids=["t-text", "t-fraction", "n_x-text", "n_x-fraction", "m_grid-entry",
-             "m_grid-not-list", "ys-text", "t-below-one", "ys-length"],
+             "m_grid-not-list", "ys-text", "t-below-one", "ys-length", "a_coef-boolean"],
     )
     def test_mistyped_field_exits_2(self, tmp_path, capsys, fields, pattern):
         path = _write(tmp_path, _asymptotics_config(tmp_path, **fields))

@@ -15,7 +15,6 @@ from nsmc.model import (
     StssmSpec,
     TridiagPrecision,
     load_dataset,
-    make_model,
     save_dataset,
     simulate,
 )
@@ -125,8 +124,7 @@ class TestReductionOnEveryField:
         config = parse_config({"model": {**spec.to_dict(), "T": T}, "data": {"seed": 0},
                                "methods": [{"name": "gen", "kind": "nsmc-general", "N": N}]})
         bpf = bootstrap_pf(spec, data, N, np.random.default_rng(T))
-        gen = _run_method(config.methods[0], config, make_model(spec), data,
-                          np.random.default_rng(T))
+        gen = _run_method(config.methods[0], config, data, np.random.default_rng(T))
         self._assert_fields_equal(bpf, gen)
         assert gen.ess_trace is None and bpf.ess_trace is not None
 

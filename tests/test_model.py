@@ -240,6 +240,24 @@ BAD_MODEL_INPUTS = [
     ("indep-obs_var", lambda: _independent(obs_var=0.0), ValueError, "obs_var"),
     ("indep-n_x", lambda: _independent(n_x=0), ValueError, "n_x must be"),
     ("make-model-non-model", lambda: make_model({"kind": "stssm"}), TypeError, "dict"),
+    (
+        "stssm-from-dict-string",
+        lambda: StssmSpec.from_dict({"n_x": 3, "tau": "1.0", "lambda": 0.5, "obs_var": 0.25}),
+        TypeError,
+        "^tau: expected a number",
+    ),
+    (
+        "stssm-from-dict-boolean",
+        lambda: StssmSpec.from_dict({"n_x": 3, "tau": 1.0, "lambda": True, "obs_var": 0.25}),
+        TypeError,
+        "^lambda: expected a number",
+    ),
+    (
+        "indep-from-dict-boolean-default",
+        lambda: IndependentSsmSpec.from_dict({"n_x": 3, "obs_var": 1.0, "a_coef": True}),
+        TypeError,
+        "^a_coef: expected a number",
+    ),
 ]
 
 

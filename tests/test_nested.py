@@ -5,6 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import chisquare, kstest, norm
 
 from nsmc.exceptions import InnerCollapseError, WeightCollapseError
@@ -13,10 +14,13 @@ from nsmc.model import IndependentSsmSpec, StssmSpec, make_model, simulate
 from nsmc.nested import (
     ExactFfbsProcedure,
     ExactTransitionProcedure,
+    GaussianStageTarget,
     ImportanceProcedure,
     InnerSmcProcedure,
+    InnerState,
     InnerTargetSequence,
     SelfNestedProcedure,
+    _extend_window,
     backward_simulate,
     empirical_draw,
     general_nsmc_step,
@@ -27,6 +31,7 @@ from nsmc.nested import (
     nsmc_step,
     proper_weighting_check,
 )
+from nsmc.smc import _categorical_rows, _multinomial_rows
 
 from oracles import dense_conditional
 
@@ -88,9 +93,8 @@ class TestInnerSmc:
         rng = np.random.default_rng(3)
         target = model.inner_target(2, rng.standard_normal((8, 6)), rng.standard_normal(6))
         state = inner_smc(target, 12, rng)
-        np.testing.assert_allclose(
-            state.log_tau, state.recompute_log_tau(), atol=1e-12
-        )
+        recomputed = np.sum(logsumexp(state.logw, axis=-1) - np.log(12), axis=0)
+        np.testing.assert_allclose(state.log_tau, recomputed, atol=1e-12)
 
     def test_collapse_carries_stage_index(self):
         class DoomedTarget(Gaussian1dTarget):
@@ -298,6 +302,103 @@ class TestSelfNested:
         aux = proc.prepare(model, 2, tiled, np.zeros(2), rng)
         taus = np.exp(aux.log_tau)
         assert taus.std() / taus.mean() < 1e-3
+
+
+def _logmeanexp_reference(logw):
+    m = np.max(logw, axis=-1)
+    shift = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = shift + np.log(
+            np.sum(np.exp(logw - shift[..., None]), axis=-1)
+        ) - np.log(logw.shape[-1])
+    return np.where(np.isfinite(m), out, -np.inf)
+
+
+def _self_nested_reference(proc, model, t, x_prev, y_t, rng):
+    """The self-nested stage loop written as a whole-row gather: the
+    chosen systems' candidates and log-weights are gathered with
+    ``take_along_axis`` and ``_categorical_rows`` re-weights them.
+    Returns the inner state and the stage target."""
+    target = model.inner_target(t, x_prev, y_t)
+    n, batch = target.n_stages, target.batch_shape
+    mo, mi = proc.m, proc.m_inner
+    tiled = target.take(np.broadcast_to(np.arange(batch[0])[:, None], batch + (mo,)))
+    particles = np.empty((n,) + batch + (mo,))
+    ancestors = np.zeros((max(n - 1, 0),) + batch + (mo,), dtype=np.intp)
+    log_tau = np.zeros(batch)
+    window = np.empty((0,) + batch + (mo,))
+    for d in range(n):
+        cand, lw = tiled.propagate(d, window[..., None], mi, rng)
+        stage_log_tau = _logmeanexp_reference(lw)
+        log_tau = log_tau + _logmeanexp_reference(stage_log_tau)
+        idx = _multinomial_rows(stage_log_tau, mo, rng)
+        if d > 0:
+            ancestors[d - 1] = idx
+            window = np.take_along_axis(window, idx[None], axis=-1)
+        cand = np.take_along_axis(cand, idx[..., None], axis=-2)
+        lw = np.take_along_axis(lw, idx[..., None], axis=-2)
+        pick = _categorical_rows(lw, rng)
+        particles[d] = np.take_along_axis(cand, pick[..., None], axis=-1)[..., 0]
+        window = _extend_window(window, particles[d], target.markov_order)
+    state = InnerState(particles, ancestors, np.zeros((n,) + batch + (mo,)), log_tau)
+    return state, target
+
+
+class _CollapsingTarget(GaussianStageTarget):
+    """Self-nested stage law with collapsed weight rows: at stage 1 the
+    first system of every batch row, at stage 2 every system of batch
+    row 2."""
+
+    def propagate(self, d, window, m, rng):
+        x, lw = super().propagate(d, window, m, rng)
+        if d == 1:
+            lw[:, 0] = -np.inf
+        if d == 2:
+            lw[2] = -np.inf
+        return x, lw
+
+
+class _CollapsingModel:
+    def __init__(self, spec):
+        self.spec = spec
+
+    def inner_target(self, t, x_prev, y_t):
+        base = self.spec.inner_target(t, x_prev, y_t)
+        return _CollapsingTarget(
+            base.alpha, base.phi, base.c, base.var, y_t, base.obs_var, "prior",
+            base.markov_order,
+        )
+
+
+SELF_NESTED_PIN_MODELS = {
+    "chain": (StssmSpec.chain(n_x=5, tau=1.0, lam=0.8, obs_var=0.25), 2),
+    "independent": (IndependentSsmSpec(n_x=4, a_coef=0.5, init_mean=0.7, obs_var=1.0), 1),
+    "collapsed": (_CollapsingModel(StssmSpec.chain(n_x=5, tau=1.0, lam=0.8, obs_var=0.25)), 2),
+}
+
+
+@pytest.mark.parametrize("mo,mi", [(2, 1), (4, 3), (5, 20)])
+@pytest.mark.parametrize("case", sorted(SELF_NESTED_PIN_MODELS))
+def test_self_nested_stage_is_bitwise_pinned(case, mo, mi):
+    # Pins the random-draw order of the self-nested stage (propagate,
+    # system resampling, one uniform per system for the pick) and the
+    # bits of every field against the whole-row gather formulation.
+    model, t = SELF_NESTED_PIN_MODELS[case]
+    n_x = 5 if case != "independent" else 4
+    x_prev = np.random.default_rng(7).standard_normal((3, n_x))
+    y_t = np.linspace(-0.5, 1.0, n_x)
+    proc = SelfNestedProcedure(mo, mi)
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    aux = proc.prepare(model, t, x_prev, y_t, rng)
+    ref_state, ref_target = _self_nested_reference(proc, model, t, x_prev, y_t, ref_rng)
+    for field in ("particles", "ancestors", "logw", "log_tau"):
+        np.testing.assert_array_equal(getattr(aux.state, field), getattr(ref_state, field))
+    if case == "collapsed":
+        assert np.isneginf(aux.state.log_tau[2])
+        assert np.all(np.isfinite(aux.state.log_tau[:2]))
+    np.testing.assert_array_equal(
+        aux.draw(rng), backward_simulate(ref_state, ref_target, ref_rng, strict=False)
+    )
 
 
 class TestNsmcStep:

@@ -1,14 +1,26 @@
 """Property tests for the log-weight primitives, plus the exact per-row
-resolution of ``_multinomial_rows`` and the rejection of NaN rows."""
+resolution of ``_multinomial_rows``, the rejection of NaN rows and
+chi-square frequency tests of the row samplers."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp
+from scipy.stats import chisquare
 
 from nsmc.exceptions import WeightCollapseError
-from nsmc.smc import _categorical_rows, _multinomial_rows, normalize_logweights
+from nsmc.model import StssmSpec
+from nsmc.nested import GaussianStageTarget, inner_smc
+from nsmc.smc import (
+    _categorical_rows,
+    _multinomial_rows,
+    _pick_rows,
+    _row_logmeanexp,
+    _row_weights,
+    normalize_logweights,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -104,6 +116,59 @@ def test_row_samplers_reject_nan(logw, row, col):
         _multinomial_rows(logw, 3, np.random.default_rng(0))
 
 
+@PROPERTY
+@given(logw=weight_rows())
+def test_row_weights_and_log_mean(logw):
+    w, shift = _row_weights(logw)
+    live = np.isfinite(np.max(logw, axis=-1))
+    assert w.shape == logw.shape and shift.shape == logw.shape[:-1] + (1,)
+    assert np.all(np.max(w[live], axis=-1) == 1.0)
+    assert np.all(w[~live] == 0.0)
+    assert np.all(w[np.isneginf(logw)] == 0.0)
+    lme = _row_logmeanexp(logw)
+    assert np.all(np.isneginf(lme[~live]))
+    expected = logsumexp(logw[live], axis=-1) - np.log(logw.shape[-1])
+    np.testing.assert_allclose(lme[live], expected, rtol=1e-12, atol=1e-12)
+
+
+@PROPERTY
+@given(
+    logw=weight_rows(),
+    row=st.integers(0, 5),
+    col=st.integers(0, 7),
+    bad=st.sampled_from([np.nan, np.inf]),
+)
+def test_row_weights_reject_nan_and_plus_inf(logw, row, col, bad):
+    # A NaN or +inf weight is an error, never a collapsed (-inf) row.
+    logw[row % logw.shape[0], col % logw.shape[1]] = bad
+    with pytest.raises(ValueError, match="NaN"):
+        _row_weights(logw)
+    with pytest.raises(ValueError, match="NaN"):
+        _row_logmeanexp(logw)
+
+
+class _NanStageTarget(GaussianStageTarget):
+    """Chain stage law whose stage-1 weights hold one NaN in batch row 1."""
+
+    def propagate(self, d, window, m, rng):
+        x, lw = super().propagate(d, window, m, rng)
+        if d == 1:
+            lw[1, 0] = np.nan
+        return x, lw
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "batched"])
+def test_inner_smc_rejects_nan_stage_weight(strict):
+    spec = StssmSpec.chain(n_x=3, tau=1.0, lam=0.5, obs_var=0.25)
+    fact = spec.noise_precision.fact
+    target = _NanStageTarget(
+        np.zeros((2, 3)), fact.phi, fact.c, fact.cond_var, np.zeros(3), 0.25,
+        "prior", markov_order=1,
+    )
+    with pytest.raises(ValueError, match="NaN"):
+        inner_smc(target, 4, np.random.default_rng(0), strict=strict)
+
+
 def test_row_samplers_reject_nan_rows():
     logw = np.array([[0.0, np.nan, 1.0], [np.nan, np.nan, np.nan]])
     with pytest.raises(ValueError, match="NaN"):
@@ -128,3 +193,60 @@ def test_multinomial_rows_resolution_does_not_depend_on_row():
     logw = np.zeros((4096, 2))
     idx = _multinomial_rows(logw, 3, _ConstantUniforms(0.5 - 1e-13))
     assert np.all(idx == 0)
+
+
+#: Rows of known probabilities for the frequency tests: uniform, one
+#: with a zero entry, one spanning 1e-6 to 1, and one whose log-weights
+#: are large enough that an unshifted ``exp`` would overflow.
+FREQ_ROWS = np.array(
+    [
+        [0.25, 0.25, 0.25, 0.25],
+        [0.5, 0.25, 0.0, 0.25],
+        [1e-6, 1e-3, 1e-1, 1.0],
+        [np.exp(-1.0), 1.0, 0.0, np.exp(-2.0)],
+    ]
+)
+FREQ_LOGW = np.log(np.where(FREQ_ROWS > 0.0, FREQ_ROWS, 1.0)) + np.where(
+    FREQ_ROWS > 0.0, [[0.0], [0.0], [0.0], [800.0]], -np.inf
+)
+FREQ_DRAWS = 100_000
+P_FLOOR = 1e-6
+
+
+def _chi2_pvalue(counts, weights):
+    """Chi-square p-value of ``counts`` against ``weights`` (normalized
+    here); zero-weight cells must be empty, and cells expected to hold
+    fewer than 5 draws are pooled with the next more likely cell."""
+    probs = weights / weights.sum()
+    assert np.all(counts[probs == 0.0] == 0)
+    keep = probs > 0.0
+    counts, expected = counts[keep], probs[keep] * counts.sum()
+    order = np.argsort(expected)
+    counts, expected = counts[order], expected[order]
+    while expected[0] < 5.0:
+        counts = np.concatenate([[counts[0] + counts[1]], counts[2:]])
+        expected = np.concatenate([[expected[0] + expected[1]], expected[2:]])
+    if counts.size == 1:
+        return 1.0
+    return chisquare(counts, expected).pvalue
+
+
+def _assert_frequencies(idx):
+    """``idx`` has shape ``(rows, draws)``, one row per ``FREQ_ROWS`` row."""
+    for k, weights in enumerate(FREQ_ROWS):
+        counts = np.bincount(idx[k], minlength=weights.size)
+        assert _chi2_pvalue(counts, weights) > P_FLOOR, (k, counts)
+
+
+def test_categorical_rows_frequencies():
+    logw = np.repeat(FREQ_LOGW[:, None, :], FREQ_DRAWS, axis=1)
+    _assert_frequencies(_categorical_rows(logw, np.random.default_rng(101)))
+
+
+def test_multinomial_rows_frequencies():
+    _assert_frequencies(_multinomial_rows(FREQ_LOGW, FREQ_DRAWS, np.random.default_rng(102)))
+
+
+def test_pick_rows_frequencies():
+    w = np.repeat(FREQ_ROWS[:, None, :], FREQ_DRAWS, axis=1)
+    _assert_frequencies(_pick_rows(w, np.random.default_rng(103)))
