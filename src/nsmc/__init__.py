@@ -1,6 +1,6 @@
 """Nested sequential Monte Carlo for high-dimensional filtering.
 
-A numpy/scipy library for sequential Bayesian inference in
+A numpy library for sequential Bayesian inference in
 spatio-temporal state-space models, built around three layers: exact
 inference for the tractable chain-noise linear-Gaussian case (Kalman
 filter, component-wise forward filtering / backward sampling, fully

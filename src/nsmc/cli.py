@@ -441,10 +441,12 @@ def _cmd_asymptotics(raw: dict, out: str | None, verbose: bool) -> int:
     if any(m < 2 for m in m_grid):
         raise ConfigError("asymptotics.m_grid: entries must be >= 2")
     ys = block.get("ys")
-    try:
-        ys_arr = None if ys is None else np.asarray(ys, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"asymptotics.ys: expected numbers, got {ys!r}") from None
+    if ys is not None and not isinstance(ys, list):
+        raise ConfigError(f"asymptotics.ys: expected a list of numbers, got {ys!r}")
+    for i, y in enumerate(ys or ()):
+        if isinstance(y, bool) or not isinstance(y, (int, float)):
+            raise ConfigError(f"asymptotics.ys[{i}]: expected a number, got {y!r}")
+    ys_arr = None if ys is None else np.array(ys, dtype=float)
     try:
         curve = variance_curve(spec, t, spec.n_x, m_grid, ys=ys_arr)
     except ValueError as err:

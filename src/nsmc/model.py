@@ -60,7 +60,7 @@ class TridiagPrecision:
     diag: np.ndarray
     offdiag: np.ndarray
     fact: ChainFactorization = field(init=False, repr=False, compare=False)
-    _cov: np.ndarray | None = field(
+    _spectrum: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -93,26 +93,24 @@ class TridiagPrecision:
         q[idx + 1, idx] = self.offdiag
         return q
 
-    def covariance(self) -> np.ndarray:
-        """Dense inverse, computed by banded solves against unit vectors.
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (ascending) and orthonormal eigenvectors (columns)
+        of the dense matrix, from ``np.linalg.eigh``.
 
-        Computed on the first call and cached; the returned array is
-        read-only because every later call returns the same one.
+        Computed on the first call and cached; both arrays are read-only
+        because every later call returns the same ones.  Raises
+        ``np.linalg.LinAlgError`` if an eigenvalue is not positive.
         """
-        if self._cov is None:
-            from scipy.linalg import solveh_banded
-
-            if self.n == 1:
-                cov = np.array([[1.0 / self.diag[0]]])
-            else:
-                ab = np.zeros((2, self.n))
-                ab[0, 1:] = self.offdiag
-                ab[1] = self.diag
-                cov = solveh_banded(ab, np.eye(self.n))
-                cov = 0.5 * (cov + cov.T)
-            cov.setflags(write=False)
-            object.__setattr__(self, "_cov", cov)
-        return self._cov
+        if self._spectrum is None:
+            eigvals, basis = np.linalg.eigh(self.dense())
+            if not np.all(eigvals > 0.0):
+                raise np.linalg.LinAlgError(
+                    "tridiagonal precision is not positive definite"
+                )
+            eigvals.setflags(write=False)
+            basis.setflags(write=False)
+            object.__setattr__(self, "_spectrum", (eigvals, basis))
+        return self._spectrum
 
 
 def chain_precision(tau: float, lam: float, n: int) -> TridiagPrecision:

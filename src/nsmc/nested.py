@@ -341,6 +341,9 @@ def backward_simulate(
     components are drawn with probability proportional to
     ``w_d^j * p_{n-1}((x_{0:d}^j, chosen suffix)) / p_d(x_{0:d}^j)``.
     Returns one assembled state per batch row, shape ``(*batch, n)``.
+    A NaN or ``+inf`` backward log-weight raises ``ValueError``; with
+    ``strict``, a row whose backward weights are all zero raises
+    :class:`InnerCollapseError`.
     """
     n = inner.n_stages
     batch = inner.particles.shape[1:-1]
@@ -352,11 +355,13 @@ def backward_simulate(
     for d in range(n - 2, -1, -1):
         suffix = np.moveaxis(out[..., d + 1 :], -1, 0)
         lbw = inner.logw[d] + target.log_suffix_ratio(d, inner, suffix)
-        if strict and np.any(~np.isfinite(np.max(lbw, axis=-1))):
+        w = _row_weights(lbw)[0]
+        # A live row's weights peak at exactly exp(0) = 1.
+        if strict and not np.all(np.max(w, axis=-1) > 0.0):
             raise InnerCollapseError(
                 stage=d + 1, detail="backward weights vanished"
             )
-        j = _categorical_rows(lbw, rng)
+        j = _pick_rows(w, rng)
         out[..., d] = np.take_along_axis(
             inner.particles[d], j[..., None], axis=-1
         )[..., 0]

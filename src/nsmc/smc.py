@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scipy.special import logsumexp
-
 from .exceptions import InvalidInputError, WeightCollapseError
 from .model import Dataset, ModelBundle, make_model
 
@@ -295,26 +293,21 @@ def bootstrap_pf(
 
     def step(state, t, y_t):
         states, logw = state
-        resampled, carried = True, 0.0
+        carried = 0.0
         if t > 1:
-            probs, _ = normalize_logweights(logw)
-            resampled = ess_threshold is None or ess(probs) < ess_threshold * N
-            if resampled:
+            probs, log_mean = normalize_logweights(logw)
+            if ess_threshold is None or ess(probs) < ess_threshold * N:
                 states = states[multinomial_resample(probs, N, rng)]
             else:
-                carried = logw - logsumexp(logw)
+                # Carried weights average to one, so the plain mean of the
+                # new weights is the weighted mean of the likelihoods.
+                carried = logw - log_mean
         states = m.sample_transition(states, rng, t)
         logw = carried + m.log_obs(y_t, states)
         try:
-            probs, log_mean = normalize_logweights(logw)
+            probs, log_inc = normalize_logweights(logw)
         except WeightCollapseError:
             raise WeightCollapseError(step=t) from None
-        if resampled:
-            log_inc = log_mean
-        else:
-            # Carried weights are normalized, so the increment is a
-            # weighted mean rather than a plain mean.
-            log_inc = float(logsumexp(logw))
         if t == 1:
             # The first step carries its weights normalized.
             with np.errstate(divide="ignore"):

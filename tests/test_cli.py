@@ -285,13 +285,17 @@ class TestAsymptoticsCommand:
             ({"n_x": 1.5}, "asymptotics.n_x: expected an integer"),
             ({"m_grid": [2, "x"]}, r"asymptotics.m_grid\[1\]: expected an integer"),
             ({"m_grid": 5}, "asymptotics.m_grid: expected a list"),
-            ({"ys": ["a", "b"]}, "asymptotics.ys: expected numbers"),
+            ({"ys": ["a", "b"]}, r"asymptotics.ys\[0\]: expected a number"),
             ({"t": 0}, "asymptotics: t must be >= 1"),
             ({"ys": [0.1]}, "asymptotics: ys must have length t"),
             ({"a_coef": True}, "asymptotics: a_coef: expected a number"),
+            ({"ys": [True, False]}, r"asymptotics.ys\[0\]: expected a number"),
+            ({"ys": [0.5, "1"]}, r"asymptotics.ys\[1\]: expected a number"),
+            ({"ys": 0.5}, "asymptotics.ys: expected a list"),
         ],
         ids=["t-text", "t-fraction", "n_x-text", "n_x-fraction", "m_grid-entry",
-             "m_grid-not-list", "ys-text", "t-below-one", "ys-length", "a_coef-boolean"],
+             "m_grid-not-list", "ys-text", "t-below-one", "ys-length", "a_coef-boolean",
+             "ys-boolean", "ys-numeric-string", "ys-not-list"],
     )
     def test_mistyped_field_exits_2(self, tmp_path, capsys, fields, pattern):
         path = _write(tmp_path, _asymptotics_config(tmp_path, **fields))

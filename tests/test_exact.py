@@ -3,6 +3,8 @@ filtering / backward sampling, and the fully adapted particle filter."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest, norm
 
 from nsmc.exact import (
@@ -26,6 +28,64 @@ def _random_spec(rng, max_n=4):
         obs_var=float(rng.uniform(0.05, 2.0)),
         a_coef=float(rng.uniform(-0.9, 0.9)),
     )
+
+
+def dense_kalman(spec, observations):
+    """The dense Kalman filter: a Cholesky factorisation of the innovation
+    covariance, solves against it and full covariance updates per step.
+    Returns the filtering means, marginal variances and log-likelihood
+    increments, shaped like a ``FilterOutput``'s."""
+    n = spec.n_x
+    eye = np.eye(n)
+    proc_cov = np.linalg.inv(spec.noise_precision.dense())
+    proc_cov = 0.5 * (proc_cov + proc_cov.T)
+    mean, cov = np.zeros(n), np.zeros((n, n))
+    means, variances, increments = [], [], []
+    for y in observations:
+        mean_pred = spec.a_coef * mean
+        cov_pred = spec.a_coef**2 * cov + proc_cov
+        s = cov_pred + spec.obs_var * eye
+        s = 0.5 * (s + s.T)
+        chol = np.linalg.cholesky(s)
+        innovation = y - mean_pred
+        gain = np.linalg.solve(s, cov_pred).T
+        mean = mean_pred + gain @ innovation
+        cov = (eye - gain) @ cov_pred
+        cov = 0.5 * (cov + cov.T)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        maha = innovation @ np.linalg.solve(s, innovation)
+        means.append(mean)
+        variances.append(np.diag(cov))
+        increments.append(-0.5 * (n * np.log(2 * np.pi) + logdet + maha))
+    return np.array(means), np.array(variances), np.array(increments)
+
+
+def _assert_rel_close(got, want, rtol):
+    """Entrywise ``rtol``, measured against the largest entry, so that an
+    entry that happens to sit near zero is not held to a tighter bound."""
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.max(np.abs(want)))
+
+
+@given(
+    n=st.integers(1, 8),
+    tau=st.floats(0.1, 5.0),
+    lam=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    obs_var=st.one_of(st.just(1e-6), st.floats(0.01, 4.0)),
+    a_coef=st.floats(-0.95, 0.95),
+    seed=st.integers(0, 2**16),
+)
+@example(n=8, tau=0.1, lam=0.0, obs_var=1e-6, a_coef=0.9, seed=1)
+@example(n=8, tau=0.1, lam=5.0, obs_var=1e-6, a_coef=-0.9, seed=2)
+@settings(derandomize=True, deadline=None, max_examples=100)
+def test_kalman_matches_the_dense_filter(n, tau, lam, obs_var, a_coef, seed):
+    spec = StssmSpec.chain(n_x=n, tau=tau, lam=lam, obs_var=obs_var, a_coef=a_coef)
+    data = simulate(spec, 6, seed=seed)
+    out = kalman_run(spec, data)
+    means, variances, increments = dense_kalman(spec, data.observations)
+    _assert_rel_close(out.filter_means, means, 1e-9)
+    _assert_rel_close(out.filter_vars, variances, 1e-9)
+    np.testing.assert_allclose(out.logz_increments, increments, rtol=1e-9)
+    np.testing.assert_allclose(out.logZ, increments.sum(), rtol=1e-9)
 
 
 class TestKalman:

@@ -219,6 +219,19 @@ class TestBackwardSimulate:
         assert good.statistic < bad.statistic
         assert good.pvalue > 0.01
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_nan_backward_weight_is_a_value_error(self, strict):
+        # A NaN in a stage-0 log-weight makes that backward log-weight
+        # NaN: an invalid input, not a collapse, in either mode.
+        spec = StssmSpec.chain(n_x=3, tau=1.0, lam=1.0, obs_var=0.5)
+        target = make_model(spec).inner_target(2, np.zeros(3), np.ones(3))
+        state = inner_smc(target, 4, np.random.default_rng(12))
+        logw = state.logw.copy()
+        logw[0, 1] = np.nan
+        bad = InnerState(state.particles, state.ancestors, logw, state.log_tau)
+        with pytest.raises(ValueError, match="NaN"):
+            backward_simulate(bad, target, np.random.default_rng(13), strict=strict)
+
 
 class TestEmpiricalDraw:
     def test_frequencies_match_final_weights(self):

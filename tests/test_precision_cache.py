@@ -1,12 +1,13 @@
-"""The chain factorization and the noise covariance are computed once per
-precision, and far-out observations fail cleanly instead of leaking
-floating-point warnings."""
+"""The chain factorization and the noise precision's spectrum are computed
+once per precision and agree with dense linear algebra, and far-out
+observations fail cleanly instead of leaking floating-point warnings."""
 
 import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import solveh_banded
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nsmc.exceptions import InvalidInputError
 from nsmc.exact import kalman_run
@@ -29,24 +30,73 @@ def test_stored_factorization_matches_a_fresh_one(n):
     assert not prec.fact.c.flags.writeable and not prec.fact.phi.flags.writeable
 
 
+@given(
+    tau=st.floats(0.05, 5.0),
+    lam=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+    n=st.integers(1, 12),
+)
+@example(tau=1e-3, lam=10.0, n=12)
+@settings(derandomize=True, deadline=None, max_examples=100)
+def test_chain_factorization_matches_dense_cholesky(tau, lam, n):
+    # Q = L^T diag(c) L with L unit lower bidiagonal, L[d, d-1] = -phi_d,
+    # so R = L^T diag(sqrt(c)) is the upper-triangular factor Q = R R^T
+    # with a positive diagonal: the dense Cholesky of the reversed matrix,
+    # reversed back.
+    prec = chain_precision(tau, lam, n)
+    q = prec.dense()
+    r = np.linalg.cholesky(q[::-1, ::-1])[::-1, ::-1]
+    fact = chain_factorization(prec)
+    np.testing.assert_allclose(fact.c, np.diag(r) ** 2, rtol=1e-10)
+    phi = -np.diag(r, 1) / np.diag(r)[1:]
+    np.testing.assert_allclose(fact.phi[1:], phi, rtol=1e-10, atol=1e-14)
+    assert fact.phi[0] == 0.0
+    v = np.random.default_rng(n).standard_normal((3, n))
+    _, logdet = np.linalg.slogdet(q)
+    dense = 0.5 * (logdet - n * np.log(2 * np.pi) - np.sum(v @ q * v, axis=-1))
+    np.testing.assert_allclose(fact.log_density(v), dense, rtol=1e-10)
+
+
 @pytest.mark.parametrize("n", [1, 2, 9])
-def test_covariance_is_memoised_and_read_only(n):
+def test_spectrum_is_memoised_and_read_only(n):
     prec = TridiagPrecision(
         diag=np.linspace(2.0, 3.0, n), offdiag=np.linspace(-0.5, -0.9, n - 1)
     )
-    cov = prec.covariance()
-    if n == 1:
-        fresh = np.array([[1.0 / prec.diag[0]]])
-    else:
-        ab = np.zeros((2, n))
-        ab[0, 1:] = prec.offdiag
-        ab[1] = prec.diag
-        fresh = solveh_banded(ab, np.eye(n))
-        fresh = 0.5 * (fresh + fresh.T)
-    np.testing.assert_array_equal(cov, fresh)
-    assert prec.covariance() is cov
-    with pytest.raises(ValueError):
-        cov[0, 0] = 0.0
+    eigvals, basis = prec.spectrum()
+    fresh_vals, fresh_basis = np.linalg.eigh(prec.dense())
+    np.testing.assert_array_equal(eigvals, fresh_vals)
+    np.testing.assert_array_equal(basis, fresh_basis)
+    again = prec.spectrum()
+    assert again[0] is eigvals and again[1] is basis
+    for arr in (eigvals, basis):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "tau, lam, n", [(1.0, 0.0, 1), (1.0, 0.8, 10), (0.2, 3.0, 50), (1e-3, 10.0, 100)]
+)
+def test_spectrum_reconstructs_the_precision(tau, lam, n):
+    prec = chain_precision(tau, lam, n)
+    eigvals, basis = prec.spectrum()
+    assert np.all(eigvals > 0.0) and np.all(np.diff(eigvals) >= 0.0)
+    np.testing.assert_allclose(basis.T @ basis, np.eye(n), atol=1e-12)
+    scale = eigvals[-1]
+    np.testing.assert_allclose(
+        (basis * eigvals) @ basis.T, prec.dense(), rtol=0.0, atol=1e-12 * scale
+    )
+    np.testing.assert_allclose(
+        (basis / eigvals) @ basis.T, np.linalg.inv(prec.dense()), rtol=0.0,
+        atol=1e-10 / eigvals[0],
+    )
+
+
+def test_spectrum_refuses_an_indefinite_matrix():
+    # The constructor's factorization rejects such a matrix, so swap the
+    # diagonal of a valid precision behind it.
+    prec = chain_precision(1.0, 1.0, 3)
+    object.__setattr__(prec, "diag", np.array([1.0, -1.0, 1.0]))
+    with pytest.raises(np.linalg.LinAlgError):
+        prec.spectrum()
 
 
 def test_kalman_rejects_an_impossible_observation():

@@ -174,6 +174,26 @@ class TestBootstrap:
         se = ratios.std(ddof=1) / np.sqrt(ratios.size)
         assert abs(ratios.mean() - 1.0) < 3 * se
 
+    def test_adaptive_resampling_unbiased_when_it_skips_steps(self):
+        # Criterion-3 protocol with a threshold at which the filter both
+        # carries its weights over some steps and resamples at others.
+        spec = StssmSpec.chain(n_x=2, tau=1.0, lam=1.0, obs_var=1.0)
+        data = simulate(spec, 6, seed=16)
+        kal = kalman_run(spec, data).logZ
+        rng = np.random.default_rng(24)
+        N, theta, reps = 100, 0.5, 500
+        ratios, skipped = [], 0
+        for _ in range(reps):
+            out = bootstrap_pf(spec, data, N, rng, ess_threshold=theta)
+            ratios.append(np.exp(out.logZ - kal))
+            # The weights after step t are resampled at t + 1 iff their
+            # ESS is below theta * N.
+            skipped += int(np.sum(out.ess_trace[:-1] >= theta * N))
+        assert 0 < skipped < reps * (data.T - 1)
+        ratios = np.array(ratios)
+        se = ratios.std(ddof=1) / np.sqrt(reps)
+        assert abs(ratios.mean() - 1.0) <= 3 * se
+
     def test_never_resampling_equals_sequential_importance_sampling(self):
         # ess_threshold=0 never resamples after t = 1, so the filter is
         # plain SIS: logZ is the log-mean of the trajectory likelihoods
