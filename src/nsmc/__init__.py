@@ -3,9 +3,9 @@
 A numpy library for sequential Bayesian inference in
 spatio-temporal state-space models, built around three layers: exact
 inference for the tractable chain-noise linear-Gaussian case (Kalman
-filter, component-wise forward filtering / backward sampling, fully
-adapted particle filter), a generic SMC engine (bootstrap baseline,
-log-domain weights, multinomial resampling), and the nested filter whose
+filter, the exact locally optimal conditional, fully adapted particle
+filter), a generic SMC engine (bootstrap baseline, log-domain weights,
+multinomial resampling), and the nested filter whose
 inner Monte Carlo procedures produce properly weighted samples from the
 locally optimal proposal.  An asymptotic-variance calculator quantifies
 the inner/outer particle trade-off on independent product models.

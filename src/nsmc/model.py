@@ -143,8 +143,8 @@ class ChainFactorization:
     A tridiagonal precision admits the exact sequential factorization
     ``p(v) = prod_d Normal(v_d; phi_d * v_{d-1}, 1 / c_d)`` where the
     ``c_d`` come from a backward elimination sweep and ``phi_1 = 0``.
-    This is the shared machinery behind prior sampling, forward filtering
-    and backward sampling over components.
+    It serves prior sampling, the transition density and the nested
+    filter's inner stage law.
     """
 
     c: np.ndarray  # conditional precisions, length n

@@ -57,6 +57,19 @@ class TestInvalidInput:
         with pytest.raises(InvalidInputError, match="needs a StssmSpec"):
             RUNS[name](spec, simulate(spec, 3, seed=4))
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            fapf_run,
+            bootstrap_pf,
+            lambda spec, data, N, rng: nsmc_run(spec, data, N, 3, "smc+bs", rng),
+        ],
+        ids=["fapf", "bpf", "nsmc"],
+    )
+    def test_zero_particles_rejected(self, run):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            run(CHAIN, simulate(CHAIN, 2, seed=5), 0, np.random.default_rng(1))
+
     def test_cli_truncated_dataset_fails_replicates(self, tmp_path):
         model = {"kind": "stssm", "n_x": 2, "T": 3, "tau": 1.0, "lambda": 1.0,
                  "obs_var": 0.25, "a_coef": 0.5}

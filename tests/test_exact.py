@@ -1,5 +1,6 @@
-"""Tests for the exact stack: Kalman filter, component-wise forward
-filtering / backward sampling, and the fully adapted particle filter."""
+"""Tests for the exact stack: Kalman filter, the exact conditional of the
+fully adapted particle filter (``ffbs_forward``/``ffbs_backward``), and
+the fully adapted particle filter."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import kstest, norm
 
 from nsmc.exact import (
+    KalmanBelief,
     fapf_run,
     ffbs_backward,
     ffbs_forward,
@@ -165,6 +167,56 @@ class TestFfbsForward:
             assert abs(np.exp(cache.log_nu - log_nu) - 1.0) <= 1e-8
 
 
+@given(
+    n=st.integers(1, 8),
+    tau=st.floats(0.1, 5.0),
+    lam=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    obs_var=st.one_of(st.just(1e-6), st.floats(0.01, 4.0)),
+    a_coef=st.floats(-0.95, 0.95),
+    batch=st.sampled_from([(), (4,), (2, 3)]),
+    seed=st.integers(0, 2**16),
+)
+@example(n=1, tau=2.0, lam=0.0, obs_var=0.3, a_coef=0.5, batch=(), seed=1)
+@example(n=6, tau=0.1, lam=0.0, obs_var=1e-6, a_coef=0.9, batch=(4,), seed=2)
+@example(n=8, tau=0.1, lam=5.0, obs_var=1e-6, a_coef=-0.9, batch=(2, 3), seed=3)
+@example(n=1, tau=0.1, lam=0.0, obs_var=1e-6, a_coef=0.0, batch=(2, 3), seed=4)
+@settings(derandomize=True, deadline=None, max_examples=100)
+def test_conditional_matches_the_dense_oracle(n, tau, lam, obs_var, a_coef, batch, seed):
+    # log nu to 1e-9 relative in nu, and the posterior mean and
+    # covariance of x_t to 1e-9 relative, row by row of any batch shape.
+    spec = StssmSpec.chain(n_x=n, tau=tau, lam=lam, obs_var=obs_var, a_coef=a_coef)
+    rng = np.random.default_rng(seed)
+    x_prev = rng.standard_normal(batch + (n,))
+    y = rng.standard_normal(n)
+    cache = ffbs_forward(spec, x_prev, y)
+    assert cache.v_mean.shape == batch + (n,) and cache.log_nu.shape == batch
+    cov = (cache.basis * cache.var) @ cache.basis.T
+    for row in np.ndindex(batch):
+        log_nu, mean_x, cov_v = dense_conditional(spec, x_prev[row], y)
+        np.testing.assert_allclose(cache.log_nu[row], log_nu, rtol=1e-9, atol=1e-9)
+        _assert_rel_close(a_coef * x_prev[row] + cache.v_mean[row], mean_x, 1e-9)
+        _assert_rel_close(cov, cov_v, 1e-9)
+    assert ffbs_backward(cache, rng).shape == batch + (n,)
+
+
+def test_log_nu_is_the_kalman_predictive_from_a_point_mass():
+    # The conditional is the Kalman update from a zero-variance belief
+    # at x_prev, through the same code, so the two agree exactly.
+    rng = np.random.default_rng(40)
+    for _ in range(20):
+        spec = _random_spec(rng, max_n=6)
+        x_prev = rng.standard_normal(spec.n_x)
+        y = rng.standard_normal(spec.n_x)
+        cache = ffbs_forward(spec, x_prev, y)
+        basis = spec.noise_precision.spectrum()[1]
+        belief = kalman_step(
+            KalmanBelief(x_prev, np.zeros(spec.n_x), basis, 0.0), spec, y
+        )
+        assert cache.log_nu == belief.loglik
+        np.testing.assert_array_equal(spec.a_coef * x_prev + cache.v_mean, belief.mean)
+        np.testing.assert_array_equal(cache.var, belief.var)
+
+
 class TestFfbsBackward:
     def test_decoupled_marginals(self):
         # lambda = 0: each component's posterior is the 1-d conjugate
@@ -198,6 +250,22 @@ class TestFfbsBackward:
         d = np.diag(cov_v)
         se_cov = np.sqrt((np.outer(d, d) + cov_v**2) / R)
         assert np.all(np.abs(emp_cov - cov_v) < 3 * se_cov)
+
+    def test_five_component_moments_vs_dense(self):
+        # 5 means and 25 covariance entries, each within 4 standard errors.
+        spec = StssmSpec.chain(n_x=5, tau=0.5, lam=2.0, obs_var=0.3, a_coef=0.7)
+        rng = np.random.default_rng(41)
+        x_prev = rng.standard_normal(5)
+        y = rng.standard_normal(5)
+        R = 10**5
+        draws = ffbs_backward(ffbs_forward(spec, np.tile(x_prev, (R, 1)), y), rng)
+        _, mean_x, cov_v = dense_conditional(spec, x_prev, y)
+        mean_v = mean_x - spec.a_coef * x_prev
+        se_mean = np.sqrt(np.diag(cov_v) / R)
+        assert np.all(np.abs(draws.mean(axis=0) - mean_v) < 4 * se_mean)
+        d = np.diag(cov_v)
+        se_cov = np.sqrt((np.outer(d, d) + cov_v**2) / R)
+        assert np.all(np.abs(np.cov(draws.T) - cov_v) < 4 * se_cov)
 
     def test_degenerate_observation_noise_concentrates(self):
         spec = StssmSpec.chain(n_x=4, tau=1.0, lam=1.0, obs_var=1e-10, a_coef=0.5)

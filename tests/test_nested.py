@@ -31,7 +31,7 @@ from nsmc.nested import (
     nsmc_step,
     proper_weighting_check,
 )
-from nsmc.smc import _categorical_rows, _multinomial_rows
+from nsmc.smc import ParticleSystem, _categorical_rows, _multinomial_rows
 
 from oracles import dense_conditional
 
@@ -232,6 +232,19 @@ class TestBackwardSimulate:
         with pytest.raises(ValueError, match="NaN"):
             backward_simulate(bad, target, np.random.default_rng(13), strict=strict)
 
+    def test_vanished_backward_weights_collapse_in_strict_mode(self):
+        # Stage-0 log-weights of -inf leave no backward weight at d = 0:
+        # a collapse at stage 1, not an invalid input.
+        spec = StssmSpec.chain(n_x=3, tau=1.0, lam=1.0, obs_var=0.5)
+        target = make_model(spec).inner_target(2, np.zeros(3), np.ones(3))
+        state = inner_smc(target, 4, np.random.default_rng(12))
+        logw = state.logw.copy()
+        logw[0] = -np.inf
+        dead = InnerState(state.particles, state.ancestors, logw, state.log_tau)
+        with pytest.raises(InnerCollapseError) as err:
+            backward_simulate(dead, target, np.random.default_rng(13), strict=True)
+        assert err.value.stage == 1
+
 
 class TestEmpiricalDraw:
     def test_frequencies_match_final_weights(self):
@@ -291,6 +304,33 @@ class TestProperWeighting:
         with pytest.raises(ValueError, match="stage proposal"):
             InnerSmcProcedure(5, stage_proposal="bogus")
 
+    @pytest.mark.parametrize(
+        "build,match",
+        [
+            (lambda: InnerSmcProcedure(0), "m must be"),
+            (lambda: InnerSmcProcedure(2, kappa="bogus"), "unknown kappa"),
+            (lambda: ImportanceProcedure(0), "m must be"),
+            (lambda: SelfNestedProcedure(2, 0), "m_outer and m_inner"),
+            (lambda: make_procedure("bogus", 2), "unknown procedure kind"),
+            (
+                lambda: inner_smc(
+                    Gaussian1dTarget(0.0, 1.0, 1.0, 0.0, 1.0), 0, np.random.default_rng(0)
+                ),
+                "m must be",
+            ),
+            (
+                lambda: make_model(TestProperWeighting.SPEC).inner_target(
+                    2, np.zeros(2), np.ones(2), proposal="bogus"
+                ),
+                "unknown stage proposal",
+            ),
+        ],
+        ids=["smc-m", "kappa", "is-m", "self-nested-m", "kind", "inner-smc-m", "target-proposal"],
+    )
+    def test_bad_arguments_rejected(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
 
 class TestSelfNested:
     def test_m_inner_one_still_unbiased(self):
@@ -315,6 +355,13 @@ class TestSelfNested:
         aux = proc.prepare(model, 2, tiled, np.zeros(2), rng)
         taus = np.exp(aux.log_tau)
         assert taus.std() / taus.mean() < 1e-3
+
+    def test_rejects_a_batch_that_is_not_1d(self):
+        spec = StssmSpec.chain(n_x=2, tau=1.0, lam=1.0, obs_var=0.5)
+        with pytest.raises(ValueError, match="1-d particle batch"):
+            SelfNestedProcedure(2, 2).prepare(
+                make_model(spec), 2, np.zeros((2, 3, 2)), np.zeros(2), np.random.default_rng(0)
+            )
 
 
 def _logmeanexp_reference(logw):
@@ -651,6 +698,42 @@ class TestReductionIdentities:
                 np.zeros(3), np.random.default_rng(0),
             )
 
+    @pytest.mark.parametrize(
+        "logw,dead_tau,nu_hat,y,detail",
+        [
+            # Previous weights all zero, with constant multipliers.
+            (-np.inf, False, "one", 0.0, "t=2$"),
+            # Every tau zero, so every adjusted weight is.
+            (0.0, True, "tau", 0.0, "all adjusted weights are zero"),
+            # An observation so far out that every likelihood underflows.
+            (0.0, False, "one", 1e200, "all carried weights zero"),
+        ],
+        ids=["previous", "adjusted", "carried"],
+    )
+    def test_general_collapse_carries_step_index(self, logw, dead_tau, nu_hat, y, detail):
+        class DeadTau(ExactTransitionProcedure):
+            def prepare(self, model, t, x_prev, y_t, rng):
+                class Dead:
+                    log_tau = np.full(x_prev.shape[0], -np.inf)
+
+                return Dead()
+
+        model = make_model(self.SPEC)
+        system = ParticleSystem(np.zeros((4, 3)), (), np.full(4, logw), 0.0, 1)
+        proc = DeadTau() if dead_tau else ExactTransitionProcedure()
+        with pytest.raises(WeightCollapseError, match=detail) as err:
+            general_nsmc_step(
+                system, model, proc, "transition", nu_hat, np.full(3, y),
+                np.random.default_rng(0),
+            )
+        assert err.value.step == 2
+
+    def test_fully_adapted_step_rejects_non_uniform_weights(self):
+        model = make_model(self.SPEC)
+        system = ParticleSystem(np.zeros((4, 3)), (), np.array([0.0, -1.0, 0.0, 0.0]), 0.0, 1)
+        with pytest.raises(ValueError, match="uniform"):
+            nsmc_step(system, model, ExactFfbsProcedure(), np.zeros(3), np.random.default_rng(0))
+
 
 class TestNsmcRun:
     def test_deterministic_given_seed(self):
@@ -673,6 +756,12 @@ class TestNsmcRun:
         )
         se = ratios.std(ddof=1) / np.sqrt(ratios.size)
         assert abs(ratios.mean() - 1.0) < 3 * se
+
+    def test_exact_procedure_rejects_the_independent_model(self):
+        spec = IndependentSsmSpec(n_x=2, a_coef=0.5)
+        data = simulate(spec, 2, seed=48)
+        with pytest.raises(TypeError, match="chain-noise model"):
+            nsmc_run(spec, data, 4, 1, "exact-ffbs", np.random.default_rng(49))
 
     def test_ess_trace_present(self):
         spec = StssmSpec.chain(n_x=2, tau=1.0, lam=1.0, obs_var=0.5)

@@ -158,7 +158,7 @@ class TestBootstrap:
         se = ratios.std(ddof=1) / np.sqrt(ratios.size)
         assert abs(ratios.mean() - 1.0) < 3 * se
 
-    def test_adaptive_resampling_flag(self):
+    def test_adaptive_resampling_unbiased_when_every_step_resamples(self):
         spec = StssmSpec.chain(n_x=2, tau=1.0, lam=1.0, obs_var=0.25)
         data = simulate(spec, 5, seed=16)
         kal = kalman_run(spec, data).logZ
