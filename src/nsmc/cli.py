@@ -37,6 +37,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -58,19 +59,11 @@ from .nested import (
     PROCEDURES,
     STAGE_PROPOSALS,
     ExactTransitionProcedure,
-    general_nsmc_step,
     make_procedure,
-    nsmc_init,
     nsmc_run,
     proper_weighting_check,
 )
-from .smc import (
-    FilterOutput,
-    _drive,
-    _weighted_summaries,
-    bootstrap_pf,
-    normalize_logweights,
-)
+from .smc import FilterOutput, _outer_run, bootstrap_pf
 
 
 class ConfigError(ValueError):
@@ -200,6 +193,8 @@ def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
             raise ConfigError(
                 f"{where}.stage_proposal: must be one of {STAGE_PROPOSALS}"
             )
+        if mk in ("kalman", "fapf") and not isinstance(model, StssmSpec):
+            raise ConfigError(f"{where}.kind: {mk} requires the stssm model")
         if mk != "kalman" and n < 1:
             raise ConfigError(f"{where}.N: must be >= 1 for kind {mk!r}")
         if mk == "nsmc":
@@ -266,14 +261,8 @@ def _run_method(
     method: MethodConfig, config: ExperimentConfig, data: Dataset, rng
 ) -> FilterOutput:
     if method.kind == "kalman":
-        if not isinstance(config.model, StssmSpec):
-            raise ConfigError(
-                f"methods: kalman requires the stssm model, got independent"
-            )
         return kalman_run(config.model, data)
     if method.kind == "fapf":
-        if not isinstance(config.model, StssmSpec):
-            raise ConfigError("methods: fapf requires the stssm model")
         return fapf_run(config.model, data, method.N, rng)
     if method.kind == "bpf":
         n = method.N
@@ -288,15 +277,11 @@ def _run_method(
     # nsmc-general: the bootstrap-reduction configuration of the general
     # algorithm (transition proposal, unit multipliers, exact draws);
     # richer configurations are library-level.
-    proc, model = ExactTransitionProcedure(), config.model
-
-    def step(system, t, y_t):
-        system = general_nsmc_step(system, model, proc, "transition", "one", y_t, rng)
-        probs, _ = normalize_logweights(system.logw)
-        mean, var = _weighted_summaries(system.states, probs)
-        return system, mean, var, system.log_increment, None
-
-    return _drive(method.name, model.n_x, data, step, nsmc_init(model, method.N))
+    model = config.model
+    prepare = partial(ExactTransitionProcedure().prepare, model)
+    return _outer_run(
+        method.name, model, prepare, "transition", "one", data, method.N, rng, False
+    )
 
 
 def _run_replicate(args) -> list[tuple]:

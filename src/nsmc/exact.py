@@ -9,9 +9,10 @@ Gaussian update whose covariances commute with the noise precision
 ``Q``, so both run it as ``n_x`` scalar updates in ``Q``'s eigenbasis
 (:func:`_eig_update`); the FAPF's update is the Kalman step from a
 zero-variance belief at each particle, batched over particles.  Both
-filters run through the package's outer run loop; the FAPF is its fully
-adapted step with the conditional's cache as the exact auxiliary
-object, the same step the nested filter uses.
+filters run through the package's outer run loop; the FAPF is the fully
+adapted configuration of the package's one outer step (:mod:`nsmc.smc`)
+with the conditional's cache as the exact auxiliary object, as the
+nested filter is with an inner procedure.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .exceptions import InvalidInputError
 from .model import _LOG_2PI, Dataset, StssmSpec
-from .smc import FilterOutput, _drive, _fully_adapted_filter
+from .smc import FilterOutput, _drive, _outer_run
 
 __all__ = [
     "KalmanBelief",
@@ -225,11 +226,8 @@ def fapf_run(
     """
     if not isinstance(model, StssmSpec):
         raise InvalidInputError(f"fapf_run needs a StssmSpec, got {type(model).__name__}")
-    if N < 1:
-        raise ValueError("N must be >= 1")
 
     def prepare(t, x_prev, y_t, rng):
         return ffbs_forward(model, x_prev, y_t)
 
-    n = model.n_x
-    return _fully_adapted_filter("fapf", prepare, n, data, N, rng, with_ess=False)
+    return _outer_run("fapf", model, prepare, "gamma-ratio", "tau", data, N, rng, False)

@@ -32,11 +32,11 @@ Procedures see the model only through the ``t``-aware protocol of
 :mod:`nsmc.model` (transition sampler and densities, initial law at
 ``t = 1``, ``inner_target``), so no code here branches on the model
 type.  ``PROCEDURES`` is the one table of procedure names.  The outer
-filter is the package's fully adapted step (:mod:`nsmc.smc`) driven by a
-procedure; with :class:`ExactFfbsProcedure` it is the fully adapted
-particle filter.  :func:`general_nsmc_step` is the general algorithm:
-any proposal the procedure is properly weighted for, with the
-procedure scores or constants as adjustment multipliers.
+filter is the package's one outer step (:mod:`nsmc.smc`) driven by a
+procedure: :func:`general_nsmc_step` is the general algorithm, with the
+procedure scores or constants as adjustment multipliers, and
+:func:`nsmc_step` its fully adapted configuration, which with
+:class:`ExactFfbsProcedure` is the fully adapted particle filter.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from functools import partial
 
 import numpy as np
 
-from .exceptions import InnerCollapseError, WeightCollapseError
+from .exceptions import InnerCollapseError
 from .model import _LOG_2PI, Dataset, ModelBundle, StssmSpec, make_model
 from .exact import ffbs_forward
 from .smc import (
@@ -56,15 +56,14 @@ from .smc import (
     ParticleSystem,
     _categorical_rows,
     _empty_system,
-    _fully_adapted_filter,
-    _fully_adapted_step,
+    _ExactTransitionAux,
     _multinomial_rows,
+    _outer_run,
+    _outer_step,
     _pick_rows,
     _row_log_mean,
     _row_logmeanexp,
     _row_weights,
-    multinomial_resample,
-    normalize_logweights,
 )
 
 
@@ -517,25 +516,6 @@ class ExactFfbsProcedure(ProperWeightingProcedure):
         return ffbs_forward(model, x_prev, y_t)
 
 
-@dataclass(frozen=True)
-class _ExactTransitionAux:
-    model: object
-    t: int
-    x_prev: np.ndarray
-
-    @property
-    def log_tau(self):
-        return np.zeros(self.x_prev.shape[:-1])
-
-    def take(self, idx):
-        return _ExactTransitionAux(
-            model=self.model, t=self.t, x_prev=self.x_prev[idx]
-        )
-
-    def draw(self, rng):
-        return self.model.sample_transition(self.x_prev, rng, self.t)
-
-
 class ExactTransitionProcedure(ProperWeightingProcedure):
     """Exact sampler from the transition prior with ``tau = 1``;
     properly weighted for ``r_t = f``.  Plugged into the general outer
@@ -544,9 +524,7 @@ class ExactTransitionProcedure(ProperWeightingProcedure):
     kind = "exact-transition"
 
     def prepare(self, model, t, x_prev, y_t, rng):
-        return _ExactTransitionAux(
-            model=model, t=t, x_prev=np.asarray(x_prev, dtype=float)
-        )
+        return _ExactTransitionAux(model, t, np.asarray(x_prev, dtype=float))
 
 
 class SelfNestedProcedure(ProperWeightingProcedure):
@@ -651,17 +629,13 @@ def nsmc_step(
     y_t: np.ndarray,
     rng: np.random.Generator,
 ) -> ParticleSystem:
-    """One outer step of the fully-adapted-approximation algorithm.
-
-    Per particle, the procedure simulates its auxiliary variable and
-    score ``tau``; ancestors are resampled proportionally to ``tau``, the
-    new state is drawn by the procedure's propagation kernel on the
-    resampled auxiliary state, and the normalizer estimate accrues
-    ``log((1/N) sum tau)``.  Post-step weights stay uniform.  ``model``
-    is a model spec (a :class:`~nsmc.model.ModelBundle`).
+    """One outer step of the fully-adapted-approximation algorithm: the
+    ``("gamma-ratio", "tau")`` configuration of :func:`general_nsmc_step`,
+    which resamples on ``tau``, accrues ``log((1/N) sum tau)`` and leaves
+    uniform weights.  Non-uniform incoming weights raise ``ValueError``.
     """
     _check_uniform(system)
-    return _fully_adapted_step(system, partial(proc.prepare, model), y_t, rng)[0]
+    return general_nsmc_step(system, model, proc, "gamma-ratio", "tau", y_t, rng)
 
 
 def general_nsmc_step(
@@ -683,13 +657,17 @@ def general_nsmc_step(
     algebraically and therefore hold exactly in floating point.
     ``nu_hat`` selects the adjustment multiplier: ``"tau"`` uses the
     procedure score and ``"one"`` constant multipliers; anything else
-    raises ``ValueError``.  Carried weights are
+    raises ``ValueError``.  Ancestors are resampled proportionally to
+    ``w_{t-1} * nu_hat``, and the carried weights are
 
     ``w_t = (gamma_t / gamma_{t-1}) * tau / (nu_hat * r_t)``,
 
     which collapses to uniform weights when ``r_t`` is the incremental
-    target and ``nu_hat = tau``, and to the bootstrap filter when
-    ``r_t = f`` with unit multipliers and exact transition draws.
+    target and ``nu_hat = tau`` (the fully adapted filter and
+    :func:`nsmc_step`), and to the bootstrap filter when ``r_t = f`` with
+    unit multipliers and exact transition draws.  With unit multipliers
+    the first step's weights are stored normalized.  The normalizer
+    accrues ``log (sum w_{t-1} nu_hat / sum w_{t-1}) + log ((1/N) sum w_t)``.
 
     With constant multipliers the resampling does not read the auxiliary
     variable, so the simulation runs after resampling and freshly
@@ -702,65 +680,8 @@ def general_nsmc_step(
         raise ValueError(
             f"log_r must be a callable, 'gamma-ratio' or 'transition', got {log_r!r}"
         )
-    t = system.t + 1
-    N = system.n
-    logw_prev = system.logw
-
-    if nu_hat == "one":
-        log_nu = np.zeros(N)
-        if t == 1:
-            # No state exists yet and the multipliers are constant, so
-            # resampling would be an identity permutation.
-            ancestors = np.arange(N)
-        else:
-            try:
-                probs, _ = normalize_logweights(logw_prev)
-            except WeightCollapseError:
-                raise WeightCollapseError(step=t) from None
-            ancestors = multinomial_resample(probs, N, rng)
-        aux = proc.prepare(model, t, system.states[ancestors], y_t, rng)
-        adj = 0.0
-    else:
-        aux = proc.prepare(model, t, system.states, y_t, rng)
-        log_nu = np.asarray(aux.log_tau, dtype=float)
-        try:
-            probs, log_mean_adjusted = normalize_logweights(logw_prev + log_nu)
-        except WeightCollapseError:
-            raise WeightCollapseError(
-                step=t, detail="all adjusted weights are zero"
-            ) from None
-        ancestors = multinomial_resample(probs, N, rng)
-        aux = aux.take(ancestors)
-        # Normalizer adjustment: log (sum w_prev*nu / sum w_prev), from
-        # the two shifted log-means, so a tiny nu cannot underflow it.
-        adj = log_mean_adjusted - normalize_logweights(logw_prev)[1]
-
-    x_prev_res = system.states[ancestors]
-    states = aux.draw(rng)
-    log_tau_res = np.asarray(aux.log_tau, dtype=float)
-    if log_r == "gamma-ratio":
-        core = np.zeros(N)
-    elif log_r == "transition":
-        core = model.log_obs(y_t, states)
-    else:
-        log_gamma = model.log_gamma_ratio(x_prev_res, states, y_t, t)
-        core = log_gamma - np.asarray(log_r(x_prev_res, states, y_t))
-    # Grouped so the fully adapted configuration cancels exactly.
-    logw = core + (log_tau_res - log_nu[ancestors])
-
-    # Normalizer increment: adjustment times (1/N) sum w_t.
-    try:
-        _, log_mean_w = normalize_logweights(logw)
-    except WeightCollapseError:
-        raise WeightCollapseError(step=t, detail="all carried weights zero") from None
-    return ParticleSystem(
-        states=states,
-        ancestry=system.ancestry + (ancestors,),
-        logw=logw,
-        logZ=system.logZ + adj + log_mean_w,
-        t=t,
-        log_increment=adj + log_mean_w,
-    )
+    prepare = partial(proc.prepare, model)
+    return _outer_step(system, model, prepare, log_r, nu_hat, y_t, rng)[0]
 
 
 def nsmc_run(
@@ -771,21 +692,19 @@ def nsmc_run(
     proc: str | ProperWeightingProcedure,
     rng: np.random.Generator,
 ) -> FilterOutput:
-    """Run the nested filter over a whole dataset.
+    """Run the nested filter (:func:`nsmc_step`) over a whole dataset.
 
     ``proc`` is a procedure instance or one of the configuration names
     accepted by :func:`make_procedure` (``M`` is ignored when an instance
     is passed).  Emits per-step filtering summaries, the effective sample
     size of the ``tau`` scores and the normalizer increments.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
     if isinstance(proc, str):
         proc = make_procedure(proc, M)
     m = make_model(model)
     prepare = partial(proc.prepare, m)
     method = f"nsmc-{proc.kind}"
-    return _fully_adapted_filter(method, prepare, m.n_x, data, N, rng, with_ess=True)
+    return _outer_run(method, m, prepare, "gamma-ratio", "tau", data, N, rng, True)
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,18 @@
 
 Log-domain weight handling, multinomial resampling, effective sample
 size, the particle-system container, the common filter-output record,
-the outer run loop and the bootstrap particle filter baseline.
+the outer run loop, the one outer step and the bootstrap particle
+filter baseline.
 
 Every filter in the package runs through one outer loop, ``_drive``: it
 checks the data against the model dimension and folds a step function
 over the observations into a :class:`FilterOutput`.  A step reports its
 own filtering mean and variance, its normalizer increment and
-optionally an ESS.  The fully adapted step, ``_fully_adapted_step``, is
-shared by the fully adapted filter and the nested filter: they differ
-only in the auxiliary procedure that supplies the ``tau`` scores and the
-propagation draws.
+optionally an ESS.  Every particle filter steps through ``_outer_step``,
+the general algorithm with adjustment multipliers: the fully adapted
+and the nested filter are its ``("gamma-ratio", "tau")`` configuration,
+differing only in the procedure that supplies the ``tau`` scores and
+draws, and the bootstrap filter its ``("transition", "one")`` one.
 """
 
 from __future__ import annotations
@@ -220,56 +222,156 @@ def _drive(method: str, n_x: int, data: Dataset, step, state) -> FilterOutput:
     )
 
 
-def _fully_adapted_step(
-    system: ParticleSystem, prepare, y_t: np.ndarray, rng: np.random.Generator
-) -> tuple[ParticleSystem, np.ndarray]:
-    """One fully adapted outer step; returns the new system and the
-    normalized ``tau`` scores it resampled on.
+def _normalize_at(logw: np.ndarray, t: int, detail: str = "") -> tuple[np.ndarray, float]:
+    """:func:`normalize_logweights`, with a collapse reported at step ``t``."""
+    try:
+        return normalize_logweights(logw)
+    except WeightCollapseError:
+        raise WeightCollapseError(step=t, detail=detail) from None
 
-    ``prepare(t, x_prev, y_t, rng)`` returns an auxiliary object with
-    per-particle scores ``log_tau``, ``take(idx)`` for resampling and
-    ``draw(rng)`` for the propagation draw.  Ancestors are resampled
-    proportionally to ``tau``, the new state is drawn from the resampled
-    auxiliary object and the normalizer accrues ``log((1/N) sum tau)``.
-    Post-step weights stay uniform.
+
+@dataclass(frozen=True)
+class _ExactTransitionAux:
+    """Auxiliary object of exact draws from the transition ``f``: unit
+    scores, so it is properly weighted for ``r_t = f``."""
+
+    model: object
+    t: int
+    x_prev: np.ndarray
+
+    @property
+    def log_tau(self):
+        return np.zeros(self.x_prev.shape[:-1])
+
+    def take(self, idx):
+        return _ExactTransitionAux(self.model, self.t, self.x_prev[idx])
+
+    def draw(self, rng):
+        return self.model.sample_transition(self.x_prev, rng, self.t)
+
+
+def _outer_step(
+    system: ParticleSystem, model, prepare, log_r, nu_hat: str, y_t, rng, ess_threshold=None
+) -> tuple[ParticleSystem, np.ndarray]:
+    """One step of the general outer algorithm, documented at
+    :func:`nsmc.nested.general_nsmc_step`; the only code that resamples,
+    draws and weights outer particles.
+
+    ``prepare(t, x_prev, y_t, rng)`` returns the auxiliary object:
+    scores ``log_tau``, ``take(idx)`` for outer resampling and
+    ``draw(rng)``.  With constant multipliers, ``ess_threshold`` resamples
+    only when the ESS of the previous weights is below
+    ``ess_threshold * N``, and otherwise carries them normalized to mean
+    one.  Returns the new system and the normalized weights its ESS is
+    taken on: the resampling probabilities of ``tau`` in the fully
+    adapted configuration, whose new weights are uniform, else the new
+    weights.
     """
     t = system.t + 1
-    aux = prepare(t, system.states, y_t, rng)
-    try:
-        probs, log_mean = normalize_logweights(aux.log_tau)
-    except WeightCollapseError:
-        raise WeightCollapseError(step=t, detail="all tau scores are zero") from None
-    ancestors = multinomial_resample(probs, system.n, rng)
+    N = system.n
+    logw_prev = system.logw
+    x_prev = system.states
+    fully_adapted = log_r == "gamma-ratio" and nu_hat == "tau"
+    ancestors = carried = None
+    adj = 0.0
+    if nu_hat == "one":
+        # The multipliers do not read the auxiliary variable, so the
+        # simulation runs after resampling and freshly selected ancestors
+        # get conditionally independent draws.  Before the first step
+        # resampling would be an identity permutation.
+        if t > 1:
+            probs, log_mean = _normalize_at(logw_prev, t)
+            if ess_threshold is None or ess(probs) < ess_threshold * N:
+                ancestors = multinomial_resample(probs, N, rng)
+                x_prev = x_prev[ancestors]
+            else:
+                # Carried weights average to one, so the plain mean of the
+                # new weights is the weighted mean of the increments.
+                carried = logw_prev - log_mean
+        if ancestors is None:
+            ancestors = np.arange(N)
+        aux = prepare(t, x_prev, y_t, rng)
+    else:
+        aux = prepare(t, x_prev, y_t, rng)
+        log_nu = np.asarray(aux.log_tau, dtype=float)
+        detail = "all adjusted weights are zero"
+        if np.count_nonzero(logw_prev):
+            probs, log_mean_adjusted = _normalize_at(logw_prev + log_nu, t, detail)
+            # log (sum w_prev*nu / sum w_prev), from the two shifted
+            # log-means, so a tiny nu cannot underflow it.
+            adj = log_mean_adjusted - normalize_logweights(logw_prev)[1]
+        else:
+            # All-zero previous weights: the same formula, bit for bit,
+            # without its identity terms.
+            probs, adj = _normalize_at(log_nu, t, detail)
+        ancestors = multinomial_resample(probs, N, rng)
+        aux = aux.take(ancestors)
+
+    states = aux.draw(rng)
+    if fully_adapted:
+        # gamma_t / r_t and tau / nu_hat cancel exactly: uniform weights.
+        logw, log_mean_w = np.zeros(N), 0.0
+    else:
+        if log_r == "gamma-ratio":
+            core = 0.0
+        elif log_r == "transition":
+            core = model.log_obs(y_t, states)
+        else:
+            x_prev = system.states[ancestors]
+            log_gamma = model.log_gamma_ratio(x_prev, states, y_t, t)
+            core = log_gamma - np.asarray(log_r(x_prev, states, y_t))
+        log_tau = np.asarray(aux.log_tau, dtype=float)
+        if nu_hat == "tau":
+            # Grouped so that tau / nu_hat cancels exactly where it is one.
+            log_tau = log_tau - log_nu[ancestors]
+        logw = core + log_tau
+        if carried is not None:
+            logw = carried + logw
+        probs, log_mean_w = _normalize_at(logw, t, "all carried weights zero")
+        if t == 1 and nu_hat == "one":
+            # The bootstrap filter's convention: the first step's weights
+            # are stored normalized, which fixes the bits of carried ones.
+            with np.errstate(divide="ignore"):
+                logw = np.log(probs)
     new_system = ParticleSystem(
-        states=aux.take(ancestors).draw(rng),
+        states=states,
         ancestry=system.ancestry + (ancestors,),
-        logw=np.zeros(system.n),
-        logZ=system.logZ + log_mean,
+        logw=logw,
+        logZ=system.logZ + adj + log_mean_w,
         t=t,
-        log_increment=log_mean,
+        log_increment=adj + log_mean_w,
     )
     return new_system, probs
 
 
-def _fully_adapted_filter(
-    method: str, prepare, n_x: int, data: Dataset, N: int, rng, with_ess: bool
+def _outer_run(
+    method: str, model, prepare, log_r, nu_hat: str, data: Dataset, N: int, rng,
+    with_ess: bool, ess_threshold=None,
 ) -> FilterOutput:
-    """Run :func:`_fully_adapted_step` over ``data`` from ``N`` particles
-    at zero; ``with_ess`` keeps the ESS trace of the ``tau`` scores."""
+    """Run :func:`_outer_step` over ``data`` from ``N`` particles at zero.
+
+    Filtering means and variances are weighted by the normalized new
+    weights, or plain in the fully adapted configuration, whose weights
+    are uniform; ``with_ess`` keeps the ESS trace of the weights each step
+    returns.  ``N < 1`` raises ``ValueError``.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    fully_adapted = log_r == "gamma-ratio" and nu_hat == "tau"
 
     def step(system, t, y_t):
-        system, probs = _fully_adapted_step(system, prepare, y_t, rng)
+        system, probs = _outer_step(
+            system, model, prepare, log_r, nu_hat, y_t, rng, ess_threshold
+        )
         states = system.states
-        mean, var = states.mean(axis=0), states.var(axis=0)
+        if fully_adapted:
+            mean, var = states.mean(axis=0), states.var(axis=0)
+        else:
+            mean = probs @ states
+            var = probs @ (states - mean) ** 2
         return system, mean, var, system.log_increment, ess(probs) if with_ess else None
 
-    return _drive(method, n_x, data, step, _empty_system(N, n_x))
-
-
-def _weighted_summaries(states, probs):
-    mean = probs @ states
-    var = probs @ (states - mean) ** 2
-    return mean, var
+    return _drive(method, model.n_x, data, step, _empty_system(N, model.n_x))
 
 
 def bootstrap_pf(
@@ -281,38 +383,18 @@ def bootstrap_pf(
 ) -> FilterOutput:
     """Bootstrap particle filter: propose from the transition prior.
 
-    Resamples multinomially every step by default.  ``ess_threshold``
-    optionally switches to adaptive resampling (resample only when the
-    effective sample size drops below ``ess_threshold * N``); the default
-    of ``None`` matches the per-step-resampling analysis used everywhere
-    else in this package.
+    The general outer step with ``r_t = f``, exact transition draws and
+    unit multipliers.  Resamples multinomially every step by default.
+    ``ess_threshold`` optionally switches to adaptive resampling
+    (resample only when the effective sample size drops below
+    ``ess_threshold * N``); the default of ``None`` matches the
+    per-step-resampling analysis used everywhere else in this package.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
     m = make_model(model)
 
-    def step(state, t, y_t):
-        states, logw = state
-        carried = 0.0
-        if t > 1:
-            probs, log_mean = normalize_logweights(logw)
-            if ess_threshold is None or ess(probs) < ess_threshold * N:
-                states = states[multinomial_resample(probs, N, rng)]
-            else:
-                # Carried weights average to one, so the plain mean of the
-                # new weights is the weighted mean of the likelihoods.
-                carried = logw - log_mean
-        states = m.sample_transition(states, rng, t)
-        logw = carried + m.log_obs(y_t, states)
-        try:
-            probs, log_inc = normalize_logweights(logw)
-        except WeightCollapseError:
-            raise WeightCollapseError(step=t) from None
-        if t == 1:
-            # The first step carries its weights normalized.
-            with np.errstate(divide="ignore"):
-                logw = np.log(probs)
-        mean, var = _weighted_summaries(states, probs)
-        return (states, logw), mean, var, log_inc, ess(probs)
+    def prepare(t, x_prev, y_t, rng):
+        return _ExactTransitionAux(m, t, x_prev)
 
-    return _drive("bpf", m.n_x, data, step, (np.zeros((N, m.n_x)), None))
+    return _outer_run(
+        "bpf", m, prepare, "transition", "one", data, N, rng, True, ess_threshold
+    )

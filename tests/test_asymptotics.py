@@ -144,17 +144,12 @@ class TestConstants:
             compute_constants(SPEC, 0)
         with pytest.raises(ValueError):
             compute_constants(SPEC, 2, method="simpson")
-        with pytest.raises(ValueError):
-            VarianceConstants(
-                t=1,
-                a_t=1.0,
-                a_s=np.zeros(1),
-                a_tilde=np.zeros(1),
-                b_s=np.zeros(1),  # must be positive
-                b_tilde=np.zeros(1),
-                c_s=np.zeros(1),
-                c_tilde=np.zeros(1),
-            )
+        names = ("a_s", "a_tilde", "b_s", "b_tilde", "c_s", "c_tilde")
+        fields = {name: np.ones(1) for name in names}
+        with pytest.raises(ValueError, match="all b_s must be positive"):
+            VarianceConstants(t=1, a_t=1.0, **{**fields, "b_s": np.zeros(1)})
+        with pytest.raises(ValueError, match="c_tilde must have length t=1"):
+            VarianceConstants(t=1, a_t=1.0, **{**fields, "c_tilde": np.ones(2)})
 
 
 class TestSigmaFormulas:
@@ -200,8 +195,10 @@ class TestSigmaFormulas:
 
     def test_horizon_mismatch_rejected(self):
         consts = compute_constants(SPEC, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="different horizon"):
             sigma_fa(consts, 2, 3)
+        with pytest.raises(ValueError, match="different horizon"):
+            sigma_nsmc(consts, 2, 3, 5)
 
     def test_variance_curve_rows(self):
         rows = variance_curve(SPEC, 2, 2, [2, 10, 10**9])

@@ -59,6 +59,12 @@ def _method(**fields):
     return _with(methods=[{"name": "m", "kind": "nsmc", "N": 5, "M": 3, **fields}])
 
 
+def _independent_with(kind):
+    """Edit to the independent model with one method of ``kind``."""
+    model = _with("model", kind="independent")
+    return lambda cfg: _with(methods=[{"name": "m", "kind": kind, "N": 5}])(model(cfg))
+
+
 #: (id, edit of the base config, pattern the ConfigError must match).
 BAD_CONFIGS = [
     ("top-level-list", lambda cfg: [cfg], "top level"),
@@ -99,6 +105,8 @@ BAD_CONFIGS = [
     ("self-nested-M-one", _method(M=1, inner="self-nested"), "self-nested needs M >= 2"),
     ("inner-unknown", _method(inner="pmcmc"), r"methods\[0\].inner: unknown"),
     ("stage-proposal-unknown", _method(stage_proposal="bogus"), r"methods\[0\].stage_proposal"),
+    ("kalman-independent", _independent_with("kalman"), r"methods\[0\].kind: kalman requires"),
+    ("fapf-independent", _independent_with("fapf"), r"methods\[0\].kind: fapf requires"),
     (
         "duplicate-names",
         _with(methods=[{"name": "a", "kind": "kalman"}] * 2),
@@ -125,6 +133,12 @@ class TestConfigValidation:
         cfg["model"]["T"] = "abc"
         assert main(["run", "--config", str(_write(tmp_path, cfg))]) == 2
         assert "model.T: expected an integer" in capsys.readouterr().err
+
+    def test_exact_method_on_independent_model_exits_2_before_output(self, tmp_path, capsys):
+        cfg = _independent_with("fapf")(_base_config(tmp_path))
+        assert main(["run", "--config", str(_write(tmp_path, cfg))]) == 2
+        assert "fapf requires the stssm model" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_method_kind(self, tmp_path):
         cfg = _base_config(tmp_path, methods=[{"name": "x", "kind": "magic", "N": 5}])
@@ -245,6 +259,32 @@ class TestRunExperiment:
         )
         assert run_experiment(parse_config(cfg)) == 0
 
+    def test_independent_model_study_scores_against_kalman(self, tmp_path):
+        # The Kalman truth of an independent model runs on its chain form.
+        cfg = _base_config(
+            tmp_path,
+            model={"kind": "independent", "n_x": 3, "T": 3, "a_coef": 0.5, "obs_var": 0.5},
+            methods=[
+                {"name": "bpf", "kind": "bpf", "N": 50},
+                {"name": "is", "kind": "nsmc", "N": 20, "M": 4, "inner": "is"},
+            ],
+        )
+        assert run_experiment(parse_config(cfg)) == 0
+        summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        rows = {tuple(r.split(",")[1:3]) for r in summary}
+        for method in ("bpf", "is"):
+            for stat in ("se_logZ", "se_x_T_1", "se_x_T_n"):
+                assert (f"{method}:{stat}", "median") in rows
+
+    def test_dataset_not_matching_model_block_rejected(self, tmp_path):
+        from nsmc.model import StssmSpec, save_dataset, simulate
+
+        spec = StssmSpec.chain(n_x=2, tau=1.0, lam=1.0, obs_var=0.25, a_coef=0.5)
+        save_dataset(simulate(spec, 2, seed=1), spec, tmp_path / "short.csv")
+        cfg = _base_config(tmp_path, data={"path": str(tmp_path / "short.csv")})
+        with pytest.raises(ConfigError, match="data.path: dataset does not match"):
+            run_experiment(parse_config(cfg))
+
     def test_budget_matching_multiplies_bootstrap_size(self, tmp_path):
         cfg = _base_config(
             tmp_path,
@@ -285,6 +325,7 @@ class TestAsymptoticsCommand:
             ({"n_x": 1.5}, "asymptotics.n_x: expected an integer"),
             ({"m_grid": [2, "x"]}, r"asymptotics.m_grid\[1\]: expected an integer"),
             ({"m_grid": 5}, "asymptotics.m_grid: expected a list"),
+            ({"m_grid": [2, 1]}, "asymptotics.m_grid: entries must be >= 2"),
             ({"ys": ["a", "b"]}, r"asymptotics.ys\[0\]: expected a number"),
             ({"t": 0}, "asymptotics: t must be >= 1"),
             ({"ys": [0.1]}, "asymptotics: ys must have length t"),
@@ -294,8 +335,8 @@ class TestAsymptoticsCommand:
             ({"ys": 0.5}, "asymptotics.ys: expected a list"),
         ],
         ids=["t-text", "t-fraction", "n_x-text", "n_x-fraction", "m_grid-entry",
-             "m_grid-not-list", "ys-text", "t-below-one", "ys-length", "a_coef-boolean",
-             "ys-boolean", "ys-numeric-string", "ys-not-list"],
+             "m_grid-not-list", "m_grid-below-two", "ys-text", "t-below-one", "ys-length",
+             "a_coef-boolean", "ys-boolean", "ys-numeric-string", "ys-not-list"],
     )
     def test_mistyped_field_exits_2(self, tmp_path, capsys, fields, pattern):
         path = _write(tmp_path, _asymptotics_config(tmp_path, **fields))

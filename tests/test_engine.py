@@ -18,7 +18,13 @@ from nsmc.model import (
     save_dataset,
     simulate,
 )
-from nsmc.nested import ExactFfbsProcedure, nsmc_run
+from nsmc.nested import (
+    ExactFfbsProcedure,
+    ExactTransitionProcedure,
+    general_nsmc_step,
+    nsmc_init,
+    nsmc_run,
+)
 from nsmc.smc import _categorical_rows, bootstrap_pf
 
 CHAIN = StssmSpec.chain(n_x=4, tau=1.0, lam=1.0, obs_var=0.25, a_coef=0.5)
@@ -140,6 +146,28 @@ class TestReductionOnEveryField:
         gen = _run_method(config.methods[0], config, data, np.random.default_rng(T))
         self._assert_fields_equal(bpf, gen)
         assert gen.ess_trace is None and bpf.ess_trace is not None
+
+    @pytest.mark.parametrize("kind,n_x,T,N", CELLS)
+    def test_transition_tau_step_equals_one_step(self, kind, n_x, T, N):
+        # Exact transition draws score tau = 1, so from a weighted system
+        # the "tau" multipliers are constant and the step (through the
+        # auxiliary object's take) must equal the "one" step bitwise.
+        spec = self._spec(kind, n_x)
+        data = simulate(spec, T, seed=30 + T)
+        proc = ExactTransitionProcedure()
+        rng = np.random.default_rng(T)
+        system = general_nsmc_step(
+            nsmc_init(spec, N), spec, proc, "transition", "one", data.observations[0], rng
+        )
+        for y in data.observations[1:]:
+            state = rng.bit_generator.state
+            one = general_nsmc_step(system, spec, proc, "transition", "one", y, rng)
+            rng.bit_generator.state = state
+            system = general_nsmc_step(system, spec, proc, "transition", "tau", y, rng)
+            assert system.logZ == one.logZ
+            np.testing.assert_array_equal(system.states, one.states)
+            np.testing.assert_array_equal(system.logw, one.logw)
+            np.testing.assert_array_equal(system.ancestry[-1], one.ancestry[-1])
 
 
 class TestSpecSerialisation:

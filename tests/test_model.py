@@ -198,6 +198,22 @@ class TestIndependentSpec:
         )
         assert st.obs_var == 0.1
 
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_log_transition_is_a_sum_of_scalar_gaussians(self, t):
+        from scipy.stats import norm
+
+        spec = IndependentSsmSpec(
+            n_x=3, a_coef=0.7, init_mean=0.4, init_var=2.0, trans_var=0.5, obs_var=0.1
+        )
+        rng = np.random.default_rng(t)
+        x_prev = rng.standard_normal((5, 3))
+        x = rng.standard_normal((5, 3))
+        if t == 1:
+            expected = norm.logpdf(x, 0.4, np.sqrt(2.0)).sum(axis=-1)
+        else:
+            expected = norm.logpdf(x, 0.7 * x_prev, np.sqrt(0.5)).sum(axis=-1)
+        np.testing.assert_allclose(spec.log_transition(x_prev, x, t), expected, rtol=1e-12)
+
 
 def _stssm(n_x=2, obs_var=1.0, prec_n=2):
     return StssmSpec(
@@ -240,6 +256,13 @@ BAD_MODEL_INPUTS = [
     ("indep-obs_var", lambda: _independent(obs_var=0.0), ValueError, "obs_var"),
     ("indep-n_x", lambda: _independent(n_x=0), ValueError, "n_x must be"),
     ("make-model-non-model", lambda: make_model({"kind": "stssm"}), TypeError, "dict"),
+    ("simulate-non-model", lambda: simulate({"kind": "stssm"}, 2, seed=0), TypeError, "dict"),
+    (
+        "dataset-latent-shape",
+        lambda: Dataset(T=2, observations=np.zeros((2, 3)), latent_truth=np.zeros((2, 2))),
+        ValueError,
+        "latent_truth must match",
+    ),
     (
         "stssm-from-dict-string",
         lambda: StssmSpec.from_dict({"n_x": 3, "tau": "1.0", "lambda": 0.5, "obs_var": 0.25}),
