@@ -54,7 +54,6 @@ from .nested import (
     ImportanceProcedure,
     InnerSmcProcedure,
     InnerState,
-    InnerTargetSequence,
     SelfNestedProcedure,
     backward_simulate,
     empirical_draw,

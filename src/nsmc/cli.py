@@ -126,9 +126,10 @@ def _require(block: dict, key: str, where: str | None = None):
 def _as_int(value, field: str) -> int:
     """``int(value)``, with a :class:`ConfigError` naming ``field``.
 
-    Booleans and non-integral numbers are refused rather than truncated.
+    Booleans, strings and non-integral numbers are refused rather than
+    parsed or truncated.
     """
-    if isinstance(value, bool) or (
+    if isinstance(value, (bool, str)) or (
         isinstance(value, float) and not value.is_integer()
     ):
         raise ConfigError(f"{field}: expected an integer, got {value!r}")
@@ -169,6 +170,8 @@ def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
         raise ConfigError("data: expected a JSON object")
     data_path = dblock.get("path")
     data_seed = _as_int(dblock.get("seed", 0), "data.seed")
+    if data_seed < 0:
+        raise ConfigError("data.seed: must be >= 0")
     if data_path is None and "seed" not in dblock:
         raise ConfigError("data: needs either a seed or a path")
 
@@ -183,6 +186,9 @@ def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
         mk = _require(m, "kind", where)
         if mk not in VALID_METHOD_KINDS:
             raise ConfigError(f"{where}.kind: unknown kind {mk!r}")
+        name = m.get("name", f"{mk}-{i}")
+        if not isinstance(name, str):
+            raise ConfigError(f"{where}.name: expected a string, got {name!r}")
         n = _as_int(m.get("N", 0), f"{where}.N")
         mm = _as_int(m.get("M", 0), f"{where}.M")
         inner = m.get("inner", "smc+bs")
@@ -204,7 +210,7 @@ def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
                 raise ConfigError(f"{where}.M: self-nested needs M >= 2")
         methods.append(
             MethodConfig(
-                name=m.get("name", f"{mk}-{i}"),
+                name=name,
                 kind=mk,
                 N=n,
                 M=mm,
@@ -219,6 +225,11 @@ def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
     replicates = _as_int(raw.get("replicates", 1), "replicates")
     if replicates < 1:
         raise ConfigError("replicates: must be >= 1")
+    budget_matching = raw.get("budget_matching", False)
+    if not isinstance(budget_matching, bool):
+        raise ConfigError(
+            f"budget_matching: expected true or false, got {budget_matching!r}"
+        )
     return ExperimentConfig(
         name=name,
         model=model,
@@ -227,7 +238,7 @@ def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
         data_path=data_path,
         methods=tuple(methods),
         replicates=replicates,
-        budget_matching=bool(raw.get("budget_matching", False)),
+        budget_matching=budget_matching,
         output_dir=str(raw.get("output_dir", "out")),
     )
 
@@ -322,7 +333,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if config.data_path is not None:
-        data, _ = load_dataset(config.data_path)
+        try:
+            data, _ = load_dataset(config.data_path)
+        except ValueError as err:
+            raise ConfigError(f"data.path: {err}") from None
         if data.T != config.T or data.n_x != config.model.n_x:
             raise ConfigError("data.path: dataset does not match the model block")
     else:

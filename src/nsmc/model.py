@@ -16,13 +16,15 @@ Each spec is its own sampler/evaluator.  Both answer one protocol,
 indexed by the 1-based time ``t``: ``sample_transition``,
 ``log_transition`` and ``log_gamma_ratio`` draw from or evaluate the law
 of ``x_t`` given ``x_{t-1}``, which at ``t = 1`` is the initial law
-(``x_prev`` is then ignored), and ``inner_target`` builds the stage
-decomposition the nested filter runs on.  The shared part (``log_obs``,
+(``x_prev`` is then ignored), ``sample_obs`` draws ``y_t`` given ``x_t``,
+and ``inner_target`` builds the stage decomposition the nested filter
+runs on.  The shared part (``sample_obs``, ``log_obs``,
 ``log_gamma_ratio``) lives in their base class :class:`ModelBundle`, so
-the filters never branch on the model type; ``make_model`` checks that
-its argument is one and returns it.  Specs serialise through
-``to_dict``/``from_dict``, keyed like the model block of an experiment
-config, and ``SPEC_KINDS`` maps the ``kind`` key back to the class.
+the filters and :func:`simulate` never branch on the model type;
+``make_model`` checks that its argument is one and returns it.  Specs
+serialise through ``to_dict``/``from_dict``, keyed like the model block
+of an experiment config, and ``SPEC_KINDS`` maps the ``kind`` key back
+to the class.
 """
 
 from __future__ import annotations
@@ -246,12 +248,16 @@ def _real(block: dict, key: str, default=None) -> float:
 class ModelBundle:
     """Base class of the model specs: the sampler/evaluator protocol.
 
-    Holds the parts both model families share: the observation
-    log-density and the incremental unnormalized target ratio
+    Holds the parts both model families share: the observation sampler
+    and log-density and the incremental unnormalized target ratio
     (transition times likelihood) in the log domain.  Subclasses supply
     ``n_x``, ``obs_var``, ``sample_transition``, ``log_transition`` and
     ``inner_target``.
     """
+
+    def sample_obs(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One observation per row of ``x``: ``x`` plus isotropic noise."""
+        return x + np.sqrt(self.obs_var) * rng.standard_normal(x.shape)
 
     def log_obs(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Batched ``log g(y | x)``, summed over components."""
@@ -441,6 +447,12 @@ class IndependentSsmSpec(ModelBundle):
         mean, var = self._law(x_prev, t)
         return mean + np.sqrt(var) * rng.standard_normal(x_prev.shape)
 
+    def sample_obs(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Observe coordinate 1 of each row of ``x`` and replicate it
+        across the coordinates."""
+        y = x[..., 0] + np.sqrt(self.obs_var) * rng.standard_normal(x.shape[:-1])
+        return np.repeat(y[..., None], self.n_x, axis=-1)
+
     def log_transition(
         self, x_prev: np.ndarray, x: np.ndarray, t: int = 2
     ) -> np.ndarray:
@@ -518,30 +530,14 @@ def simulate(model: ModelBundle, T: int, seed: int) -> Dataset:
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
+    model = make_model(model)
     rng = np.random.default_rng(seed)
-    if isinstance(model, StssmSpec):
-        x = np.empty((T, model.n_x))
-        v = sample_gmrf_chain(model.noise_precision, rng, size=(T,))
-        x[0] = v[0]
-        for t in range(1, T):
-            x[t] = model.a_coef * x[t - 1] + v[t]
-        y = x + np.sqrt(model.obs_var) * rng.standard_normal((T, model.n_x))
-        return Dataset(T=T, observations=y, latent_truth=x, seed=seed)
-    if isinstance(model, IndependentSsmSpec):
-        # Independent scalar chains per coordinate; the observation is
-        # generated from coordinate 1 and replicated across coordinates.
-        x = np.empty((T, model.n_x))
-        x[0] = model.init_mean + np.sqrt(model.init_var) * rng.standard_normal(
-            model.n_x
-        )
-        for t in range(1, T):
-            x[t] = model.a_coef * x[t - 1] + np.sqrt(
-                model.trans_var
-            ) * rng.standard_normal(model.n_x)
-        y_scalar = x[:, 0] + np.sqrt(model.obs_var) * rng.standard_normal(T)
-        y = np.repeat(y_scalar[:, None], model.n_x, axis=1)
-        return Dataset(T=T, observations=y, latent_truth=x, seed=seed)
-    raise TypeError(f"unsupported model spec: {type(model).__name__}")
+    x = np.empty((T, model.n_x))
+    x_prev = np.zeros(model.n_x)
+    for t in range(T):
+        x_prev = x[t] = model.sample_transition(x_prev, rng, t + 1)
+    y = model.sample_obs(x, rng)
+    return Dataset(T=T, observations=y, latent_truth=x, seed=seed)
 
 
 def save_dataset(data: Dataset, model: ModelBundle, path: str | Path) -> None:
@@ -570,7 +566,12 @@ def save_dataset(data: Dataset, model: ModelBundle, path: str | Path) -> None:
 
 
 def load_dataset(path: str | Path) -> tuple[Dataset, ModelBundle]:
-    """Read back a dataset written by :func:`save_dataset`."""
+    """Read back a dataset written by :func:`save_dataset`.
+
+    A row whose ``t`` or ``d`` is outside ``1..T`` or ``1..n_x``, or
+    repeats an earlier row's, raises ``ValueError`` naming its CSV line;
+    a ``(t, d)`` pair that no row gives stays NaN.
+    """
     path = Path(path)
     with open(path.with_suffix(".meta.json")) as fh:
         meta = json.load(fh)
@@ -582,8 +583,19 @@ def load_dataset(path: str | Path) -> tuple[Dataset, ModelBundle]:
         reader = csv.reader(fh)
         header = next(reader)
         with_latent = "x" in header
-        for row in reader:
+        seen = set()
+        for line, row in enumerate(reader, start=2):
             t, d = int(row[0]) - 1, int(row[1]) - 1
+            if not (0 <= t < T and 0 <= d < n_x):
+                raise ValueError(
+                    f"{path}, line {line}: (t, d) = ({t + 1}, {d + 1}) is outside "
+                    f"1..{T} x 1..{n_x}"
+                )
+            if (t, d) in seen:
+                raise ValueError(
+                    f"{path}, line {line}: (t, d) = ({t + 1}, {d + 1}) is repeated"
+                )
+            seen.add((t, d))
             y[t, d] = float(row[2])
             if with_latent:
                 x[t, d] = float(row[3])

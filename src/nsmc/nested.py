@@ -9,24 +9,22 @@ draw ``x_t`` standing in for the locally optimal proposal.  Inner
 procedures provided here: an inner SMC over components finished by
 backward simulation or by an empirical draw, plain importance sampling,
 a one-level self-nested variant, and exact (zero-variance) procedures
-for the tractable cases.  Both model families have the same stage law, a
-first-order Gaussian chain over the components, so all stage code is in
-:class:`GaussianStageTarget`, which each spec's ``inner_target`` builds
-(the independent model is the chain with ``phi = 0``).
+for the tractable cases.
 
-The inner samplers call one stage hook, ``InnerTargetSequence.propagate``,
-which draws stage ``d`` from the stage proposal ``r_d`` and weights the
-draws by ``p_d / (p_{d-1} r_d)`` in one call, so work that the draw and
-the weight share is done once.
+Both model families have the same stage law, a first-order Gaussian
+chain over the components, so all stage code is in
+:class:`GaussianStageTarget`, which each spec's ``inner_target`` builds:
+the chain spec with Markov order one, the independent spec (the chain
+with ``phi = 0``) with order zero.  Its stage hook ``propagate`` draws
+stage ``d`` given only the resampled previous component and weights the
+draws in the same call, and the backward kernel reads only the factor
+linking two neighbouring components, so the inner samplers carry no
+prefix beyond the previous component and one outer step costs
+O(N * M * n_x).
 
 All inner machinery is batched over outer particles: arrays carry shape
 ``(n_stages, *batch, M)`` and every stage operation is vectorized across
-the batch, which is what makes replicated experiments cheap.  The inner
-samplers carry and resample only the trailing prefix components a
-target's Markov structure reads (``InnerTargetSequence.markov_order``:
-the chain spec builds its stage target with order one, the independent
-spec with order zero), so one outer step on those models costs
-O(N * M * n_x); targets that declare no order get the full prefix.
+the batch, which is what makes replicated experiments cheap.
 
 Procedures see the model only through the ``t``-aware protocol of
 :mod:`nsmc.model` (transition sampler and densities, initial law at
@@ -72,66 +70,8 @@ def _gauss_logpdf(x, mean, var):
 
 
 # ---------------------------------------------------------------------------
-# Inner target sequences
+# Stage target
 # ---------------------------------------------------------------------------
-
-
-class InnerTargetSequence(ABC):
-    """Stage decomposition of one time-step's conditional target.
-
-    Stages run over the components ``d = 0 .. n_stages - 1`` of the new
-    state.  Implementations define unnormalized stage targets
-    ``p_d(x_{0:d})`` whose final member is the incremental target ratio of
-    the outer model (as a normalized function of the full new state, so
-    that the inner normalizing constant equals the predictive density),
-    plus stage proposals ``r_d``.
-
-    The samplers call one hook per stage, ``propagate``, which draws from
-    ``r_d`` and weights by ``p_d / (p_{d-1} r_d)``.  It and ``log_p`` are
-    required; ``log_suffix_ratio`` has a generic default that structured
-    targets override.  A target used inside the outer filter also needs
-    ``take(idx)``, which reindexes its batch dimension for outer
-    resampling; there is no default, because a target returned unchanged
-    would silently skip that resampling.
-
-    ``markov_order`` is the number of trailing prefix components that
-    ``propagate`` reads (:class:`GaussianStageTarget` takes it as a
-    constructor argument).  The samplers pass it only the last
-    ``k = min(d, markov_order)`` components of the stage-``d`` prefix,
-    as a window of shape ``(k, *batch, M)``, or ``(k, *batch, 1)`` from
-    the self-nested sampler; ``None`` (the default) passes the full
-    prefix, ``k = d``.  ``log_p`` and ``log_suffix_ratio`` are not
-    windowed.
-    """
-
-    n_stages: int
-    batch_shape: tuple[int, ...]
-    markov_order: int | None = None
-
-    @abstractmethod
-    def propagate(self, d, window, m, rng) -> tuple[np.ndarray, np.ndarray]:
-        """Draw ``x_d`` from ``r_d`` given ``window``; return ``x_d`` and
-        ``log (p_d / (p_{d-1} r_d))``, both of shape ``(*batch, m)``."""
-
-    @abstractmethod
-    def log_p(self, d, traj) -> np.ndarray:
-        """``log p_d`` on full prefixes ``traj`` of shape ``(d+1, *batch, M)``."""
-
-    def log_suffix_ratio(self, d, state: "InnerState", suffix) -> np.ndarray:
-        """``log p_{n-1}((x_{0:d}^j, suffix)) - log p_d(x_{0:d}^j)``.
-
-        ``suffix`` holds the already-chosen components ``d+1 .. n-1`` with
-        shape ``(n-1-d, *batch)``.  May drop terms that are constant in
-        ``j``; only differences across particles matter to the backward
-        kernel.
-        """
-        prefixes = state.stage_trajectories(d)
-        m = prefixes.shape[-1]
-        tail = np.broadcast_to(
-            suffix[..., None], suffix.shape + (m,)
-        )
-        joined = np.concatenate([prefixes, tail], axis=0)
-        return self.log_p(self.n_stages - 1, joined) - self.log_p(d, prefixes)
 
 
 #: Stage proposals of :class:`GaussianStageTarget`: the stage law itself,
@@ -139,10 +79,13 @@ class InnerTargetSequence(ABC):
 STAGE_PROPOSALS = ("prior", "optimal")
 
 
-class GaussianStageTarget(InnerTargetSequence):
-    """Stage targets whose stage law is a first-order Gaussian chain.
+class GaussianStageTarget:
+    """Stage decomposition of one time step's conditional target, for a
+    stage law that is a first-order Gaussian chain over the components.
 
-    ``p_d`` multiplies, for components up to ``d``, the conditional laws
+    Stages run over the components ``d = 0 .. n_stages - 1`` of the new
+    state.  The unnormalized stage target ``p_d`` multiplies, for
+    components up to ``d``, the conditional laws
     ``Normal(x_e; alpha_e + phi_e * x_{e-1}, var_e)`` and the observation
     factors ``Normal(y_e; x_e, obs_var)``.  ``alpha`` has shape
     ``(*batch, n)``; ``phi``, the precisions ``c`` and ``var = 1 / c``
@@ -152,7 +95,24 @@ class GaussianStageTarget(InnerTargetSequence):
     ``y_t``.  ``proposal`` is ``"prior"`` (the stage law) or
     ``"optimal"`` (the locally optimal per-component law).
     ``markov_order`` is 1 for a chain, or 0 when the stages do not
-    interact; the prefix and ``phi`` are then not read.
+    interact; ``phi`` is then not read.
+
+    The samplers use three hooks:
+
+    * ``propagate(d, prev, m, rng)`` draws ``x_d`` from the stage
+      proposal ``r_d`` and returns it with ``log (p_d / (p_{d-1} r_d))``,
+      both of shape ``(*batch, m)``.  ``prev`` is the resampled previous
+      component: ``(*batch, m)`` from :func:`inner_smc`, or
+      ``(*batch, mo, 1)`` from the self-nested sampler, whose unit axis
+      broadcasts over the candidates.  The samplers pass ``None`` at
+      ``d = 0`` and for ``markov_order`` 0.
+    * ``log_suffix_ratio(d, x_d, x_next)`` is
+      ``log p_{n-1}((x_{0:d}^j, suffix)) - log p_d(x_{0:d}^j)`` up to a
+      constant in ``j``, given the stage-``d`` particles ``x_d`` of shape
+      ``(*batch, M)`` and the chosen next component ``x_next`` of shape
+      ``(*batch,)``; only differences across particles matter to the
+      backward kernel.
+    * ``take(idx)`` reindexes the batch dimension for outer resampling.
     """
 
     def __init__(self, alpha, phi, c, var, y_t, obs_var, proposal, markov_order):
@@ -169,20 +129,16 @@ class GaussianStageTarget(InnerTargetSequence):
         self.n_stages = alpha.shape[-1]
         self.batch_shape = alpha.shape[:-1]
 
-    def _cond_mean(self, d, prefix):
-        mean = self.alpha[..., d, None]
-        if d > 0 and self.markov_order:
-            return mean + self.phi[d] * prefix[-1]
-        return mean
-
     def _factors(self, d, mean, x_d):
         """The stage-``d`` conditional law's log-density at ``x_d`` and
         ``log (p_d / p_{d-1})``, which adds the observation factor."""
         trans = _gauss_logpdf(x_d, mean, self.var[d])
         return trans, trans + _gauss_logpdf(self.y[d], x_d, self.obs_var)
 
-    def propagate(self, d, window, m, rng):
-        mean = self._cond_mean(d, window)
+    def propagate(self, d, prev, m, rng):
+        mean = self.alpha[..., d, None]
+        if prev is not None:
+            mean = mean + self.phi[d] * prev
         z = rng.standard_normal(self.batch_shape + (m,))
         if self.proposal == "prior":
             x = mean + np.sqrt(self.var[d]) * z
@@ -195,20 +151,14 @@ class GaussianStageTarget(InnerTargetSequence):
         x = post_mean + np.sqrt(post_var) * z
         return x, self._factors(d, mean, x)[1] - _gauss_logpdf(x, post_mean, post_var)
 
-    def log_p(self, d, traj):
-        return sum(
-            self._factors(e, self._cond_mean(e, traj[:e]), traj[e])[1]
-            for e in range(d + 1)
-        )
-
-    def log_suffix_ratio(self, d, state, suffix):
+    def log_suffix_ratio(self, d, x_d, x_next):
         if self.markov_order == 0:
-            return np.zeros(self.batch_shape + (state.particles.shape[-1],))
+            return np.zeros(x_d.shape)
         # Only the factor linking components d and d+1 varies with the
         # stage-d candidate; everything further down the chain cancels.
         nxt = d + 1
-        mean = self.alpha[..., nxt, None] + self.phi[nxt] * state.particles[d]
-        return _gauss_logpdf(suffix[0][..., None], mean, self.var[nxt])
+        mean = self.alpha[..., nxt, None] + self.phi[nxt] * x_d
+        return _gauss_logpdf(x_next[..., None], mean, self.var[nxt])
 
     def take(self, idx):
         out = copy.copy(self)
@@ -250,30 +200,9 @@ class InnerState:
             log_tau=self.log_tau[idx],
         )
 
-    def stage_trajectories(self, d: int) -> np.ndarray:
-        """Prefixes ``x_{0:d}^j`` as formed at stage ``d``; ``(d+1, *batch, M)``."""
-        batch = self.particles.shape[1:-1]
-        m = self.particles.shape[-1]
-        idx = np.broadcast_to(np.arange(m), batch + (m,)).copy()
-        out = np.empty((d + 1,) + batch + (m,))
-        for e in range(d, -1, -1):
-            out[e] = np.take_along_axis(self.particles[e], idx, axis=-1)
-            if e > 0:
-                idx = np.take_along_axis(self.ancestors[e - 1], idx, axis=-1)
-        return out
-
-
-def _extend_window(window, x, order):
-    """Append stage component ``x`` to a prefix window and keep its last
-    ``order`` rows (every row when ``order`` is ``None``)."""
-    joined = np.concatenate([window, x[None]], axis=0)
-    if order is None:
-        return joined
-    return joined[max(joined.shape[0] - order, 0) :]
-
 
 def inner_smc(
-    target: InnerTargetSequence,
+    target: GaussianStageTarget,
     m: int,
     rng: np.random.Generator,
     strict: bool = True,
@@ -292,9 +221,9 @@ def inner_smc(
     collapsed rows get ``log_tau = -inf`` and are carried along inertly.
     A NaN or ``+inf`` stage weight raises ``ValueError`` in either mode.
 
-    Only the last ``target.markov_order`` components of each prefix are
-    carried and resampled, so carrying the prefix costs
-    O(batch * M * markov_order) per stage rather than O(batch * M * d).
+    Of the prefix, only the previous component is resampled and handed
+    to ``propagate``, and only when ``target.markov_order`` is 1, so a
+    stage costs O(batch * M) whatever its index.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -304,15 +233,16 @@ def inner_smc(
     ancestors = np.zeros((max(n - 1, 0),) + batch + (m,), dtype=np.intp)
     logw = np.empty((n,) + batch + (m,))
     dead = np.zeros(batch, dtype=bool)
-    window = np.empty((0,) + batch + (m,))
 
     for d in range(n):
+        prev = None
         if d:
             resample_lw = np.where(dead[..., None], 0.0, logw[d - 1])
             idx = _multinomial_rows(resample_lw, m, rng)
             ancestors[d - 1] = idx
-            window = np.take_along_axis(window, idx[None], axis=-1)
-        particles[d], logw[d] = target.propagate(d, window, m, rng)
+            if target.markov_order:
+                prev = np.take_along_axis(particles[d - 1], idx, axis=-1)
+        particles[d], logw[d] = target.propagate(d, prev, m, rng)
         stage_max = np.max(logw[d], axis=-1)
         if not np.all(stage_max < np.inf):
             raise ValueError("log-weights contain NaN or +inf")
@@ -320,7 +250,6 @@ def inner_smc(
         if strict and np.any(stage_dead):
             raise InnerCollapseError(stage=d + 1)
         dead = dead | stage_dead
-        window = _extend_window(window, particles[d], target.markov_order)
 
     log_tau = np.sum(_row_logmeanexp(logw), axis=0)
     return InnerState(
@@ -330,7 +259,7 @@ def inner_smc(
 
 def backward_simulate(
     inner: InnerState,
-    target: InnerTargetSequence,
+    target: GaussianStageTarget,
     rng: np.random.Generator,
     strict: bool = True,
 ) -> np.ndarray:
@@ -352,8 +281,9 @@ def backward_simulate(
         inner.particles[n - 1], j[..., None], axis=-1
     )[..., 0]
     for d in range(n - 2, -1, -1):
-        suffix = np.moveaxis(out[..., d + 1 :], -1, 0)
-        lbw = inner.logw[d] + target.log_suffix_ratio(d, inner, suffix)
+        lbw = inner.logw[d] + target.log_suffix_ratio(
+            d, inner.particles[d], out[..., d + 1]
+        )
         w = _row_weights(lbw)[0]
         # A live row's weights peak at exactly exp(0) = 1.
         if strict and not np.all(np.max(w, axis=-1) > 0.0):
@@ -411,7 +341,7 @@ class ProperWeightingProcedure(ABC):
 
 @dataclass(frozen=True)
 class _InnerSmcAux:
-    target: InnerTargetSequence
+    target: GaussianStageTarget
     state: InnerState
     kappa: str
 
@@ -557,24 +487,22 @@ class SelfNestedProcedure(ProperWeightingProcedure):
         particles = np.empty((n,) + batch + (mo,))
         ancestors = np.zeros((max(n - 1, 0),) + batch + (mo,), dtype=np.intp)
         log_tau = np.zeros(batch)
-        window = np.empty((0,) + batch + (mo,))
         # Flat index of the first (batch, mo) system of each batch row.
         row0 = np.arange(0, batch[0] * mo, mo)[:, None]
         for d in range(n):
             # Candidates: (*batch, mo, mi) from the stage proposal; the
-            # window's trailing unit axis broadcasts over the inner axis.
-            cand, lw = tiled.propagate(d, window[..., None], mi, rng)
+            # previous component's unit axis broadcasts over them.
+            prev = particles[d - 1][..., None] if d and target.markov_order else None
+            cand, lw = tiled.propagate(d, prev, mi, rng)
             w, shift = _row_weights(lw)
             stage_log_tau = _row_log_mean(w, shift)  # (*batch, mo)
             log_tau = log_tau + _row_logmeanexp(stage_log_tau)
             idx = _multinomial_rows(stage_log_tau, mo, rng)
             if d > 0:
                 ancestors[d - 1] = idx
-                window = np.take_along_axis(window, idx[None], axis=-1)
             rows = (row0 + idx).reshape(-1)
             pick = _pick_rows(w.reshape(-1, mi)[rows], rng)
             particles[d] = cand.reshape(-1, mi)[rows, pick].reshape(batch + (mo,))
-            window = _extend_window(window, particles[d], target.markov_order)
         state = InnerState(
             particles=particles,
             ancestors=ancestors,
@@ -592,7 +520,7 @@ PROCEDURES = {
     "smc+bs": (partial(InnerSmcProcedure, kappa="backward"), ("stage_proposal",)),
     "smc+empirical": (partial(InnerSmcProcedure, kappa="empirical"), ("stage_proposal",)),
     "is": (ImportanceProcedure, ()),
-    "self-nested": (lambda m, **kw: SelfNestedProcedure(m, kw.pop("m_inner", m), **kw), ()),
+    "self-nested": (lambda m: SelfNestedProcedure(m, m), ()),
     "exact-ffbs": (lambda m, **_: ExactFfbsProcedure(), None),
     "exact-transition": (lambda m, **_: ExactTransitionProcedure(), None),
 }

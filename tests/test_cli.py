@@ -91,12 +91,14 @@ BAD_CONFIGS = [
     ("data-not-object", _with(data=5), "data: expected a JSON object"),
     ("data-no-seed-or-path", _with(data={}), "data: needs either"),
     ("seed-not-integer", _with(data={"seed": "x"}), "data.seed: expected an integer"),
+    ("seed-negative", _with(data={"seed": -1}), "data.seed: must be >= 0"),
     ("methods-missing", _with(drop=("methods",)), "^methods: missing"),
     ("methods-not-list", _with(methods={"kind": "kalman"}), "methods: expected a list"),
     ("methods-empty", _with(methods=[]), "methods: at least one"),
     ("method-not-object", _with(methods=["kalman"]), r"methods\[0\]: expected"),
     ("method-kind-missing", _with(methods=[{"N": 5}]), r"methods\[0\].kind: missing"),
     ("method-kind-unknown", _method(kind="magic"), r"methods\[0\].kind: unknown"),
+    ("method-name-not-string", _method(name=3), r"methods\[0\].name: expected a string"),
     ("N-not-integer", _method(N="many"), r"methods\[0\].N: expected an integer"),
     ("N-below-one", _method(N=0), r"methods\[0\].N: must be >= 1"),
     ("N-boolean", _method(N=True), r"methods\[0\].N: expected an integer"),
@@ -115,6 +117,12 @@ BAD_CONFIGS = [
     ("replicates-not-integer", _with(replicates="two"), "replicates: expected an integer"),
     ("replicates-below-one", _with(replicates=0), "replicates: must be >= 1"),
     ("replicates-not-integral", _with(replicates=1.5), "replicates: expected an integer"),
+    ("replicates-numeric-string", _with(replicates="2"), "replicates: expected an integer"),
+    (
+        "budget-matching-string",
+        _with(budget_matching="false"),
+        "budget_matching: expected true or false",
+    ),
 ]
 
 
@@ -284,6 +292,17 @@ class TestRunExperiment:
         cfg = _base_config(tmp_path, data={"path": str(tmp_path / "short.csv")})
         with pytest.raises(ConfigError, match="data.path: dataset does not match"):
             run_experiment(parse_config(cfg))
+
+    def test_dataset_row_out_of_range_exits_2(self, tmp_path, capsys):
+        from nsmc.model import StssmSpec, save_dataset, simulate
+
+        spec = StssmSpec.chain(n_x=2, tau=1.0, lam=1.0, obs_var=0.25, a_coef=0.5)
+        path = tmp_path / "d.csv"
+        save_dataset(simulate(spec, 3, seed=1), spec, path)
+        path.write_text(path.read_text() + "4,1,99.0,0.0\n")
+        cfg = _base_config(tmp_path, data={"path": str(path)})
+        assert main(["run", "--config", str(_write(tmp_path, cfg))]) == 2
+        assert re.search(r"data\.path: .*line 8: .* outside", capsys.readouterr().err)
 
     def test_budget_matching_multiplies_bootstrap_size(self, tmp_path):
         cfg = _base_config(

@@ -183,6 +183,27 @@ class TestDatasetIo:
         with pytest.raises(ValueError):
             Dataset(T=3, observations=np.zeros((2, 4)))
 
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("0,1,99.0,0.0", "outside"),
+            ("3,1,99.0,0.0", "outside"),
+            ("1,0,99.0,0.0", "outside"),
+            ("1,3,99.0,0.0", "outside"),
+            ("2,1,99.0,0.0", "repeated"),
+        ],
+        ids=["t-zero", "t-past-T", "d-zero", "d-past-n_x", "repeated"],
+    )
+    def test_bad_index_row_names_its_line(self, tmp_path, row, problem):
+        # T = 2 and n_x = 2: the header and four rows, then the bad row
+        # on line 6.  A t of 0 once overwrote the observation at time T.
+        spec = StssmSpec.chain(n_x=2, tau=1.0, lam=0.0, obs_var=1.0)
+        path = tmp_path / "d.csv"
+        save_dataset(simulate(spec, 2, seed=1), spec, path)
+        path.write_text(path.read_text() + row + "\n")
+        with pytest.raises(ValueError, match=rf"d\.csv, line 6: .* {problem}"):
+            load_dataset(path)
+
 
 class TestIndependentSpec:
     def test_to_stssm_requires_matching_init(self):

@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 from scipy.special import logsumexp
-from scipy.stats import chisquare, kstest, norm
+from scipy.stats import chisquare, kstest, multivariate_normal, norm
 
 from nsmc.exceptions import InnerCollapseError, WeightCollapseError
 from nsmc.exact import fapf_run, ffbs_forward, kalman_run
@@ -18,9 +18,7 @@ from nsmc.nested import (
     ImportanceProcedure,
     InnerSmcProcedure,
     InnerState,
-    InnerTargetSequence,
     SelfNestedProcedure,
-    _extend_window,
     backward_simulate,
     empirical_draw,
     general_nsmc_step,
@@ -36,10 +34,12 @@ from nsmc.smc import ParticleSystem, _categorical_rows, _multinomial_rows
 from oracles import dense_conditional
 
 
-class Gaussian1dTarget(InnerTargetSequence):
-    """Single-stage target with analytic mass whose stage weight is
-    built from ``log_p`` alone, so the generic default hooks get
-    exercised."""
+class Gaussian1dTarget:
+    """Duck-typed single-stage target with analytic mass: ``p_0`` is
+    ``mass * Normal(loc, scale)``, proposed from
+    ``Normal(prop_loc, prop_scale)``."""
+
+    markov_order = 0
 
     def __init__(self, loc, scale, mass, prop_loc, prop_scale, batch=()):
         self.loc, self.scale, self.mass = loc, scale, mass
@@ -47,17 +47,12 @@ class Gaussian1dTarget(InnerTargetSequence):
         self.n_stages = 1
         self.batch_shape = batch
 
-    def propagate(self, d, window, m, rng):
+    def propagate(self, d, prev, m, rng):
         x = self.prop_loc + self.prop_scale * rng.standard_normal(
             self.batch_shape + (m,)
         )
-        inc = self.log_p(d, np.concatenate([window, x[None]], axis=0))
-        if d > 0:
-            inc = inc - self.log_p(d - 1, window)
-        return x, inc - norm.logpdf(x, self.prop_loc, self.prop_scale)
-
-    def log_p(self, d, traj):
-        return np.log(self.mass) + norm.logpdf(traj[d], self.loc, self.scale)
+        log_p = np.log(self.mass) + norm.logpdf(x, self.loc, self.scale)
+        return x, log_p - norm.logpdf(x, self.prop_loc, self.prop_scale)
 
 
 class TestInnerSmc:
@@ -102,9 +97,9 @@ class TestInnerSmc:
                 super().__init__(0.0, 1.0, 1.0, 0.0, 1.0)
                 self.n_stages = 3
 
-            def log_p(self, d, traj):
-                base = norm.logpdf(traj[: d + 1], 0.0, 1.0).sum(axis=0)
-                return base if d < 2 else np.full_like(base, -np.inf)
+            def propagate(self, d, prev, m, rng):
+                x, lw = super().propagate(d, prev, m, rng)
+                return x, lw if d < 2 else np.full_like(lw, -np.inf)
 
         with pytest.raises(InnerCollapseError) as err:
             inner_smc(DoomedTarget(), 8, np.random.default_rng(4))
@@ -115,57 +110,71 @@ class TestInnerSmc:
             def __init__(self):
                 super().__init__(0.0, 1.0, 1.0, 0.0, 1.0, batch=(2,))
 
-            def log_p(self, d, traj):
-                out = norm.logpdf(traj[d], 0.0, 1.0)
-                out[0] = -np.inf
-                return out
+            def propagate(self, d, prev, m, rng):
+                x, lw = super().propagate(d, prev, m, rng)
+                lw[0] = -np.inf
+                return x, lw
 
         state = inner_smc(HalfDoomed(), 4, np.random.default_rng(5), strict=False)
         assert state.log_tau[0] == -np.inf and np.isfinite(state.log_tau[1])
 
 
 class TestGenericDefaults:
-    """The chain target's fast hooks must agree with the generic
-    implementations built on full prefix evaluation."""
+    """The stage target's hooks against generic densities from scipy:
+    scalar normal densities for the stage increment, the dense joint
+    Gaussian of the transition noise for the backward kernel.  Neither
+    reads the package's chain factorization."""
+
+    SPEC = StssmSpec.chain(n_x=4, tau=1.0, lam=0.8, obs_var=0.3, a_coef=0.5)
 
     def _target_and_state(self, proposal="prior"):
-        spec = StssmSpec.chain(n_x=4, tau=1.0, lam=0.8, obs_var=0.3, a_coef=0.5)
-        model = make_model(spec)
         rng = np.random.default_rng(6)
         x_prev = rng.standard_normal(4)
         y = rng.standard_normal(4)
-        target = model.inner_target(2, x_prev, y, proposal)
+        target = make_model(self.SPEC).inner_target(2, x_prev, y, proposal)
         state = inner_smc(target, 6, rng)
-        return target, state, rng
+        return target, state, x_prev, y, rng
 
     def test_increment_matches_generic(self):
-        # The stage weight is log p_2 - log p_1 - log r_2, with r_2 the
-        # chain's conditional law (prior) or that law times the stage-2
-        # likelihood, normalized (optimal).
+        # The stage-2 weight is f(x_2 | x_1) g(y_2 | x_2) / r_2(x_2), with
+        # f the conditional of the dense noise covariance and r_2 that
+        # law (prior) or that law times g(y_2 | .), normalized (optimal).
+        cov = np.linalg.inv(self.SPEC.noise_precision.dense())
+        a, obs_sd = self.SPEC.a_coef, np.sqrt(self.SPEC.obs_var)
         for proposal in ("prior", "optimal"):
-            target, state, rng = self._target_and_state(proposal)
-            prefix = state.stage_trajectories(1)
-            x_d, log_w = target.propagate(2, prefix, prefix.shape[-1], rng)
-            mean = target.alpha[..., 2, None] + target.phi[2] * prefix[-1]
-            var = target.var[2]
+            target, state, x_prev, y, rng = self._target_and_state(proposal)
+            prev = state.particles[1]
+            x_d, log_w = target.propagate(2, prev, prev.shape[-1], rng)
+            mean = a * x_prev[2] + cov[2, 1] / cov[1, 1] * (prev - a * x_prev[1])
+            var = cov[2, 2] - cov[2, 1] ** 2 / cov[1, 1]
+            r_mean, r_var = mean, var
             if proposal == "optimal":
-                prec = 1.0 / var + 1.0 / target.obs_var
-                mean = (mean / var + target.y[2] / target.obs_var) / prec
-                var = 1.0 / prec
-            joined = np.concatenate([prefix, x_d[None]], axis=0)
-            generic = (
-                target.log_p(2, joined)
-                - target.log_p(1, prefix)
-                - norm.logpdf(x_d, mean, np.sqrt(var))
+                r_var = 1.0 / (1.0 / var + 1.0 / self.SPEC.obs_var)
+                r_mean = r_var * (mean / var + y[2] / self.SPEC.obs_var)
+            oracle = (
+                norm.logpdf(x_d, mean, np.sqrt(var))
+                + norm.logpdf(y[2], x_d, obs_sd)
+                - norm.logpdf(x_d, r_mean, np.sqrt(r_var))
             )
-            np.testing.assert_allclose(log_w, generic, atol=1e-10)
+            np.testing.assert_allclose(log_w, oracle, atol=1e-10)
 
     def test_suffix_ratio_matches_generic_up_to_constant(self):
-        target, state, rng = self._target_and_state()
-        suffix = rng.standard_normal((2,))
-        fast = target.log_suffix_ratio(1, state, suffix)
-        generic = InnerTargetSequence.log_suffix_ratio(target, 1, state, suffix)
-        diff = fast - generic
+        # log p_3((x_{0:1}^j, suffix)) - log p_1(x_{0:1}^j): the noise's
+        # dense joint density minus its dense prefix marginal (the
+        # observation factors of the prefix cancel, those of the suffix
+        # do not depend on j).
+        target, state, x_prev, _, rng = self._target_and_state()
+        suffix = rng.standard_normal(2)
+        x0 = state.particles[0][state.ancestors[0]]
+        x1 = state.particles[1]
+        prefix = np.stack([x0, x1], axis=-1)
+        full = np.concatenate([prefix, np.broadcast_to(suffix, (x1.size, 2))], axis=-1)
+        cov = np.linalg.inv(self.SPEC.noise_precision.dense())
+        a = self.SPEC.a_coef
+        oracle = multivariate_normal(cov=cov).logpdf(full - a * x_prev) - (
+            multivariate_normal(cov=cov[:2, :2]).logpdf(prefix - a * x_prev[:2])
+        )
+        diff = target.log_suffix_ratio(1, x1, np.asarray(suffix[0])) - oracle
         # Particle-independent offset is allowed; differences must agree.
         np.testing.assert_allclose(diff - diff[..., :1], 0.0, atol=1e-10)
 
@@ -386,20 +395,18 @@ def _self_nested_reference(proc, model, t, x_prev, y_t, rng):
     particles = np.empty((n,) + batch + (mo,))
     ancestors = np.zeros((max(n - 1, 0),) + batch + (mo,), dtype=np.intp)
     log_tau = np.zeros(batch)
-    window = np.empty((0,) + batch + (mo,))
     for d in range(n):
-        cand, lw = tiled.propagate(d, window[..., None], mi, rng)
+        prev = particles[d - 1][..., None] if d and target.markov_order else None
+        cand, lw = tiled.propagate(d, prev, mi, rng)
         stage_log_tau = _logmeanexp_reference(lw)
         log_tau = log_tau + _logmeanexp_reference(stage_log_tau)
         idx = _multinomial_rows(stage_log_tau, mo, rng)
         if d > 0:
             ancestors[d - 1] = idx
-            window = np.take_along_axis(window, idx[None], axis=-1)
         cand = np.take_along_axis(cand, idx[..., None], axis=-2)
         lw = np.take_along_axis(lw, idx[..., None], axis=-2)
         pick = _categorical_rows(lw, rng)
         particles[d] = np.take_along_axis(cand, pick[..., None], axis=-1)[..., 0]
-        window = _extend_window(window, particles[d], target.markov_order)
     state = InnerState(particles, ancestors, np.zeros((n,) + batch + (mo,)), log_tau)
     return state, target
 
@@ -409,8 +416,8 @@ class _CollapsingTarget(GaussianStageTarget):
     first system of every batch row, at stage 2 every system of batch
     row 2."""
 
-    def propagate(self, d, window, m, rng):
-        x, lw = super().propagate(d, window, m, rng)
+    def propagate(self, d, prev, m, rng):
+        x, lw = super().propagate(d, prev, m, rng)
         if d == 1:
             lw[:, 0] = -np.inf
         if d == 2:

@@ -150,8 +150,8 @@ def test_row_weights_reject_nan_and_plus_inf(logw, row, col, bad):
 class _NanStageTarget(GaussianStageTarget):
     """Chain stage law whose stage-1 weights hold one NaN in batch row 1."""
 
-    def propagate(self, d, window, m, rng):
-        x, lw = super().propagate(d, window, m, rng)
+    def propagate(self, d, prev, m, rng):
+        x, lw = super().propagate(d, prev, m, rng)
         if d == 1:
             lw[1, 0] = np.nan
         return x, lw
