@@ -329,9 +329,6 @@ def _run_replicate(args) -> list[tuple]:
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> int:
     """Run all methods over all replicates; returns the exit status."""
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if config.data_path is not None:
         try:
             data, _ = load_dataset(config.data_path)
@@ -342,6 +339,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> int:
     else:
         data = simulate(config.model, config.T, seed=config.data_seed)
 
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "config.echo.json", "w") as fh:
         json.dump(config.echo_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

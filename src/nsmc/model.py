@@ -568,41 +568,49 @@ def save_dataset(data: Dataset, model: ModelBundle, path: str | Path) -> None:
 def load_dataset(path: str | Path) -> tuple[Dataset, ModelBundle]:
     """Read back a dataset written by :func:`save_dataset`.
 
-    A row whose ``t`` or ``d`` is outside ``1..T`` or ``1..n_x``, or
-    repeats an earlier row's, raises ``ValueError`` naming its CSV line;
-    a ``(t, d)`` pair that no row gives stays NaN.
+    Malformed input raises ``ValueError`` naming the file: a sidecar
+    field missing, an empty CSV, and, with the line, a row whose cell
+    count differs from the header's, whose cells do not parse, or whose
+    ``t`` or ``d`` is outside ``1..T`` or ``1..n_x`` or repeats an
+    earlier row's.  A ``(t, d)`` pair that no row gives stays NaN.
     """
     path = Path(path)
-    with open(path.with_suffix(".meta.json")) as fh:
+    sidecar = path.with_suffix(".meta.json")
+    with open(sidecar) as fh:
         meta = json.load(fh)
-    T, n_x = meta["T"], meta["n_x"]
+    try:
+        T, seed = meta["T"], meta["seed"]
+        spec = SPEC_KINDS[meta["kind"]].from_dict(meta)
+    except KeyError as err:
+        raise ValueError(f"{sidecar}: missing field or unknown kind {err}") from None
+    n_x = spec.n_x
     y = np.full((T, n_x), np.nan)
     x = np.full((T, n_x), np.nan)
-    with_latent = False
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: the file is empty")
         with_latent = "x" in header
         seen = set()
         for line, row in enumerate(reader, start=2):
-            t, d = int(row[0]) - 1, int(row[1]) - 1
+            where = f"{path}, line {line}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: {len(row)} cells, expected {len(header)}")
+            try:
+                t, d = int(row[0]) - 1, int(row[1]) - 1
+                values = [float(v) for v in row[2:]]
+            except ValueError as err:
+                raise ValueError(f"{where}: {err}") from None
             if not (0 <= t < T and 0 <= d < n_x):
                 raise ValueError(
-                    f"{path}, line {line}: (t, d) = ({t + 1}, {d + 1}) is outside "
+                    f"{where}: (t, d) = ({t + 1}, {d + 1}) is outside "
                     f"1..{T} x 1..{n_x}"
                 )
             if (t, d) in seen:
-                raise ValueError(
-                    f"{path}, line {line}: (t, d) = ({t + 1}, {d + 1}) is repeated"
-                )
+                raise ValueError(f"{where}: (t, d) = ({t + 1}, {d + 1}) is repeated")
             seen.add((t, d))
-            y[t, d] = float(row[2])
+            y[t, d] = values[0]
             if with_latent:
-                x[t, d] = float(row[3])
-    data = Dataset(
-        T=T,
-        observations=y,
-        latent_truth=x if with_latent else None,
-        seed=meta["seed"],
-    )
-    return data, SPEC_KINDS[meta["kind"]].from_dict(meta)
+                x[t, d] = values[1]
+    return Dataset(T, y, x if with_latent else None, seed), spec

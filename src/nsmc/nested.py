@@ -46,8 +46,8 @@ from functools import partial
 
 import numpy as np
 
-from .exceptions import InnerCollapseError
-from .model import _LOG_2PI, Dataset, ModelBundle, StssmSpec, make_model
+from .exceptions import InnerCollapseError, InvalidInputError
+from .model import _LOG_2PI, Dataset, ModelBundle, StssmSpec, _gauss_logpdf, make_model
 from .exact import ffbs_forward
 from .smc import (
     FilterOutput,
@@ -63,10 +63,6 @@ from .smc import (
     _row_logmeanexp,
     _row_weights,
 )
-
-
-def _gauss_logpdf(x, mean, var):
-    return -0.5 * ((x - mean) ** 2 / var + np.log(var) + _LOG_2PI)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +97,10 @@ class GaussianStageTarget:
 
     * ``propagate(d, prev, m, rng)`` draws ``x_d`` from the stage
       proposal ``r_d`` and returns it with ``log (p_d / (p_{d-1} r_d))``,
-      both of shape ``(*batch, m)``.  ``prev`` is the resampled previous
+      both of shape ``(*batch, m)``: for ``"prior"`` that ratio is
+      ``log Normal(y_d; x_d, obs_var)``, for ``"optimal"`` the draw-free
+      ``log Normal(y_d; mean_d, var_d + obs_var)`` (a read-only
+      broadcast).  ``prev`` is the resampled previous
       component: ``(*batch, m)`` from :func:`inner_smc`, or
       ``(*batch, mo, 1)`` from the self-nested sampler, whose unit axis
       broadcasts over the candidates.  The samplers pass ``None`` at
@@ -129,12 +128,6 @@ class GaussianStageTarget:
         self.n_stages = alpha.shape[-1]
         self.batch_shape = alpha.shape[:-1]
 
-    def _factors(self, d, mean, x_d):
-        """The stage-``d`` conditional law's log-density at ``x_d`` and
-        ``log (p_d / p_{d-1})``, which adds the observation factor."""
-        trans = _gauss_logpdf(x_d, mean, self.var[d])
-        return trans, trans + _gauss_logpdf(self.y[d], x_d, self.obs_var)
-
     def propagate(self, d, prev, m, rng):
         mean = self.alpha[..., d, None]
         if prev is not None:
@@ -142,14 +135,12 @@ class GaussianStageTarget:
         z = rng.standard_normal(self.batch_shape + (m,))
         if self.proposal == "prior":
             x = mean + np.sqrt(self.var[d]) * z
-            # The proposal density is the transition term itself.
-            trans, inc = self._factors(d, mean, x)
-            return x, inc - trans
+            return x, _gauss_logpdf(x, self.y[d], self.obs_var)
         post_prec = self.c[d] + 1.0 / self.obs_var
         post_mean = (self.c[d] * mean + self.y[d] / self.obs_var) / post_prec
-        post_var = 1.0 / post_prec
-        x = post_mean + np.sqrt(post_var) * z
-        return x, self._factors(d, mean, x)[1] - _gauss_logpdf(x, post_mean, post_var)
+        x = post_mean + np.sqrt(1.0 / post_prec) * z
+        log_w = _gauss_logpdf(self.y[d], mean, self.var[d] + self.obs_var)
+        return x, np.broadcast_to(log_w, x.shape)
 
     def log_suffix_ratio(self, d, x_d, x_next):
         if self.markov_order == 0:
@@ -409,9 +400,9 @@ class ImportanceProcedure(ProperWeightingProcedure):
     """Plain importance sampling against the incremental target.
 
     Draws ``m`` candidates from the model transition and weights each by
-    the incremental target over the transition density; ``tau`` is the
-    mean weight, and the draw picks one candidate proportionally to the
-    weights."""
+    the incremental target over the transition density, which is the
+    likelihood ``log_obs(y_t, x)``; ``tau`` is the mean weight, and the
+    draw picks one candidate proportionally to the weights."""
 
     kind = "is"
 
@@ -426,9 +417,7 @@ class ImportanceProcedure(ProperWeightingProcedure):
             x_prev, x_prev.shape[:-2] + (self.m, x_prev.shape[-1])
         )
         cand = model.sample_transition(tiled, rng, t)
-        logw = model.log_gamma_ratio(x_prev, cand, y_t, t) - model.log_transition(
-            x_prev, cand, t
-        )
+        logw = model.log_obs(y_t, cand)
         return _ImportanceAux(candidates=cand, logw=logw, log_tau=_row_logmeanexp(logw))
 
 
@@ -436,13 +425,13 @@ class ExactFfbsProcedure(ProperWeightingProcedure):
     """Zero-variance procedure for the tractable chain model: ``tau`` is
     the exact predictive density and draws are exact proposal draws.
     Running the outer filter with it reproduces the fully adapted
-    sampler."""
+    sampler.  Any other model raises :class:`InvalidInputError`."""
 
     kind = "exact-ffbs"
 
     def prepare(self, model, t, x_prev, y_t, rng):
         if not isinstance(model, StssmSpec):
-            raise TypeError("exact-ffbs requires the chain-noise model")
+            raise InvalidInputError(f"exact-ffbs needs a StssmSpec, got {type(model).__name__}")
         return ffbs_forward(model, x_prev, y_t)
 
 

@@ -303,6 +303,8 @@ class TestRunExperiment:
         cfg = _base_config(tmp_path, data={"path": str(path)})
         assert main(["run", "--config", str(_write(tmp_path, cfg))]) == 2
         assert re.search(r"data\.path: .*line 8: .* outside", capsys.readouterr().err)
+        # The dataset is checked before any output is written.
+        assert not (tmp_path / "out").exists()
 
     def test_budget_matching_multiplies_bootstrap_size(self, tmp_path):
         cfg = _base_config(

@@ -1,6 +1,8 @@
 """Tests for the model layer: chain precisions, GMRF sampling, simulators
 and dataset round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,23 @@ from nsmc.model import (
 )
 
 from oracles import dense_gmrf_cov
+
+
+def _append_row(row):
+    """Dataset edit: append ``row`` as one more CSV line."""
+    return lambda path: path.write_text(path.read_text() + row + "\n")
+
+
+def _drop_sidecar_field(key):
+    """Dataset edit: remove ``key`` from the JSON sidecar."""
+
+    def edit(path):
+        sidecar = path.with_suffix(".meta.json")
+        meta = json.loads(sidecar.read_text())
+        del meta[key]
+        sidecar.write_text(json.dumps(meta))
+
+    return edit
 
 
 class TestChainPrecision:
@@ -184,24 +203,35 @@ class TestDatasetIo:
             Dataset(T=3, observations=np.zeros((2, 4)))
 
     @pytest.mark.parametrize(
-        "row, problem",
+        "edit, problem",
         [
-            ("0,1,99.0,0.0", "outside"),
-            ("3,1,99.0,0.0", "outside"),
-            ("1,0,99.0,0.0", "outside"),
-            ("1,3,99.0,0.0", "outside"),
-            ("2,1,99.0,0.0", "repeated"),
+            (_append_row("0,1,99.0,0.0"), r"d\.csv, line 6: .* outside"),
+            (_append_row("3,1,99.0,0.0"), r"d\.csv, line 6: .* outside"),
+            (_append_row("1,0,99.0,0.0"), r"d\.csv, line 6: .* outside"),
+            (_append_row("1,3,99.0,0.0"), r"d\.csv, line 6: .* outside"),
+            (_append_row("2,1,99.0,0.0"), r"d\.csv, line 6: .* repeated"),
+            (_append_row("2,2"), r"d\.csv, line 6: 2 cells, expected 4"),
+            (_append_row(""), r"d\.csv, line 6: 0 cells, expected 4"),
+            (_append_row("x,1,99.0,0.0"), r"d\.csv, line 6: invalid literal for int"),
+            (lambda path: path.write_text(""), r"d\.csv: the file is empty"),
+            (_drop_sidecar_field("T"), r"d\.meta\.json: missing field .*'T'"),
         ],
-        ids=["t-zero", "t-past-T", "d-zero", "d-past-n_x", "repeated"],
+        ids=[
+            "t-zero", "t-past-T", "d-zero", "d-past-n_x", "repeated",
+            "short-row", "blank-line", "t-not-integer", "empty-csv", "sidecar-without-T",
+        ],
     )
-    def test_bad_index_row_names_its_line(self, tmp_path, row, problem):
-        # T = 2 and n_x = 2: the header and four rows, then the bad row
-        # on line 6.  A t of 0 once overwrote the observation at time T.
+    def test_bad_index_row_names_its_line(self, tmp_path, edit, problem):
+        # T = 2 and n_x = 2: the header and four rows, then a bad row on
+        # line 6, or an emptied CSV, or a sidecar without T.  A t of 0
+        # once overwrote the observation at time T; the last five cases
+        # once escaped as raw IndexError, StopIteration or KeyError, or
+        # as a ValueError without the line.
         spec = StssmSpec.chain(n_x=2, tau=1.0, lam=0.0, obs_var=1.0)
         path = tmp_path / "d.csv"
         save_dataset(simulate(spec, 2, seed=1), spec, path)
-        path.write_text(path.read_text() + row + "\n")
-        with pytest.raises(ValueError, match=rf"d\.csv, line 6: .* {problem}"):
+        edit(path)
+        with pytest.raises(ValueError, match=problem):
             load_dataset(path)
 
 

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import chisquare, kstest, multivariate_normal, norm
 
-from nsmc.exceptions import InnerCollapseError, WeightCollapseError
+from nsmc.exceptions import InnerCollapseError, InvalidInputError, WeightCollapseError
 from nsmc.exact import fapf_run, ffbs_forward, kalman_run
 from nsmc.model import IndependentSsmSpec, StssmSpec, make_model, simulate
 from nsmc.nested import (
@@ -339,6 +339,25 @@ class TestProperWeighting:
     def test_bad_arguments_rejected(self, build, match):
         with pytest.raises(ValueError, match=match):
             build()
+
+
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        StssmSpec.chain(n_x=4, tau=1.0, lam=0.8, obs_var=0.3),
+        IndependentSsmSpec(n_x=4, a_coef=0.6, init_mean=0.8, init_var=1.7, obs_var=0.4),
+    ],
+    ids=["chain", "independent"],
+)
+def test_importance_weight_is_the_likelihood(spec, t):
+    # The transition density cancels from target over proposal, so the
+    # weight is log g(y_t | x_t) itself, to the bit.
+    rng = np.random.default_rng(17)
+    x_prev = rng.standard_normal((3, spec.n_x))
+    y_t = rng.standard_normal(spec.n_x)
+    aux = ImportanceProcedure(5).prepare(spec, t, x_prev, y_t, rng)
+    np.testing.assert_array_equal(aux.logw, spec.log_obs(y_t, aux.candidates))
 
 
 class TestSelfNested:
@@ -767,7 +786,7 @@ class TestNsmcRun:
     def test_exact_procedure_rejects_the_independent_model(self):
         spec = IndependentSsmSpec(n_x=2, a_coef=0.5)
         data = simulate(spec, 2, seed=48)
-        with pytest.raises(TypeError, match="chain-noise model"):
+        with pytest.raises(InvalidInputError, match="exact-ffbs needs a StssmSpec"):
             nsmc_run(spec, data, 4, 1, "exact-ffbs", np.random.default_rng(49))
 
     def test_ess_trace_present(self):

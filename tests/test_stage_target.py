@@ -27,5 +27,6 @@ def test_independent_optimal_proposal_is_exact(t):
     target = make_model(SPEC).inner_target(t, x_prev, y, "optimal")
     state = inner_smc(target, 5, np.random.default_rng(4))
     np.testing.assert_allclose(state.log_tau, exact, rtol=0.0, atol=1e-12)
-    # Every stage weight is the same constant, so all draws are equal-weight.
-    assert np.all(np.ptp(state.logw, axis=-1) < 1e-12)
+    # Every stage weight is the draw-free predictive density, so each
+    # row's weights are bitwise equal and all draws are equal-weight.
+    assert np.all(np.ptp(state.logw, axis=-1) == 0.0)
