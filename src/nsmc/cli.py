@@ -186,9 +186,9 @@ def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
         mk = _require(m, "kind", where)
         if mk not in VALID_METHOD_KINDS:
             raise ConfigError(f"{where}.kind: unknown kind {mk!r}")
-        name = m.get("name", f"{mk}-{i}")
-        if not isinstance(name, str):
-            raise ConfigError(f"{where}.name: expected a string, got {name!r}")
+        method_name = m.get("name", f"{mk}-{i}")
+        if not isinstance(method_name, str):
+            raise ConfigError(f"{where}.name: expected a string, got {method_name!r}")
         n = _as_int(m.get("N", 0), f"{where}.N")
         mm = _as_int(m.get("M", 0), f"{where}.M")
         inner = m.get("inner", "smc+bs")
@@ -210,7 +210,7 @@ def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
                 raise ConfigError(f"{where}.M: self-nested needs M >= 2")
         methods.append(
             MethodConfig(
-                name=name,
+                name=method_name,
                 kind=mk,
                 N=n,
                 M=mm,

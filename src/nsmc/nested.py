@@ -20,7 +20,10 @@ stage ``d`` given only the resampled previous component and weights the
 draws in the same call, and the backward kernel reads only the factor
 linking two neighbouring components, so the inner samplers carry no
 prefix beyond the previous component and one outer step costs
-O(N * M * n_x).
+O(N * M * n_x).  At Markov order 0 no stage reads another, so the inner
+SMC does not resample between stages, and both of its draws, backward
+and empirical, pick each component from its own stage's weights in one
+vectorized pass.
 
 All inner machinery is batched over outer particles: arrays carry shape
 ``(n_stages, *batch, M)`` and every stage operation is vectorized across
@@ -168,14 +171,16 @@ class InnerState:
     """Everything an inner SMC run generated.
 
     ``particles`` holds the post-propagation stage components,
-    ``ancestors`` the stage resampling indices, ``logw`` the stage
-    weights.  ``log_tau`` is the running product of stage weight means,
-    one entry per batch row; ``-inf`` marks a collapsed (zero-score)
-    system, which is legal as long as some sibling survives.
+    ``ancestors`` the stage resampling indices (none, shape
+    ``(0, *batch, M)``, at Markov order 0, where no stage resamples),
+    ``logw`` the stage weights.  ``log_tau`` is the running product of
+    stage weight means, one entry per batch row; ``-inf`` marks a
+    collapsed (zero-score) system, which is legal as long as some
+    sibling survives.
     """
 
     particles: np.ndarray  # (n_stages, *batch, M)
-    ancestors: np.ndarray  # (n_stages - 1, *batch, M) int
+    ancestors: np.ndarray  # (n_stages - 1 or 0, *batch, M) int
     logw: np.ndarray  # (n_stages, *batch, M)
     log_tau: np.ndarray  # (*batch,)
 
@@ -213,26 +218,28 @@ def inner_smc(
     A NaN or ``+inf`` stage weight raises ``ValueError`` in either mode.
 
     Of the prefix, only the previous component is resampled and handed
-    to ``propagate``, and only when ``target.markov_order`` is 1, so a
-    stage costs O(batch * M) whatever its index.
+    to ``propagate``, so a stage costs O(batch * M) whatever its index.
+    Stages resample only when ``target.markov_order`` is 1: at order 0
+    no stage reads another, ``tau`` never reads the ancestors, and
+    skipping the resampling keeps it unbiased (Whiteley, Lee and Heine,
+    2016), so no ancestors are recorded and ``propagate`` gets ``None``.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     n = target.n_stages
     batch = target.batch_shape
+    resampled = max(n - 1, 0) if target.markov_order else 0
     particles = np.empty((n,) + batch + (m,))
-    ancestors = np.zeros((max(n - 1, 0),) + batch + (m,), dtype=np.intp)
+    ancestors = np.zeros((resampled,) + batch + (m,), dtype=np.intp)
     logw = np.empty((n,) + batch + (m,))
     dead = np.zeros(batch, dtype=bool)
 
     for d in range(n):
         prev = None
-        if d:
+        if d and resampled:
             resample_lw = np.where(dead[..., None], 0.0, logw[d - 1])
-            idx = _multinomial_rows(resample_lw, m, rng)
-            ancestors[d - 1] = idx
-            if target.markov_order:
-                prev = np.take_along_axis(particles[d - 1], idx, axis=-1)
+            ancestors[d - 1] = _multinomial_rows(resample_lw, m, rng)
+            prev = np.take_along_axis(particles[d - 1], ancestors[d - 1], axis=-1)
         particles[d], logw[d] = target.propagate(d, prev, m, rng)
         stage_max = np.max(logw[d], axis=-1)
         if not np.all(stage_max < np.inf):
@@ -288,10 +295,33 @@ def backward_simulate(
     return out
 
 
+def _stagewise_draw(inner: InnerState, rng: np.random.Generator) -> np.ndarray:
+    """Pick every component from its own stage's weights, in one pass.
+
+    The picks use one uniform per stage and row, drawn last stage first
+    as :func:`backward_simulate` draws them, whose result this equals
+    bitwise when no stage reads another (all suffix ratios zero).
+    Returns a C-contiguous ``(*batch, n)`` array.
+    """
+    w = _row_weights(inner.logw)[0]
+    j = _pick_rows(w[::-1], rng)[::-1]
+    picked = np.take_along_axis(inner.particles, j[..., None], axis=-1)[..., 0]
+    return np.ascontiguousarray(np.moveaxis(picked, 0, -1))
+
+
 def empirical_draw(
     inner: InnerState, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw one ancestral trajectory proportionally to the final weights."""
+    """Draw one ancestral trajectory proportionally to the final weights.
+
+    A state with no recorded ancestors (an inner SMC at Markov order 0)
+    picks each component from its own stage's weights instead: there an
+    ancestor is a fresh draw from its stage's weights, so the law is the
+    same.  A NaN or ``+inf`` weight in any stage then raises
+    ``ValueError``.
+    """
+    if not inner.ancestors.shape[0]:
+        return _stagewise_draw(inner, rng)
     n = inner.n_stages
     batch = inner.particles.shape[1:-1]
     out = np.empty(batch + (n,))
@@ -348,6 +378,8 @@ class _InnerSmcAux:
         )
 
     def draw(self, rng):
+        if not self.target.markov_order:
+            return _stagewise_draw(self.state, rng)
         if self.kappa == "backward":
             return backward_simulate(self.state, self.target, rng, strict=False)
         return empirical_draw(self.state, rng)

@@ -217,6 +217,16 @@ class TestRunExperiment:
             echoed = json.load(fh)
         assert parse_config(echoed).echo_dict() == config.echo_dict()
 
+    def test_experiment_name_is_not_a_method_name(self, tmp_path):
+        # The last method is named "nsmc"; the experiment stays "unit".
+        config = parse_config(_base_config(tmp_path))
+        assert config.name == "unit"
+        run_experiment(config)
+        with open(tmp_path / "out" / "config.echo.json") as fh:
+            assert json.load(fh)["name"] == "unit"
+        summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        assert {row.split(",")[0] for row in summary[1:]} == {"unit"}
+
     def test_simulate_then_run_equals_inline_seed(self, tmp_path):
         cfg = _base_config(tmp_path)
         path = _write(tmp_path, cfg)

@@ -1,6 +1,7 @@
 """Tests for the nested filter: inner SMC, backward simulation, proper
 weighting, reduction identities and the outer loop."""
 
+import dataclasses
 import zlib
 
 import numpy as np
@@ -12,6 +13,7 @@ from nsmc.exceptions import InnerCollapseError, InvalidInputError, WeightCollaps
 from nsmc.exact import fapf_run, ffbs_forward, kalman_run
 from nsmc.model import IndependentSsmSpec, StssmSpec, make_model, simulate
 from nsmc.nested import (
+    STAGE_PROPOSALS,
     ExactFfbsProcedure,
     ExactTransitionProcedure,
     GaussianStageTarget,
@@ -20,6 +22,7 @@ from nsmc.nested import (
     InnerState,
     SelfNestedProcedure,
     backward_simulate,
+    conditional_oracle,
     empirical_draw,
     general_nsmc_step,
     inner_smc,
@@ -267,6 +270,69 @@ class TestEmpiricalDraw:
         assert result.pvalue > 0.01
 
 
+class TestOrderZeroDraw:
+    """At Markov order 0 no inner stage resamples, and both draws pick
+    each component from its own stage's weights, bitwise as backward
+    simulation with all suffix ratios zero."""
+
+    SPEC = IndependentSsmSpec(n_x=6, a_coef=0.5, init_mean=0.3, obs_var=0.4)
+
+    def _inputs(self):
+        rng = np.random.default_rng(31)
+        return rng.standard_normal((4, 6)), rng.standard_normal(6)
+
+    def _aux(self, kappa, t=2, proposal="prior"):
+        x_prev, y = self._inputs()
+        proc = InnerSmcProcedure(5, kappa, proposal)
+        return proc.prepare(self.SPEC, t, x_prev, y, np.random.default_rng(30))
+
+    @pytest.mark.parametrize("proposal", STAGE_PROPOSALS)
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_draw_equals_backward_simulation_bitwise(self, t, proposal):
+        aux = self._aux("backward", t, proposal)
+        x = aux.draw(np.random.default_rng(32))
+        ref = backward_simulate(aux.state, aux.target, np.random.default_rng(32), strict=False)
+        np.testing.assert_array_equal(x, ref)
+        assert x.shape == (4, 6) and x.flags.c_contiguous
+
+    def test_empirical_draw_equals_backward_simulation_bitwise(self):
+        aux = self._aux("empirical")
+        ref = backward_simulate(aux.state, aux.target, np.random.default_rng(33), strict=False)
+        x = empirical_draw(aux.state, np.random.default_rng(33))
+        np.testing.assert_array_equal(x, ref)
+        assert x.flags.c_contiguous
+        np.testing.assert_array_equal(aux.draw(np.random.default_rng(33)), ref)
+
+    @pytest.mark.parametrize("kappa", ["backward", "empirical"])
+    def test_nan_stage_weight_is_a_value_error(self, kappa):
+        aux = self._aux(kappa)
+        logw = aux.state.logw.copy()
+        logw[2, 1, 3] = np.nan
+        bad = dataclasses.replace(aux.state, logw=logw)
+        with pytest.raises(ValueError, match="NaN"):
+            dataclasses.replace(aux, state=bad).draw(np.random.default_rng(34))
+        with pytest.raises(ValueError, match="NaN"):
+            empirical_draw(bad, np.random.default_rng(34))
+
+    def test_inner_smc_records_no_ancestors_and_replays_the_stage_draws(self):
+        x_prev, y = self._inputs()
+        target = make_model(self.SPEC).inner_target(2, x_prev, y)
+        state = inner_smc(target, 5, np.random.default_rng(35), strict=False)
+        assert state.ancestors.shape == (0, 4, 5)
+        replay = np.random.default_rng(35)
+        for d in range(self.SPEC.n_x):
+            x, log_w = target.propagate(d, None, 5, replay)
+            np.testing.assert_array_equal(state.particles[d], x)
+            np.testing.assert_array_equal(state.logw[d], log_w)
+
+    def test_backward_and_empirical_filters_coincide(self):
+        data = simulate(self.SPEC, 3, seed=36)
+        bs = nsmc_run(self.SPEC, data, 20, 4, "smc+bs", np.random.default_rng(37))
+        emp = nsmc_run(self.SPEC, data, 20, 4, "smc+empirical", np.random.default_rng(37))
+        for field in ("filter_means", "filter_vars", "logz_increments", "ess_trace"):
+            np.testing.assert_array_equal(getattr(bs, field), getattr(emp, field))
+
+
 class TestProperWeighting:
     """Definition-level audit: E[tau * phi(x)] = nu * E_q[phi] for every
     inner procedure, against the dense conditional oracle."""
@@ -293,6 +359,30 @@ class TestProperWeighting:
             proc, self.SPEC, self.X_PREV, self.Y, 30000, rng
         )
         for phi, (est, truth, z) in checks.items():
+            assert abs(z) <= 3.5, f"{kind} M={m} phi={phi}: z={z:.2f}"
+
+    @pytest.mark.parametrize("m", [1, 5])
+    @pytest.mark.parametrize("kind", ["smc+bs", "smc+empirical"])
+    def test_order_zero_procedures_properly_weighted(self, kind, m):
+        # The independent model's inner stages never resample; its chain
+        # twin, ``to_stssm``, supplies the dense oracle.
+        spec = IndependentSsmSpec(n_x=2, a_coef=0.5, obs_var=0.25)
+        n_reps = 30000
+        rng = np.random.default_rng(zlib.crc32(repr(("order-0", kind, m)).encode()))
+        tiled = np.broadcast_to(self.X_PREV, (n_reps, 2))
+        aux = make_procedure(kind, m).prepare(spec, 2, tiled, self.Y, rng)
+        xs, tau = aux.draw(rng), np.exp(aux.log_tau)
+        log_nu, mean, cov = conditional_oracle(spec.to_stssm(), self.X_PREV, self.Y)
+        phis = {
+            "1": (np.ones(n_reps), 1.0),
+            "x1": (xs[:, 0], mean[0]),
+            "x1^2": (xs[:, 0] ** 2, mean[0] ** 2 + cov[0, 0]),
+            "x1*x2": (xs[:, 0] * xs[:, 1], mean[0] * mean[1] + cov[0, 1]),
+        }
+        for phi, (vals, expectation) in phis.items():
+            prods = tau * vals
+            se = prods.std(ddof=1) / np.sqrt(n_reps)
+            z = (prods.mean() - np.exp(log_nu) * expectation) / se
             assert abs(z) <= 3.5, f"{kind} M={m} phi={phi}: z={z:.2f}"
 
     def test_exact_procedure_zero_variance(self):
