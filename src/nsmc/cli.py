@@ -26,7 +26,8 @@ against Kalman is 6.66 nats^2 with the prior and 1.02 with the optimal
 proposal (0.0146 and 0.0024 at n_x = 10); the prior needs M = 80, at 2.8
 times the cost, to reach 0.72.  On the independent model the optimal
 proposal is exact.  ``"prior"`` stays the default so that existing
-configs keep their results.
+configs keep their results.  Any other method refuses a
+``stage_proposal`` key, and the config echo omits it there.
 """
 
 from __future__ import annotations
@@ -74,6 +75,12 @@ VALID_METHOD_KINDS = ("kalman", "fapf", "bpf", "nsmc", "nsmc-general")
 VALID_INNER = tuple(k for k, (_, fields) in PROCEDURES.items() if fields is not None)
 
 
+def _takes_stage_proposal(kind: str, inner: str) -> bool:
+    """Whether a method of ``kind`` with procedure ``inner`` reads
+    ``stage_proposal``."""
+    return kind == "nsmc" and "stage_proposal" in PROCEDURES[inner][1]
+
+
 @dataclass(frozen=True)
 class MethodConfig:
     name: str
@@ -105,7 +112,13 @@ class ExperimentConfig:
             "name": self.name,
             "model": model,
             "data": data,
-            "methods": [asdict(m) for m in self.methods],
+            "methods": [
+                {
+                    k: v for k, v in asdict(m).items()
+                    if k != "stage_proposal" or _takes_stage_proposal(m.kind, m.inner)
+                }
+                for m in self.methods
+            ],
             "replicates": self.replicates,
             "budget_matching": self.budget_matching,
             "output_dir": self.output_dir,
@@ -198,6 +211,11 @@ def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
         if stage_proposal not in STAGE_PROPOSALS:
             raise ConfigError(
                 f"{where}.stage_proposal: must be one of {STAGE_PROPOSALS}"
+            )
+        if "stage_proposal" in m and not _takes_stage_proposal(mk, inner):
+            raise ConfigError(
+                f"{where}.stage_proposal: not read by kind {mk!r}"
+                + (f" with inner procedure {inner!r}" if mk == "nsmc" else "")
             )
         if mk in ("kalman", "fapf") and not isinstance(model, StssmSpec):
             raise ConfigError(f"{where}.kind: {mk} requires the stssm model")

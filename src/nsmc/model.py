@@ -115,6 +115,13 @@ class TridiagPrecision:
         return self._spectrum
 
 
+def _check_finite(**fields) -> None:
+    """Raise ``ValueError`` naming the first field that is not finite."""
+    for name, value in fields.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def chain_precision(tau: float, lam: float, n: int) -> TridiagPrecision:
     """Precision of the chain GMRF with node weight ``tau`` and coupling ``lam``.
 
@@ -122,7 +129,9 @@ def chain_precision(tau: float, lam: float, n: int) -> TridiagPrecision:
     ``tau/2 * sum_d v_d^2 + lam/2 * sum_{d>=2} (v_d - v_{d-1})^2``,
     which gives diagonal entries ``tau + lam`` at the two chain ends,
     ``tau + 2*lam`` in the interior, and off-diagonal entries ``-lam``.
+    A ``tau`` or ``lam`` that is not finite raises ``ValueError``.
     """
+    _check_finite(tau=tau, **{"lambda": lam})
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     if lam < 0.0:
@@ -277,7 +286,8 @@ class StssmSpec(ModelBundle):
     ``x_t = a_coef * x_{t-1} + v_t`` with ``v_t`` a chain GMRF draw, and
     ``y_t = x_t + e_t`` with isotropic observation noise.  The initial
     state is a pure noise draw, ``x_1 ~ N(0, Q^{-1})``: the initial law
-    (``t = 1``) is the transition from ``x_prev = 0``.
+    (``t = 1``) is the transition from ``x_prev = 0``.  A non-finite
+    ``a_coef`` or ``obs_var`` raises ``ValueError`` naming the field.
     """
 
     n_x: int
@@ -288,6 +298,7 @@ class StssmSpec(ModelBundle):
     def __post_init__(self):
         if self.n_x < 1:
             raise ValueError(f"n_x must be >= 1, got {self.n_x}")
+        _check_finite(a_coef=self.a_coef, obs_var=self.obs_var)
         if self.obs_var <= 0.0:
             raise ValueError(f"obs_var must be positive, got {self.obs_var}")
         if self.noise_precision.n != self.n_x:
@@ -381,7 +392,8 @@ class IndependentSsmSpec(ModelBundle):
     Every coordinate shares the same scalar dynamics
     ``x_1 ~ N(init_mean, init_var)``, ``x_t ~ N(a_coef * x_{t-1}, trans_var)``
     and ``y ~ N(x, obs_var)``.  By convention the observation is replicated
-    across coordinates: ``y_{t,d}`` is identical for every ``d``.
+    across coordinates: ``y_{t,d}`` is identical for every ``d``.  A
+    non-finite parameter raises ``ValueError`` naming the field.
     """
 
     n_x: int
@@ -392,6 +404,10 @@ class IndependentSsmSpec(ModelBundle):
     obs_var: float = 1.0
 
     def __post_init__(self):
+        _check_finite(
+            a_coef=self.a_coef, init_mean=self.init_mean, init_var=self.init_var,
+            trans_var=self.trans_var, obs_var=self.obs_var,
+        )
         for name in ("init_var", "trans_var", "obs_var"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")

@@ -25,6 +25,12 @@ SMC does not resample between stages, and both of its draws, backward
 and empirical, pick each component from its own stage's weights in one
 vectorized pass.
 
+An inner SMC stage takes the row maxima of its log-weights once, in the
+NaN and collapse check, and reuses them as the shift of both the next
+stage's resampling weights and the stage's factor of ``tau``.  Outer
+resampling copies no inner state: the auxiliary object records the
+chosen rows, and the draws read those rows directly.
+
 All inner machinery is batched over outer particles: arrays carry shape
 ``(n_stages, *batch, M)`` and every stage operation is vectorized across
 the batch, which is what makes replicated experiments cheap.
@@ -65,6 +71,7 @@ from .smc import (
     _row_log_mean,
     _row_logmeanexp,
     _row_weights,
+    _search_rows,
 )
 
 
@@ -177,6 +184,10 @@ class InnerState:
     stage weight means, one entry per batch row; ``-inf`` marks a
     collapsed (zero-score) system, which is legal as long as some
     sibling survives.
+
+    :meth:`take` copies every field; outer resampling does not call it,
+    because the inner SMC procedure's auxiliary object records the chosen
+    rows instead.
     """
 
     particles: np.ndarray  # (n_stages, *batch, M)
@@ -223,6 +234,12 @@ def inner_smc(
     no stage reads another, ``tau`` never reads the ancestors, and
     skipping the resampling keeps it unbiased (Whiteley, Lee and Heine,
     2016), so no ancestors are recorded and ``propagate`` gets ``None``.
+
+    Each stage takes its row maxima once, in the NaN and collapse check,
+    and reuses them as the shift of its weights, which the next stage
+    resamples on (a collapsed row on unit weights) and ``tau`` averages;
+    no later pass recomputes them.  The chosen previous components are
+    gathered by one flat ``take``.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -232,27 +249,62 @@ def inner_smc(
     particles = np.empty((n,) + batch + (m,))
     ancestors = np.zeros((resampled,) + batch + (m,), dtype=np.intp)
     logw = np.empty((n,) + batch + (m,))
+    # Stage weights exp(logw - shift), shifted by the row maxima of the
+    # stage check (0 for a row of -inf entries): the next stage resamples
+    # on them and tau is their row log-means.
+    w = np.empty_like(logw)
+    shift = np.empty((n,) + batch + (1,))
     dead = np.zeros(batch, dtype=bool)
+    # Flat offset of each batch row's first particle within a stage.
+    offsets = np.arange(0, int(np.prod(batch)) * m, m).reshape(batch + (1,))
 
     for d in range(n):
         prev = None
         if d and resampled:
-            resample_lw = np.where(dead[..., None], 0.0, logw[d - 1])
-            ancestors[d - 1] = _multinomial_rows(resample_lw, m, rng)
-            prev = np.take_along_axis(particles[d - 1], ancestors[d - 1], axis=-1)
+            # A collapsed row resamples from unit weights.
+            idx = _search_rows(np.where(dead[..., None], 1.0, w[d - 1]), m, rng)
+            ancestors[d - 1] = idx
+            idx += offsets
+            prev = particles[d - 1].take(idx)
         particles[d], logw[d] = target.propagate(d, prev, m, rng)
-        stage_max = np.max(logw[d], axis=-1)
+        stage_max = np.max(logw[d], axis=-1, keepdims=True)
         if not np.all(stage_max < np.inf):
             raise ValueError("log-weights contain NaN or +inf")
         stage_dead = np.isneginf(stage_max)
         if strict and np.any(stage_dead):
             raise InnerCollapseError(stage=d + 1)
-        dead = dead | stage_dead
+        dead |= stage_dead[..., 0]
+        shift[d] = np.where(stage_dead, 0.0, stage_max)
+        np.subtract(logw[d], shift[d], out=w[d])
+        np.exp(w[d], out=w[d])
 
-    log_tau = np.sum(_row_logmeanexp(logw), axis=0)
+    log_tau = np.sum(_row_log_mean(w, shift), axis=0)
     return InnerState(
         particles=particles, ancestors=ancestors, logw=logw, log_tau=log_tau
     )
+
+
+def _row_offsets(inner: InnerState, rows) -> np.ndarray:
+    """Flat offset, within one stage of ``inner``, of the first particle
+    of each chosen batch row.  ``rows`` indexes the flattened batch;
+    ``None`` chooses every row, in order."""
+    if rows is None:
+        rows = np.arange(inner.log_tau.size).reshape(inner.log_tau.shape)
+    return rows * inner.particles.shape[-1]
+
+
+def _stage_rows(a: np.ndarray, rows) -> np.ndarray:
+    """A stage array ``(*batch, M)`` at the chosen batch ``rows``."""
+    return a if rows is None else np.take(a.reshape(-1, a.shape[-1]), rows, axis=0)
+
+
+def _pick_stages(particles: np.ndarray, j: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Particle ``j[d, row]`` of every stage ``d`` and chosen row, by one
+    flat ``take``; a C-contiguous ``(*batch, n)`` array."""
+    n = particles.shape[0]
+    stage = np.arange(n).reshape((n,) + (1,) * offsets.ndim) * (particles.size // n)
+    picked = particles.take(j + offsets + stage)
+    return np.ascontiguousarray(np.moveaxis(picked, 0, -1))
 
 
 def backward_simulate(
@@ -271,16 +323,21 @@ def backward_simulate(
     ``strict``, a row whose backward weights are all zero raises
     :class:`InnerCollapseError`.
     """
+    return _backward_draw(inner, None, target, rng, strict)
+
+
+def _backward_draw(inner, rows, target, rng, strict) -> np.ndarray:
+    """:func:`backward_simulate` on the batch ``rows`` of ``inner``,
+    which it reads stage by stage instead of copying the state."""
     n = inner.n_stages
-    batch = inner.particles.shape[1:-1]
-    out = np.empty(batch + (n,))
-    j = _categorical_rows(inner.logw[n - 1], rng)
-    out[..., n - 1] = np.take_along_axis(
-        inner.particles[n - 1], j[..., None], axis=-1
-    )[..., 0]
+    offsets = _row_offsets(inner, rows)
+    out = np.empty(offsets.shape + (n,))
+    j = _categorical_rows(_stage_rows(inner.logw[n - 1], rows), rng)
+    out[..., n - 1] = inner.particles[n - 1].take(offsets + j)
     for d in range(n - 2, -1, -1):
-        lbw = inner.logw[d] + target.log_suffix_ratio(
-            d, inner.particles[d], out[..., d + 1]
+        x_d = _stage_rows(inner.particles[d], rows)
+        lbw = _stage_rows(inner.logw[d], rows) + target.log_suffix_ratio(
+            d, x_d, out[..., d + 1]
         )
         w = _row_weights(lbw)[0]
         # A live row's weights peak at exactly exp(0) = 1.
@@ -288,25 +345,24 @@ def backward_simulate(
             raise InnerCollapseError(
                 stage=d + 1, detail="backward weights vanished"
             )
-        j = _pick_rows(w, rng)
-        out[..., d] = np.take_along_axis(
-            inner.particles[d], j[..., None], axis=-1
-        )[..., 0]
+        out[..., d] = inner.particles[d].take(offsets + _pick_rows(w, rng))
     return out
 
 
-def _stagewise_draw(inner: InnerState, rng: np.random.Generator) -> np.ndarray:
-    """Pick every component from its own stage's weights, in one pass.
+def _stagewise_draw(inner: InnerState, rows, rng: np.random.Generator) -> np.ndarray:
+    """Pick every component from its own stage's weights, in one pass,
+    for the batch ``rows`` of ``inner`` (every row for ``None``).
 
     The picks use one uniform per stage and row, drawn last stage first
     as :func:`backward_simulate` draws them, whose result this equals
     bitwise when no stage reads another (all suffix ratios zero).
     Returns a C-contiguous ``(*batch, n)`` array.
     """
-    w = _row_weights(inner.logw)[0]
-    j = _pick_rows(w[::-1], rng)[::-1]
-    picked = np.take_along_axis(inner.particles, j[..., None], axis=-1)[..., 0]
-    return np.ascontiguousarray(np.moveaxis(picked, 0, -1))
+    logw = inner.logw
+    if rows is not None:
+        logw = logw.reshape(logw.shape[0], -1, logw.shape[-1])[:, rows]
+    j = _pick_rows(_row_weights(logw)[0][::-1], rng)[::-1]
+    return _pick_stages(inner.particles, j, _row_offsets(inner, rows))
 
 
 def empirical_draw(
@@ -321,20 +377,20 @@ def empirical_draw(
     ``ValueError``.
     """
     if not inner.ancestors.shape[0]:
-        return _stagewise_draw(inner, rng)
+        return _stagewise_draw(inner, None, rng)
+    return _ancestral_draw(inner, None, rng)
+
+
+def _ancestral_draw(inner, rows, rng) -> np.ndarray:
+    """:func:`empirical_draw` on the batch ``rows`` of ``inner``: one
+    flat ``take`` of the ancestors per stage, then one of the particles."""
     n = inner.n_stages
-    batch = inner.particles.shape[1:-1]
-    out = np.empty(batch + (n,))
-    j = _categorical_rows(inner.logw[n - 1], rng)
-    for d in range(n - 1, -1, -1):
-        out[..., d] = np.take_along_axis(
-            inner.particles[d], j[..., None], axis=-1
-        )[..., 0]
-        if d > 0:
-            j = np.take_along_axis(
-                inner.ancestors[d - 1], j[..., None], axis=-1
-            )[..., 0]
-    return out
+    offsets = _row_offsets(inner, rows)
+    j = np.empty((n,) + offsets.shape, dtype=np.intp)
+    j[n - 1] = _categorical_rows(_stage_rows(inner.logw[n - 1], rows), rng)
+    for d in range(n - 1, 0, -1):
+        j[d - 1] = inner.ancestors[d - 1].take(offsets + j[d])
+    return _pick_stages(inner.particles, j, offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -362,27 +418,37 @@ class ProperWeightingProcedure(ABC):
 
 @dataclass(frozen=True)
 class _InnerSmcAux:
+    """The auxiliary object of an inner SMC run: its ``target`` and
+    ``state``, the draw ``kappa`` and the batch ``rows`` of ``state``
+    that outer resampling chose (``None``: every row, in order).
+
+    ``take`` records the chosen rows, composing the indices when taken
+    twice, and never copies the state; the draws read those rows
+    directly, and only the empirical draw reads the ancestors.
+    """
+
     target: GaussianStageTarget
     state: InnerState
     kappa: str
+    rows: np.ndarray | None = None
 
     @property
     def log_tau(self):
-        return self.state.log_tau
+        log_tau = self.state.log_tau
+        return log_tau if self.rows is None else log_tau.reshape(-1)[self.rows]
 
     def take(self, idx):
-        return _InnerSmcAux(
-            target=self.target.take(idx),
-            state=self.state.take(idx),
-            kappa=self.kappa,
-        )
+        rows = self.rows
+        if rows is None:
+            rows = np.arange(self.state.log_tau.size).reshape(self.state.log_tau.shape)
+        return _InnerSmcAux(self.target.take(idx), self.state, self.kappa, rows[idx])
 
     def draw(self, rng):
         if not self.target.markov_order:
-            return _stagewise_draw(self.state, rng)
+            return _stagewise_draw(self.state, self.rows, rng)
         if self.kappa == "backward":
-            return backward_simulate(self.state, self.target, rng, strict=False)
-        return empirical_draw(self.state, rng)
+            return _backward_draw(self.state, self.rows, self.target, rng, False)
+        return _ancestral_draw(self.state, self.rows, rng)
 
 
 class InnerSmcProcedure(ProperWeightingProcedure):

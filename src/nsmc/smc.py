@@ -108,32 +108,57 @@ def _categorical_rows(logw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return _pick_rows(_row_weights(logw)[0], rng)
 
 
+def _search_rows(w: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` categorical draws per row of nonnegative weights
+    ``(..., M)``; shape ``(..., count)``.
+
+    A draw with uniform ``u`` is the number of its own row's normalized
+    cumulative weights not above ``u``, so a row of zeros gives the last
+    index, ``M - 1``.  The search is binary, vectorized over all draws, so
+    resolution does not depend on the batch size.  Rows are padded with
+    ones to a power-of-two width, which no ``u < 1`` passes: every search
+    stays in its row without a clamp and advances by additive steps into
+    preallocated buffers.  Memory is ``rows * count`` indices; time is
+    ``O(rows * count * log M)``.
+    """
+    m_size = w.shape[-1]
+    width = 1 << (m_size - 1).bit_length()
+    cum = np.cumsum(w, axis=-1)
+    padded = np.ones(w.shape[:-1] + (width,))
+    p = padded[..., :m_size]
+    np.divide(cum, np.where(cum[..., -1:] > 0.0, cum[..., -1:], 1.0), out=p)
+    p[..., -1] = 1.0
+    u = rng.random(w.shape[:-1] + (count,))
+    flat_p = padded.reshape(-1)
+    # Flat position just before each row; a draw's index is its final
+    # offset from there.
+    before_row = np.arange(-1, flat_p.size - 1, width).reshape(w.shape[:-1] + (1,))
+    pos = np.empty(u.shape, dtype=np.intp)
+    pos[...] = before_row
+    probe = np.empty_like(pos)
+    vals = np.empty(u.shape)
+    step = width >> 1
+    while step:
+        np.add(pos, step, out=probe)
+        flat_p.take(probe, out=vals, mode="clip")
+        # pos += (flat_p[pos + step] <= u) * step, through the buffers.
+        np.less_equal(vals, u, out=probe, casting="unsafe")
+        probe *= step
+        pos += probe
+        step >>= 1
+    pos -= before_row
+    return pos
+
+
 def _multinomial_rows(
     logw: np.ndarray, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """``count`` categorical draws per row; shape ``(..., count)``.
+    """``count`` categorical draws per row of log-weights ``(..., M)``,
+    by :func:`_search_rows` on the :func:`_row_weights` of ``logw``.
 
-    A draw with uniform ``u`` is the number of its own row's cumulative
-    probabilities not above ``u``, found by a binary search vectorized
-    over all draws, so resolution does not depend on the batch size.
-    Memory is ``rows * count`` indices; time is ``O(rows * count * log m)``.
-    """
-    m_size = logw.shape[-1]
-    cum = np.cumsum(_row_weights(logw)[0], axis=-1)
-    p = cum / np.where(cum[..., -1:] > 0.0, cum[..., -1:], 1.0)
-    p[..., -1] = 1.0
-    u = rng.random(logw.shape[:-1] + (count,))
-    # Flat position just before each row; since p[..., -1] = 1.0 > u, no
-    # search leaves its row.
-    before_row = np.arange(0, p.size, m_size).reshape(p.shape[:-1] + (1,)) - 1
-    flat_p = p.reshape(-1)
-    idx = np.zeros(u.shape, dtype=np.intp)
-    step = 1 << (m_size.bit_length() - 1)
-    while step:
-        probe = np.minimum(idx + step, m_size)
-        idx = np.where(flat_p[before_row + probe] <= u, probe, idx)
-        step >>= 1
-    return idx
+    :func:`nsmc.nested.inner_smc` calls the search directly, on stage
+    weights shifted by the row maxima it already holds."""
+    return _search_rows(_row_weights(logw)[0], count, rng)
 
 
 @dataclass(frozen=True)

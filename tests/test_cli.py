@@ -107,6 +107,24 @@ BAD_CONFIGS = [
     ("self-nested-M-one", _method(M=1, inner="self-nested"), "self-nested needs M >= 2"),
     ("inner-unknown", _method(inner="pmcmc"), r"methods\[0\].inner: unknown"),
     ("stage-proposal-unknown", _method(stage_proposal="bogus"), r"methods\[0\].stage_proposal"),
+    (
+        "stage-proposal-not-read",
+        _method(inner="is", stage_proposal="optimal"),
+        r"methods\[0\].stage_proposal: not read by kind 'nsmc' with inner procedure 'is'",
+    ),
+    (
+        "stage-proposal-non-nested",
+        _with(methods=[{"name": "b", "kind": "bpf", "N": 5, "stage_proposal": "prior"}]),
+        r"methods\[0\].stage_proposal: not read by kind 'bpf'$",
+    ),
+    ("tau-infinite", _with("model", tau=float("inf")), "model: tau must be finite"),
+    ("lambda-nan", _with("model", **{"lambda": float("nan")}), "model: lambda must be finite"),
+    ("a_coef-nan", _with("model", a_coef=float("nan")), "model: a_coef must be finite"),
+    (
+        "independent-obs_var-infinite",
+        _with("model", kind="independent", obs_var=float("inf")),
+        "model: obs_var must be finite",
+    ),
     ("kalman-independent", _independent_with("kalman"), r"methods\[0\].kind: kalman requires"),
     ("fapf-independent", _independent_with("fapf"), r"methods\[0\].kind: fapf requires"),
     (
@@ -146,6 +164,14 @@ class TestConfigValidation:
         cfg = _independent_with("fapf")(_base_config(tmp_path))
         assert main(["run", "--config", str(_write(tmp_path, cfg))]) == 2
         assert "fapf requires the stssm model" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_tau_exits_2_before_output(self, tmp_path, capsys):
+        # JSON reads 1e400 as inf, which once ran to a zero-mean result.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_base_config(tmp_path)).replace('"tau": 1.0', '"tau": 1e400'))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "model: tau must be finite, got inf" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unknown_method_kind(self, tmp_path):

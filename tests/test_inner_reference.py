@@ -1,0 +1,225 @@
+"""Pins the random stream and the bits of the inner SMC at Markov order 1
+against a plain reference: the stage loop, backward simulation, the
+empirical draw and the nested filter written with ``_row_weights``, a
+per-row ``np.searchsorted``, ``take_along_axis`` and an eager
+``InnerState.take``.  Also checks that outer resampling of an inner SMC's
+auxiliary object records rows instead of copying the inner state."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from nsmc.exceptions import InnerCollapseError
+from nsmc.model import IndependentSsmSpec, StssmSpec, make_model, simulate
+from nsmc.nested import (
+    STAGE_PROPOSALS,
+    GaussianStageTarget,
+    InnerSmcProcedure,
+    InnerState,
+    backward_simulate,
+    empirical_draw,
+    inner_smc,
+    nsmc_run,
+)
+from nsmc.smc import _categorical_rows, _pick_rows, _row_logmeanexp, _row_weights
+
+SPEC = StssmSpec.chain(n_x=6, tau=1.0, lam=0.8, obs_var=0.25, a_coef=0.5)
+M_GRID = [1, 2, 3, 16, 17, 20]
+BATCH = 7
+
+
+def _reference_multinomial_rows(logw, count, rng):
+    """``count`` draws per row: a per-row ``searchsorted`` on the
+    normalized cumulative weights; a row of zeros gives the last index."""
+    cum = np.cumsum(_row_weights(logw)[0], axis=-1)
+    p = cum / np.where(cum[..., -1:] > 0.0, cum[..., -1:], 1.0)
+    p[..., -1] = 1.0
+    u = rng.random(logw.shape[:-1] + (count,))
+    rows = zip(p.reshape(-1, p.shape[-1]), u.reshape(-1, count))
+    idx = [np.searchsorted(p_row, u_row, side="right") for p_row, u_row in rows]
+    return np.array(idx, dtype=np.intp).reshape(u.shape)
+
+
+def _reference_inner_smc(target, m, rng, strict=False):
+    n, batch = target.n_stages, target.batch_shape
+    particles = np.empty((n,) + batch + (m,))
+    ancestors = np.zeros((n - 1,) + batch + (m,), dtype=np.intp)
+    logw = np.empty((n,) + batch + (m,))
+    dead = np.zeros(batch, dtype=bool)
+    for d in range(n):
+        prev = None
+        if d:
+            resample_lw = np.where(dead[..., None], 0.0, logw[d - 1])
+            ancestors[d - 1] = _reference_multinomial_rows(resample_lw, m, rng)
+            prev = np.take_along_axis(particles[d - 1], ancestors[d - 1], axis=-1)
+        particles[d], logw[d] = target.propagate(d, prev, m, rng)
+        stage_dead = np.isneginf(np.max(logw[d], axis=-1))
+        if strict and np.any(stage_dead):
+            raise InnerCollapseError(stage=d + 1)
+        dead = dead | stage_dead
+    log_tau = np.sum(_row_logmeanexp(logw), axis=0)
+    return InnerState(particles, ancestors, logw, log_tau)
+
+
+def _reference_backward(inner, target, rng):
+    n = inner.n_stages
+    out = np.empty(inner.particles.shape[1:-1] + (n,))
+    j = _categorical_rows(inner.logw[n - 1], rng)
+    out[..., n - 1] = np.take_along_axis(inner.particles[n - 1], j[..., None], axis=-1)[..., 0]
+    for d in range(n - 2, -1, -1):
+        lbw = inner.logw[d] + target.log_suffix_ratio(d, inner.particles[d], out[..., d + 1])
+        j = _pick_rows(_row_weights(lbw)[0], rng)
+        out[..., d] = np.take_along_axis(inner.particles[d], j[..., None], axis=-1)[..., 0]
+    return out
+
+
+def _reference_empirical(inner, rng):
+    n = inner.n_stages
+    out = np.empty(inner.particles.shape[1:-1] + (n,))
+    j = _categorical_rows(inner.logw[n - 1], rng)
+    for d in range(n - 1, -1, -1):
+        out[..., d] = np.take_along_axis(inner.particles[d], j[..., None], axis=-1)[..., 0]
+        if d > 0:
+            j = np.take_along_axis(inner.ancestors[d - 1], j[..., None], axis=-1)[..., 0]
+    return out
+
+
+@dataclasses.dataclass(frozen=True)
+class _ReferenceAux:
+    """Auxiliary object whose outer resampling copies the inner state."""
+
+    target: GaussianStageTarget
+    state: InnerState
+    kappa: str
+
+    @property
+    def log_tau(self):
+        return self.state.log_tau
+
+    def take(self, idx):
+        return _ReferenceAux(self.target.take(idx), self.state.take(idx), self.kappa)
+
+    def draw(self, rng):
+        if self.kappa == "backward":
+            return _reference_backward(self.state, self.target, rng)
+        return _reference_empirical(self.state, rng)
+
+
+class _ReferenceProcedure(InnerSmcProcedure):
+    def prepare(self, model, t, x_prev, y_t, rng):
+        target = model.inner_target(t, x_prev, y_t, self.stage_proposal)
+        return _ReferenceAux(target, _reference_inner_smc(target, self.m, rng), self.kappa)
+
+
+class _DyingTarget(GaussianStageTarget):
+    """Chain stage law with vanishing weights: at stage 1 the first
+    particle of every row, at stage 2 all of batch row 1, at stage 3 all
+    but the last particle of batch row 3."""
+
+    def propagate(self, d, prev, m, rng):
+        x, lw = super().propagate(d, prev, m, rng)
+        lw = np.array(lw)
+        if d == 1:
+            lw[:, 0] = -np.inf
+        if d == 2:
+            lw[1] = -np.inf
+        if d == 3:
+            lw[3, :-1] = -np.inf
+        return x, lw
+
+
+def _inputs(seed=3, n_x=SPEC.n_x):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((BATCH, n_x)), np.linspace(-0.5, 1.0, n_x)
+
+
+def _target(proposal, cls=GaussianStageTarget):
+    x_prev, y = _inputs()
+    base = make_model(SPEC).inner_target(2, x_prev, y, proposal)
+    return cls(base.alpha, base.phi, base.c, base.var, y, base.obs_var, proposal, 1)
+
+
+def _assert_states_equal(state, ref):
+    for field in ("particles", "ancestors", "logw", "log_tau"):
+        np.testing.assert_array_equal(getattr(state, field), getattr(ref, field))
+
+
+@pytest.mark.parametrize("m", M_GRID)
+@pytest.mark.parametrize("proposal", STAGE_PROPOSALS)
+@pytest.mark.parametrize("cls", [GaussianStageTarget, _DyingTarget], ids=["live", "dying"])
+def test_inner_smc_and_draws_match_the_reference(cls, proposal, m):
+    target = _target(proposal, cls)
+    state = inner_smc(target, m, np.random.default_rng(5), strict=False)
+    ref = _reference_inner_smc(target, m, np.random.default_rng(5))
+    _assert_states_equal(state, ref)
+    if cls is _DyingTarget:
+        # One particle per row leaves no survivor of stage 1.
+        assert np.isneginf(state.log_tau[1])
+        assert np.all(np.isfinite(np.delete(state.log_tau, 1))) == (m > 1)
+    np.testing.assert_array_equal(
+        backward_simulate(state, target, np.random.default_rng(6), strict=False),
+        _reference_backward(ref, target, np.random.default_rng(6)),
+    )
+    np.testing.assert_array_equal(
+        empirical_draw(state, np.random.default_rng(7)),
+        _reference_empirical(ref, np.random.default_rng(7)),
+    )
+
+
+@pytest.mark.parametrize("proposal", STAGE_PROPOSALS)
+def test_strict_mode_collapses_at_the_reference_stage(proposal):
+    target = _target(proposal, _DyingTarget)
+    with pytest.raises(InnerCollapseError) as err:
+        inner_smc(target, 4, np.random.default_rng(5), strict=True)
+    with pytest.raises(InnerCollapseError) as ref_err:
+        _reference_inner_smc(target, 4, np.random.default_rng(5), strict=True)
+    assert err.value.stage == ref_err.value.stage == 3
+
+
+@pytest.mark.parametrize("m", M_GRID)
+@pytest.mark.parametrize("proposal", STAGE_PROPOSALS)
+@pytest.mark.parametrize("kappa", ["backward", "empirical"])
+def test_nested_filter_matches_the_reference(kappa, proposal, m):
+    data = simulate(SPEC, 3, seed=8)
+    out = nsmc_run(SPEC, data, 12, m, InnerSmcProcedure(m, kappa, proposal), np.random.default_rng(9))
+    ref = nsmc_run(SPEC, data, 12, m, _ReferenceProcedure(m, kappa, proposal), np.random.default_rng(9))
+    for field in ("method", "filter_means", "filter_vars", "logz_increments", "ess_trace"):
+        np.testing.assert_array_equal(getattr(out, field), getattr(ref, field))
+
+
+TAKE_MODELS = {
+    "order-1": StssmSpec.chain(n_x=5, tau=1.0, lam=0.8, obs_var=0.25),
+    "order-0": IndependentSsmSpec(n_x=5, a_coef=0.5, init_mean=0.3, obs_var=0.4),
+}
+
+
+@pytest.mark.parametrize("kappa", ["backward", "empirical"])
+@pytest.mark.parametrize("case", sorted(TAKE_MODELS))
+def test_outer_take_records_rows_instead_of_copying(case, kappa):
+    spec = TAKE_MODELS[case]
+    x_prev, y = _inputs(n_x=spec.n_x)
+    aux = InnerSmcProcedure(4, kappa).prepare(spec, 2, x_prev, y, np.random.default_rng(10))
+    i = np.array([3, 3, 0, 6, 1, 5, 3, 2])
+    j = np.array([7, 0, 0, 4, 2])
+    taken = aux.take(i)
+    for field in ("particles", "ancestors", "logw", "log_tau"):
+        if getattr(aux.state, field).size:  # order 0 records no ancestors
+            assert np.shares_memory(getattr(taken.state, field), getattr(aux.state, field))
+    twice, once = taken.take(j), aux.take(i[j])
+    np.testing.assert_array_equal(twice.rows, once.rows)
+    np.testing.assert_array_equal(twice.log_tau, aux.state.log_tau[i[j]])
+    np.testing.assert_array_equal(
+        twice.draw(np.random.default_rng(11)), once.draw(np.random.default_rng(11))
+    )
+    for idx, lazy in ((i, taken), (i[j], twice)):
+        eager = dataclasses.replace(
+            aux, target=aux.target.take(idx), state=aux.state.take(idx)
+        )
+        np.testing.assert_array_equal(eager.log_tau, lazy.log_tau)
+        x = lazy.draw(np.random.default_rng(12))
+        np.testing.assert_array_equal(x, eager.draw(np.random.default_rng(12)))
+        assert x.flags.c_contiguous
+        if case == "order-1":
+            ref = _ReferenceAux(aux.target, aux.state, kappa).take(idx)
+            np.testing.assert_array_equal(x, ref.draw(np.random.default_rng(12)))

@@ -348,3 +348,35 @@ def test_model_validators_reject_bad_input(call, exc, pattern):
 @pytest.mark.parametrize("spec", [_stssm(), _independent()], ids=["stssm", "independent"])
 def test_make_model_returns_the_spec(spec):
     assert make_model(spec) is spec
+
+
+NON_FINITE = [np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("tau", lambda v: chain_precision(v, 1.0, 3)),
+        ("lambda", lambda v: chain_precision(1.0, v, 3)),
+        ("tau", lambda v: StssmSpec.chain(n_x=3, tau=v, lam=1.0, obs_var=0.25)),
+        ("lambda", lambda v: StssmSpec.chain(n_x=3, tau=1.0, lam=v, obs_var=0.25)),
+        ("obs_var", lambda v: _stssm(obs_var=v)),
+        ("a_coef", lambda v: StssmSpec.chain(n_x=3, tau=1.0, lam=1.0, obs_var=0.25, a_coef=v)),
+        ("a_coef", lambda v: _independent(a_coef=v)),
+        ("init_mean", lambda v: _independent(init_mean=v)),
+        ("init_var", lambda v: _independent(init_var=v)),
+        ("trans_var", lambda v: _independent(trans_var=v)),
+        ("obs_var", lambda v: _independent(obs_var=v)),
+    ],
+    ids=[
+        "chain_precision-tau", "chain_precision-lambda", "stssm-tau", "stssm-lambda",
+        "stssm-obs_var", "stssm-a_coef", "indep-a_coef", "indep-init_mean",
+        "indep-init_var", "indep-trans_var", "indep-obs_var",
+    ],
+)
+def test_non_finite_parameters_are_refused(field, build, value):
+    # A JSON 1e400 reads as inf: it once ran with every filtering mean 0,
+    # and a NaN lambda once surfaced only when the spec was echoed.
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        build(value)

@@ -1,6 +1,7 @@
 """Property tests for the log-weight primitives, plus the exact per-row
-resolution of ``_multinomial_rows``, the rejection of NaN rows and
-chi-square frequency tests of the row samplers."""
+resolution of ``_multinomial_rows``, its search against a per-row
+``searchsorted``, the rejection of NaN rows and chi-square frequency
+tests of the row samplers."""
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from nsmc.smc import (
     _pick_rows,
     _row_logmeanexp,
     _row_weights,
+    _search_rows,
     normalize_logweights,
 )
 
@@ -175,6 +177,54 @@ def test_row_samplers_reject_nan_rows():
         _categorical_rows(logw, np.random.default_rng(0))
     with pytest.raises(ValueError, match="NaN"):
         _multinomial_rows(logw, 3, np.random.default_rng(0))
+
+
+#: Row widths 1-40, with every power of two up to 32 drawn as often as
+#: any other width.
+search_widths = st.one_of(st.integers(1, 40), st.sampled_from([1, 2, 4, 8, 16, 32]))
+
+
+class _GivenUniforms:
+    """Stands in for a generator whose uniforms are the array ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u
+
+
+@PROPERTY
+@given(
+    logw=st.tuples(st.integers(1, 6), search_widths).flatmap(
+        lambda shape: arrays(float, shape, elements=entries)
+    ),
+    count=st.integers(1, 9),
+    seed=seeds,
+)
+def test_search_rows_equals_per_row_searchsorted(logw, count, seed):
+    # -inf entries give zero weights, and a row of them a row of zeros,
+    # whose draws all take the last index.  About half the uniforms tie
+    # with a normalized cumulative weight of their row (0.0 included),
+    # where only a count of the weights not above u gives searchsorted's
+    # side="right".
+    w = _row_weights(logw)[0]
+    cum = np.cumsum(w, axis=-1)
+    total = cum[:, -1:]
+    p = cum / np.where(total > 0.0, total, 1.0)
+    rng = np.random.default_rng(seed)
+    u = rng.random(logw.shape[:-1] + (count,))
+    tied = np.take_along_axis(p, rng.integers(0, logw.shape[-1], u.shape), axis=-1)
+    u = np.where((rng.random(u.shape) < 0.5) & (tied < 1.0), tied, u)
+    idx = _search_rows(w, count, _GivenUniforms(u))
+    assert idx.shape == u.shape and idx.dtype == np.intp
+    for row, row_total in enumerate(total[:, 0]):
+        if row_total == 0.0:
+            assert np.all(idx[row] == logw.shape[-1] - 1)
+        else:
+            expected = np.searchsorted(cum[row] / row_total, u[row], side="right")
+            np.testing.assert_array_equal(idx[row], expected)
 
 
 class _ConstantUniforms:
