@@ -5,9 +5,8 @@ test function ``phi = sum_d x_{t,d}``, the large-N variance of both the
 fully adapted filter and the nested filter with ``M`` inner particles
 reduces to closed-form combinations of scalar integrals: ratios of
 smoothing and filtering marginals times conditional-mean polynomials.
-This module evaluates those constants (closed form, with a tensor
-Gauss-Hermite fallback) and the two variance formulas, whose gap closes
-as ``M`` grows.
+This module evaluates those constants in closed form, and the two
+variance formulas, whose gap closes as ``M`` grows.
 """
 
 from __future__ import annotations
@@ -139,51 +138,10 @@ def _ratio_integral_closed(mean_n, cov_n, mean_d, cov_d, alpha, beta, degree, na
     return float(np.exp(log_mass) * expectation)
 
 
-def _mvn_logpdf(x, mean, cov):
-    lam = np.linalg.inv(cov)
-    sign, logdet = np.linalg.slogdet(cov)
-    diff = x - mean
-    return -0.5 * (
-        np.einsum("...i,ij,...j->...", diff, lam, diff)
-        + logdet
-        + mean.size * _LOG_2PI
-    )
-
-
-def _ratio_integral_gh(
-    mean_n, cov_n, mean_d, cov_d, alpha, beta, degree, name, rel_tol=1e-6
-):
-    """Tensor-product Gauss-Hermite evaluation with adaptive order doubling."""
-    mean_star, cov_star, _ = _ratio_moments(mean_n, cov_n, mean_d, cov_d, name)
-    k = mean_star.size
-    chol = np.linalg.cholesky(cov_star)
-    prev = None
-    order = 8
-    while order <= 128:
-        nodes, weights = np.polynomial.hermite.hermgauss(order)
-        grids = np.meshgrid(*([nodes] * k), indexing="ij")
-        z = np.stack([g.ravel() for g in grids], axis=-1)
-        wgrid = np.meshgrid(*([weights] * k), indexing="ij")
-        w = np.prod(np.stack([g.ravel() for g in wgrid], axis=-1), axis=-1)
-        x = mean_star + np.sqrt(2.0) * z @ chol.T
-        log_f = 2.0 * _mvn_logpdf(x, mean_n, cov_n) - _mvn_logpdf(x, mean_d, cov_d)
-        poly = (alpha + beta * x[:, -1]) ** degree if degree else np.ones(len(x))
-        log_ref = _mvn_logpdf(x, mean_star, cov_star)
-        val = np.pi ** (-k / 2.0) * np.sum(
-            w * np.exp(log_f - log_ref) * poly
-        )
-        if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1e-300):
-            return float(val)
-        prev = val
-        order *= 2
-    return float(prev)
-
-
 def compute_constants(
     scalar_model: IndependentSsmSpec,
     t: int,
     ys: np.ndarray | None = None,
-    method: str = "closed-form",
 ) -> VarianceConstants:
     """Evaluate the variance constants for estimation horizon ``t``.
 
@@ -194,14 +152,10 @@ def compute_constants(
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if method not in ("closed-form", "gauss-hermite"):
-        raise ValueError(f"unknown method: {method!r}")
     ys = np.zeros(t) if ys is None else np.asarray(ys, dtype=float)
     if ys.shape != (t,):
         raise ValueError("ys must have length t")
-    integral = (
-        _ratio_integral_closed if method == "closed-form" else _ratio_integral_gh
-    )
+    integral = _ratio_integral_closed
 
     mean_t, cov_t = scalar_posterior_joint(scalar_model, ys)
     a_t = float(mean_t[t - 1] ** 2 + cov_t[t - 1, t - 1])

@@ -26,8 +26,11 @@ against Kalman is 6.66 nats^2 with the prior and 1.02 with the optimal
 proposal (0.0146 and 0.0024 at n_x = 10); the prior needs M = 80, at 2.8
 times the cost, to reach 0.72.  On the independent model the optimal
 proposal is exact.  ``"prior"`` stays the default so that existing
-configs keep their results.  Any other method refuses a
-``stage_proposal`` key, and the config echo omits it there.
+configs keep their results.
+
+A method object may hold only the keys its kind reads (``METHOD_KEYS``);
+any other key is refused, and the config echo omits the fields a method
+does not read, so every echo parses back to the same experiment.
 """
 
 from __future__ import annotations
@@ -71,14 +74,22 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
 
 
-VALID_METHOD_KINDS = ("kalman", "fapf", "bpf", "nsmc", "nsmc-general")
+#: Method kind -> the keys of a method object it reads.  ``bpf`` reads
+#: ``M`` for budget matching; ``nsmc`` also reads the config fields of its
+#: inner procedure (:data:`~nsmc.nested.PROCEDURES`).
+METHOD_KEYS = {
+    "kalman": ("name", "kind"),
+    "fapf": ("name", "kind", "N"),
+    "bpf": ("name", "kind", "N", "M"),
+    "nsmc": ("name", "kind", "N", "M", "inner"),
+    "nsmc-general": ("name", "kind", "N"),
+}
 VALID_INNER = tuple(k for k, (_, fields) in PROCEDURES.items() if fields is not None)
 
 
-def _takes_stage_proposal(kind: str, inner: str) -> bool:
-    """Whether a method of ``kind`` with procedure ``inner`` reads
-    ``stage_proposal``."""
-    return kind == "nsmc" and "stage_proposal" in PROCEDURES[inner][1]
+def _method_keys(kind: str, inner: str) -> tuple[str, ...]:
+    """The keys a method of ``kind`` with procedure ``inner`` reads."""
+    return METHOD_KEYS[kind] + (PROCEDURES[inner][1] if kind == "nsmc" else ())
 
 
 @dataclass(frozen=True)
@@ -113,10 +124,7 @@ class ExperimentConfig:
             "model": model,
             "data": data,
             "methods": [
-                {
-                    k: v for k, v in asdict(m).items()
-                    if k != "stage_proposal" or _takes_stage_proposal(m.kind, m.inner)
-                }
+                {k: v for k, v in asdict(m).items() if k in _method_keys(m.kind, m.inner)}
                 for m in self.methods
             ],
             "replicates": self.replicates,
@@ -197,8 +205,10 @@ def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
     for i, m in enumerate(raw_methods):
         where = f"methods[{i}]"
         mk = _require(m, "kind", where)
-        if mk not in VALID_METHOD_KINDS:
+        if mk not in METHOD_KEYS:
             raise ConfigError(f"{where}.kind: unknown kind {mk!r}")
+        if mk in ("kalman", "fapf") and not isinstance(model, StssmSpec):
+            raise ConfigError(f"{where}.kind: {mk} requires the stssm model")
         method_name = m.get("name", f"{mk}-{i}")
         if not isinstance(method_name, str):
             raise ConfigError(f"{where}.name: expected a string, got {method_name!r}")
@@ -212,13 +222,12 @@ def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
             raise ConfigError(
                 f"{where}.stage_proposal: must be one of {STAGE_PROPOSALS}"
             )
-        if "stage_proposal" in m and not _takes_stage_proposal(mk, inner):
-            raise ConfigError(
-                f"{where}.stage_proposal: not read by kind {mk!r}"
-                + (f" with inner procedure {inner!r}" if mk == "nsmc" else "")
-            )
-        if mk in ("kalman", "fapf") and not isinstance(model, StssmSpec):
-            raise ConfigError(f"{where}.kind: {mk} requires the stssm model")
+        for key in m:
+            if key not in _method_keys(mk, inner):
+                raise ConfigError(
+                    f"{where}.{key}: not read by kind {mk!r}"
+                    + (f" with inner procedure {inner!r}" if mk == "nsmc" else "")
+                )
         if mk != "kalman" and n < 1:
             raise ConfigError(f"{where}.N: must be >= 1 for kind {mk!r}")
         if mk == "nsmc":

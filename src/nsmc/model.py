@@ -13,14 +13,15 @@ package: with state dimensions up to a hundred, raw density products
 underflow.
 
 Each spec is its own sampler/evaluator.  Both answer one protocol,
-indexed by the 1-based time ``t``: ``sample_transition``,
-``log_transition`` and ``log_gamma_ratio`` draw from or evaluate the law
-of ``x_t`` given ``x_{t-1}``, which at ``t = 1`` is the initial law
-(``x_prev`` is then ignored), ``sample_obs`` draws ``y_t`` given ``x_t``,
-and ``inner_target`` builds the stage decomposition the nested filter
-runs on.  The shared part (``sample_obs``, ``log_obs``,
-``log_gamma_ratio``) lives in their base class :class:`ModelBundle`, so
-the filters and :func:`simulate` never branch on the model type;
+indexed by the 1-based time ``t``: ``sample_transition`` draws from the
+law of ``x_t`` given ``x_{t-1}``, which at ``t = 1`` is the initial law
+(``x_prev`` is then ignored), ``sample_obs`` and ``log_obs`` draw and
+evaluate ``y_t`` given ``x_t``, and ``inner_target`` builds the stage
+decomposition the nested filter runs on.  No filter evaluates the
+transition density: every weight reduces to a closed form.  The shared
+part (``sample_obs``, ``log_obs``) lives in their base class
+:class:`ModelBundle`, so the filters and :func:`simulate` never branch
+on the model type;
 ``make_model`` checks that its argument is one and returns it.  Specs
 serialise through ``to_dict``/``from_dict``, keyed like the model block
 of an experiment config, and ``SPEC_KINDS`` maps the ``kind`` key back
@@ -154,8 +155,7 @@ class ChainFactorization:
     A tridiagonal precision admits the exact sequential factorization
     ``p(v) = prod_d Normal(v_d; phi_d * v_{d-1}, 1 / c_d)`` where the
     ``c_d`` come from a backward elimination sweep and ``phi_1 = 0``.
-    It serves prior sampling, the transition density and the nested
-    filter's inner stage law.
+    It serves prior sampling and the nested filter's inner stage law.
     """
 
     c: np.ndarray  # conditional precisions, length n
@@ -168,17 +168,6 @@ class ChainFactorization:
     @property
     def cond_var(self) -> np.ndarray:
         return 1.0 / self.c
-
-    def log_density(self, v: np.ndarray) -> np.ndarray:
-        """Log-density of the zero-mean chain GMRF, batched over leading dims."""
-        v = np.asarray(v, dtype=float)
-        prev = np.concatenate(
-            [np.zeros(v.shape[:-1] + (1,)), v[..., :-1]], axis=-1
-        )
-        resid = v - self.phi * prev
-        return -0.5 * np.sum(
-            resid * resid * self.c + np.log(2.0 * np.pi / self.c), axis=-1
-        )
 
 
 def chain_factorization(prec: TridiagPrecision) -> ChainFactorization:
@@ -258,10 +247,8 @@ class ModelBundle:
     """Base class of the model specs: the sampler/evaluator protocol.
 
     Holds the parts both model families share: the observation sampler
-    and log-density and the incremental unnormalized target ratio
-    (transition times likelihood) in the log domain.  Subclasses supply
-    ``n_x``, ``obs_var``, ``sample_transition``, ``log_transition`` and
-    ``inner_target``.
+    and log-density.  Subclasses supply ``n_x``, ``obs_var``,
+    ``sample_transition`` and ``inner_target``.
     """
 
     def sample_obs(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -271,12 +258,6 @@ class ModelBundle:
     def log_obs(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Batched ``log g(y | x)``, summed over components."""
         return np.sum(_gauss_logpdf(x, y, self.obs_var), axis=-1)
-
-    def log_gamma_ratio(
-        self, x_prev: np.ndarray, x: np.ndarray, y: np.ndarray, t: int = 2
-    ) -> np.ndarray:
-        """Incremental unnormalized target: ``log f + log g``."""
-        return self.log_transition(x_prev, x, t) + self.log_obs(y, x)
 
 
 @dataclass(frozen=True)
@@ -360,13 +341,6 @@ class StssmSpec(ModelBundle):
         """One draw of ``x_t`` per row of ``x_prev``."""
         v = sample_gmrf_chain(self.noise_precision, rng, size=x_prev.shape[:-1])
         return v if t == 1 else self.a_coef * x_prev + v
-
-    def log_transition(
-        self, x_prev: np.ndarray, x: np.ndarray, t: int = 2
-    ) -> np.ndarray:
-        """Batched ``log f(x | x_prev)``."""
-        fact = self.noise_precision.fact
-        return fact.log_density(x if t == 1 else x - self.a_coef * x_prev)
 
     def inner_target(self, t: int, x_prev, y_t, proposal: str = "prior"):
         """Chain stage decomposition of ``gamma_t / gamma_{t-1}``: the
@@ -468,12 +442,6 @@ class IndependentSsmSpec(ModelBundle):
         across the coordinates."""
         y = x[..., 0] + np.sqrt(self.obs_var) * rng.standard_normal(x.shape[:-1])
         return np.repeat(y[..., None], self.n_x, axis=-1)
-
-    def log_transition(
-        self, x_prev: np.ndarray, x: np.ndarray, t: int = 2
-    ) -> np.ndarray:
-        mean, var = self._law(x_prev, t)
-        return np.sum(_gauss_logpdf(x, mean, var), axis=-1)
 
     def inner_target(self, t: int, x_prev, y_t, proposal: str = "prior"):
         """Per-coordinate stage decomposition of ``gamma_t / gamma_{t-1}``.

@@ -36,8 +36,8 @@ All inner machinery is batched over outer particles: arrays carry shape
 the batch, which is what makes replicated experiments cheap.
 
 Procedures see the model only through the ``t``-aware protocol of
-:mod:`nsmc.model` (transition sampler and densities, initial law at
-``t = 1``, ``inner_target``), so no code here branches on the model
+:mod:`nsmc.model` (transition sampler, observation density, initial law
+at ``t = 1``, ``inner_target``), so no code here branches on the model
 type.  ``PROCEDURES`` is the one table of procedure names.  The outer
 filter is the package's one outer step (:mod:`nsmc.smc`) driven by a
 procedure: :func:`general_nsmc_step` is the general algorithm, with the
@@ -183,11 +183,9 @@ class InnerState:
     ``logw`` the stage weights.  ``log_tau`` is the running product of
     stage weight means, one entry per batch row; ``-inf`` marks a
     collapsed (zero-score) system, which is legal as long as some
-    sibling survives.
-
-    :meth:`take` copies every field; outer resampling does not call it,
-    because the inner SMC procedure's auxiliary object records the chosen
-    rows instead.
+    sibling survives.  Outer resampling never copies a state: the inner
+    SMC procedure's auxiliary object records the chosen batch rows, and
+    the draws read those rows.
     """
 
     particles: np.ndarray  # (n_stages, *batch, M)
@@ -198,14 +196,6 @@ class InnerState:
     @property
     def n_stages(self) -> int:
         return self.particles.shape[0]
-
-    def take(self, idx: np.ndarray) -> "InnerState":
-        return InnerState(
-            particles=self.particles[:, idx],
-            ancestors=self.ancestors[:, idx],
-            logw=self.logw[:, idx],
-            log_tau=self.log_tau[idx],
-        )
 
 
 def inner_smc(
@@ -312,23 +302,21 @@ def backward_simulate(
     target: GaussianStageTarget,
     rng: np.random.Generator,
     strict: bool = True,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw one trajectory by a backward pass over the inner stages.
 
     The final component is drawn from the last stage's weights; earlier
     components are drawn with probability proportional to
     ``w_d^j * p_{n-1}((x_{0:d}^j, chosen suffix)) / p_d(x_{0:d}^j)``.
-    Returns one assembled state per batch row, shape ``(*batch, n)``.
-    A NaN or ``+inf`` backward log-weight raises ``ValueError``; with
-    ``strict``, a row whose backward weights are all zero raises
+    Returns one assembled state per chosen batch row, shape
+    ``(*rows, n)``.  ``rows`` indexes the flattened batch of ``inner`` (``None``: every
+    row, in order), whose chosen rows are read stage by stage, never
+    copied; ``target`` is then the target taken at those rows.  A NaN or
+    ``+inf`` backward log-weight raises ``ValueError``; with ``strict``,
+    a row whose backward weights are all zero raises
     :class:`InnerCollapseError`.
     """
-    return _backward_draw(inner, None, target, rng, strict)
-
-
-def _backward_draw(inner, rows, target, rng, strict) -> np.ndarray:
-    """:func:`backward_simulate` on the batch ``rows`` of ``inner``,
-    which it reads stage by stage instead of copying the state."""
     n = inner.n_stages
     offsets = _row_offsets(inner, rows)
     out = np.empty(offsets.shape + (n,))
@@ -366,9 +354,12 @@ def _stagewise_draw(inner: InnerState, rows, rng: np.random.Generator) -> np.nda
 
 
 def empirical_draw(
-    inner: InnerState, rng: np.random.Generator
+    inner: InnerState, rng: np.random.Generator, rows: np.ndarray | None = None
 ) -> np.ndarray:
-    """Draw one ancestral trajectory proportionally to the final weights.
+    """Draw one ancestral trajectory proportionally to the final weights,
+    for the batch ``rows`` of ``inner`` as in :func:`backward_simulate`,
+    by one flat ``take`` of the ancestors per stage, then one of the
+    particles.
 
     A state with no recorded ancestors (an inner SMC at Markov order 0)
     picks each component from its own stage's weights instead: there an
@@ -377,13 +368,7 @@ def empirical_draw(
     ``ValueError``.
     """
     if not inner.ancestors.shape[0]:
-        return _stagewise_draw(inner, None, rng)
-    return _ancestral_draw(inner, None, rng)
-
-
-def _ancestral_draw(inner, rows, rng) -> np.ndarray:
-    """:func:`empirical_draw` on the batch ``rows`` of ``inner``: one
-    flat ``take`` of the ancestors per stage, then one of the particles."""
+        return _stagewise_draw(inner, rows, rng)
     n = inner.n_stages
     offsets = _row_offsets(inner, rows)
     j = np.empty((n,) + offsets.shape, dtype=np.intp)
@@ -447,8 +432,10 @@ class _InnerSmcAux:
         if not self.target.markov_order:
             return _stagewise_draw(self.state, self.rows, rng)
         if self.kappa == "backward":
-            return _backward_draw(self.state, self.rows, self.target, rng, False)
-        return _ancestral_draw(self.state, self.rows, rng)
+            return backward_simulate(
+                self.state, self.target, rng, strict=False, rows=self.rows
+            )
+        return empirical_draw(self.state, rng, rows=self.rows)
 
 
 class InnerSmcProcedure(ProperWeightingProcedure):
@@ -665,11 +652,11 @@ def general_nsmc_step(
     """One step of the general algorithm with adjustment multipliers.
 
     ``proc`` must be properly weighted for the (unnormalized) proposal
-    ``r_t``.  ``log_r`` evaluates it: a callable ``(x_prev, x, y_t)``, or
-    one of the sentinels ``"gamma-ratio"`` (proposal equals the
-    incremental target) and ``"transition"`` (proposal equals the model
-    transition), for which the weight cancellations are carried out
-    algebraically and therefore hold exactly in floating point.
+    ``r_t``, which ``log_r`` names: ``"gamma-ratio"`` (proposal equals
+    the incremental target) or ``"transition"`` (proposal equals the
+    model transition); anything else raises ``ValueError``.  The weight
+    cancellations either implies are carried out algebraically, so they
+    hold exactly in floating point.
     ``nu_hat`` selects the adjustment multiplier: ``"tau"`` uses the
     procedure score and ``"one"`` constant multipliers; anything else
     raises ``ValueError``.  Ancestors are resampled proportionally to
@@ -691,10 +678,8 @@ def general_nsmc_step(
     """
     if nu_hat not in ("tau", "one"):
         raise ValueError(f"nu_hat must be 'tau' or 'one', got {nu_hat!r}")
-    if not callable(log_r) and log_r not in ("gamma-ratio", "transition"):
-        raise ValueError(
-            f"log_r must be a callable, 'gamma-ratio' or 'transition', got {log_r!r}"
-        )
+    if log_r not in ("gamma-ratio", "transition"):
+        raise ValueError(f"log_r must be 'gamma-ratio' or 'transition', got {log_r!r}")
     prepare = partial(proc.prepare, model)
     return _outer_step(system, model, prepare, log_r, nu_hat, y_t, rng)[0]
 

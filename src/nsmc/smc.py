@@ -165,12 +165,14 @@ def _multinomial_rows(
 class ParticleSystem:
     """State of an outer particle filter after step ``t``.
 
-    ``states`` holds the current time-step particles only; full paths are
-    reconstructable on demand from the per-step ancestor records.
+    ``states`` holds the current time-step particles only, and
+    ``ancestors`` the indices of their parents among the step ``t - 1``
+    particles (the identity before the first step and wherever the step
+    did not resample); no earlier step's lineage is kept.
     """
 
     states: np.ndarray  # (N, n_x)
-    ancestry: tuple[np.ndarray, ...]  # one (N,) index array per step >= 2
+    ancestors: np.ndarray  # (N,) indices into the previous step's particles
     logw: np.ndarray  # (N,) log-weights (zeros when fully adapted)
     logZ: float
     t: int
@@ -183,7 +185,7 @@ class ParticleSystem:
 
 def _empty_system(N: int, n_x: int) -> ParticleSystem:
     """``N`` particles at zero with uniform weights, before the first step."""
-    return ParticleSystem(np.zeros((N, n_x)), (), np.zeros(N), 0.0, 0)
+    return ParticleSystem(np.zeros((N, n_x)), np.arange(N), np.zeros(N), 0.0, 0)
 
 
 @dataclass(frozen=True)
@@ -337,14 +339,7 @@ def _outer_step(
         # gamma_t / r_t and tau / nu_hat cancel exactly: uniform weights.
         logw, log_mean_w = np.zeros(N), 0.0
     else:
-        if log_r == "gamma-ratio":
-            core = 0.0
-        elif log_r == "transition":
-            core = model.log_obs(y_t, states)
-        else:
-            x_prev = system.states[ancestors]
-            log_gamma = model.log_gamma_ratio(x_prev, states, y_t, t)
-            core = log_gamma - np.asarray(log_r(x_prev, states, y_t))
+        core = 0.0 if log_r == "gamma-ratio" else model.log_obs(y_t, states)
         log_tau = np.asarray(aux.log_tau, dtype=float)
         if nu_hat == "tau":
             # Grouped so that tau / nu_hat cancels exactly where it is one.
@@ -360,7 +355,7 @@ def _outer_step(
                 logw = np.log(probs)
     new_system = ParticleSystem(
         states=states,
-        ancestry=system.ancestry + (ancestors,),
+        ancestors=ancestors,
         logw=logw,
         logZ=system.logZ + adj + log_mean_w,
         t=t,

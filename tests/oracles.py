@@ -86,3 +86,50 @@ def independent_loglik(spec, ys) -> float:
             ys[:, d],
         )
     return total
+
+
+def mvn_logpdf(x, mean, cov):
+    """Dense multivariate normal log-density, batched over rows of ``x``."""
+    lam = np.linalg.inv(cov)
+    _, logdet = np.linalg.slogdet(cov)
+    diff = x - mean
+    return -0.5 * (
+        np.einsum("...i,ij,...j->...", diff, lam, diff)
+        + logdet
+        + mean.size * np.log(2.0 * np.pi)
+    )
+
+
+def ratio_integral_gh(mean_n, cov_n, mean_d, cov_d, alpha, beta, degree, name, rel_tol=1e-6):
+    """Tensor-product Gauss-Hermite evaluation of the integral of
+    ``N_n(x)^2 / N_d(x) * (alpha + beta * x_last)^degree``, with the
+    order doubled until two successive values agree to ``rel_tol``.
+
+    A drop-in for ``nsmc.asymptotics._ratio_integral_closed``.  Only the
+    reference Gaussian the nodes are placed on comes from the package's
+    ``_ratio_moments``; the integrand is evaluated pointwise.  Raises
+    ``AssertionError`` if order 128 is reached without agreement.
+    """
+    from nsmc.asymptotics import _ratio_moments
+
+    mean_star, cov_star, _ = _ratio_moments(mean_n, cov_n, mean_d, cov_d, name)
+    k = mean_star.size
+    chol = np.linalg.cholesky(cov_star)
+    prev = None
+    order = 8
+    while order <= 128:
+        nodes, weights = np.polynomial.hermite.hermgauss(order)
+        grids = np.meshgrid(*([nodes] * k), indexing="ij")
+        z = np.stack([g.ravel() for g in grids], axis=-1)
+        wgrid = np.meshgrid(*([weights] * k), indexing="ij")
+        w = np.prod(np.stack([g.ravel() for g in wgrid], axis=-1), axis=-1)
+        x = mean_star + np.sqrt(2.0) * z @ chol.T
+        log_f = 2.0 * mvn_logpdf(x, mean_n, cov_n) - mvn_logpdf(x, mean_d, cov_d)
+        poly = (alpha + beta * x[:, -1]) ** degree if degree else np.ones(len(x))
+        log_ref = mvn_logpdf(x, mean_star, cov_star)
+        val = np.pi ** (-k / 2.0) * np.sum(w * np.exp(log_f - log_ref) * poly)
+        if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1e-300):
+            return float(val)
+        prev = val
+        order *= 2
+    raise AssertionError(f"{name}: Gauss-Hermite did not converge by order 128")

@@ -117,6 +117,36 @@ BAD_CONFIGS = [
         _with(methods=[{"name": "b", "kind": "bpf", "N": 5, "stage_proposal": "prior"}]),
         r"methods\[0\].stage_proposal: not read by kind 'bpf'$",
     ),
+    (
+        "kalman-unread-keys",
+        _with(methods=[{"kind": "kalman", "inner": "self-nested", "M": 7, "N": 5}]),
+        r"methods\[0\].inner: not read by kind 'kalman'$",
+    ),
+    (
+        "kalman-N-not-read",
+        _with(methods=[{"name": "k", "kind": "kalman", "N": 5}]),
+        r"methods\[0\].N: not read by kind 'kalman'$",
+    ),
+    (
+        "fapf-M-not-read",
+        _with(methods=[{"name": "f", "kind": "fapf", "N": 5, "M": 3}]),
+        r"methods\[0\].M: not read by kind 'fapf'$",
+    ),
+    (
+        "general-inner-not-read",
+        _with(methods=[{"name": "g", "kind": "nsmc-general", "N": 5, "inner": "is"}]),
+        r"methods\[0\].inner: not read by kind 'nsmc-general'$",
+    ),
+    (
+        "general-M-not-read",
+        _with(methods=[{"name": "g", "kind": "nsmc-general", "N": 5, "M": 3}]),
+        r"methods\[0\].M: not read by kind 'nsmc-general'$",
+    ),
+    (
+        "method-key-misspelt",
+        _method(stage_propsal="optimal"),
+        r"methods\[0\].stage_propsal: not read by kind 'nsmc' with inner procedure 'smc\+bs'",
+    ),
     ("tau-infinite", _with("model", tau=float("inf")), "model: tau must be finite"),
     ("lambda-nan", _with("model", **{"lambda": float("nan")}), "model: lambda must be finite"),
     ("a_coef-nan", _with("model", a_coef=float("nan")), "model: a_coef must be finite"),
@@ -242,6 +272,12 @@ class TestRunExperiment:
         with open(tmp_path / "out" / "config.echo.json") as fh:
             echoed = json.load(fh)
         assert parse_config(echoed).echo_dict() == config.echo_dict()
+        # Only the keys a method reads are echoed.
+        assert [sorted(m) for m in echoed["methods"]] == [
+            ["kind", "name"],
+            ["N", "kind", "name"],
+            ["M", "N", "inner", "kind", "name", "stage_proposal"],
+        ]
 
     def test_experiment_name_is_not_a_method_name(self, tmp_path):
         # The last method is named "nsmc"; the experiment stays "unit".

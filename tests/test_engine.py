@@ -167,7 +167,7 @@ class TestReductionOnEveryField:
             assert system.logZ == one.logZ
             np.testing.assert_array_equal(system.states, one.states)
             np.testing.assert_array_equal(system.logw, one.logw)
-            np.testing.assert_array_equal(system.ancestry[-1], one.ancestry[-1])
+            np.testing.assert_array_equal(system.ancestors, one.ancestors)
 
 
 class TestSpecSerialisation:

@@ -117,16 +117,6 @@ class TestGmrfSampling:
         se = np.sqrt((np.outer(d, d) + expected**2) / R)
         assert np.all(np.abs(emp - expected) < 3 * se)
 
-    def test_log_density_matches_dense(self):
-        rng = np.random.default_rng(4)
-        prec = chain_precision(0.8, 1.4, 5)
-        fact = chain_factorization(prec)
-        v = rng.standard_normal((7, 5))
-        from scipy.stats import multivariate_normal
-
-        expected = multivariate_normal(mean=np.zeros(5), cov=dense_gmrf_cov(prec)).logpdf(v)
-        np.testing.assert_allclose(fact.log_density(v), expected, rtol=1e-10)
-
 
 class TestSimulate:
     def test_deterministic_in_seed(self):
@@ -248,22 +238,6 @@ class TestIndependentSpec:
             st.noise_precision.dense(), np.eye(3) / 0.5
         )
         assert st.obs_var == 0.1
-
-    @pytest.mark.parametrize("t", [1, 2])
-    def test_log_transition_is_a_sum_of_scalar_gaussians(self, t):
-        from scipy.stats import norm
-
-        spec = IndependentSsmSpec(
-            n_x=3, a_coef=0.7, init_mean=0.4, init_var=2.0, trans_var=0.5, obs_var=0.1
-        )
-        rng = np.random.default_rng(t)
-        x_prev = rng.standard_normal((5, 3))
-        x = rng.standard_normal((5, 3))
-        if t == 1:
-            expected = norm.logpdf(x, 0.4, np.sqrt(2.0)).sum(axis=-1)
-        else:
-            expected = norm.logpdf(x, 0.7 * x_prev, np.sqrt(0.5)).sum(axis=-1)
-        np.testing.assert_allclose(spec.log_transition(x_prev, x, t), expected, rtol=1e-12)
 
 
 def _stssm(n_x=2, obs_var=1.0, prec_n=2):
