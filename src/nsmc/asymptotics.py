@@ -119,23 +119,17 @@ def _ratio_moments(mean_n, cov_n, mean_d, cov_d, name: str):
     return mean_star, cov_star, log_mass
 
 
-def _poly_expectation(mean_last, var_last, alpha, beta, degree):
-    if degree == 0:
-        return 1.0
-    loc = alpha + beta * mean_last
-    if degree == 1:
-        return loc
-    return loc * loc + beta * beta * var_last
-
-
-def _ratio_integral_closed(mean_n, cov_n, mean_d, cov_d, alpha, beta, degree, name):
+def _ratio_constants(mean_n, cov_n, mean_d, cov_d, alpha, beta, name):
+    """``(A, B, C)``: the integrals of ``N_n(x)^2 / N_d(x)`` times
+    ``(alpha + beta * x_last)^k`` for ``k = 2, 0, 1``, from one
+    :func:`_ratio_moments` pass."""
     mean_star, cov_star, log_mass = _ratio_moments(
         mean_n, cov_n, mean_d, cov_d, name
     )
-    expectation = _poly_expectation(
-        mean_star[-1], cov_star[-1, -1], alpha, beta, degree
-    )
-    return float(np.exp(log_mass) * expectation)
+    mass = np.exp(log_mass)
+    loc = alpha + beta * mean_star[-1]
+    second = loc * loc + beta * beta * cov_star[-1, -1]
+    return float(mass * second), float(mass), float(mass * loc)
 
 
 def compute_constants(
@@ -155,7 +149,6 @@ def compute_constants(
     ys = np.zeros(t) if ys is None else np.asarray(ys, dtype=float)
     if ys.shape != (t,):
         raise ValueError("ys must have length t")
-    integral = _ratio_integral_closed
 
     mean_t, cov_t = scalar_posterior_joint(scalar_model, ys)
     a_t = float(mean_t[t - 1] ** 2 + cov_t[t - 1, t - 1])
@@ -174,38 +167,30 @@ def compute_constants(
         alpha = mean_t[t - 1] - beta * mean_t[k - 1]
         return alpha, beta
 
-    spec = scalar_model
     for s in range(1, t):
-        mean_s, cov_s = scalar_posterior_joint(spec, ys[:s])
-        num_mean, num_cov = mean_t[:s], cov_t[:s, :s]
-        alpha, beta = regression(s)
-        a_s[s] = integral(num_mean, num_cov, mean_s, cov_s, alpha, beta, 2, f"A_{s}")
-        b_s[s] = integral(num_mean, num_cov, mean_s, cov_s, 0.0, 0.0, 0, f"B_{s}")
-        c_s[s] = integral(num_mean, num_cov, mean_s, cov_s, alpha, beta, 1, f"C_{s}")
+        mean_s, cov_s = scalar_posterior_joint(scalar_model, ys[:s])
+        a_s[s], b_s[s], c_s[s] = _ratio_constants(
+            mean_t[:s], cov_t[:s, :s], mean_s, cov_s, *regression(s), f"A/B/C_{s}"
+        )
 
     for s in range(t):
         k = s + 1
         num_mean, num_cov = mean_t[:k], cov_t[:k, :k]
         if s == 0:
-            den_mean = np.array([spec.init_mean])
-            den_cov = np.array([[spec.init_var]])
+            den_mean = np.array([scalar_model.init_mean])
+            den_cov = np.array([[scalar_model.init_var]])
         else:
-            mean_s, cov_s = scalar_posterior_joint(spec, ys[:s])
-            den_mean = np.append(mean_s, spec.a_coef * mean_s[s - 1])
+            mean_s, cov_s = scalar_posterior_joint(scalar_model, ys[:s])
+            den_mean = np.append(mean_s, scalar_model.a_coef * mean_s[s - 1])
             den_cov = np.zeros((k, k))
             den_cov[:s, :s] = cov_s
-            den_cov[:s, s] = spec.a_coef * cov_s[:, s - 1]
+            den_cov[:s, s] = scalar_model.a_coef * cov_s[:, s - 1]
             den_cov[s, :s] = den_cov[:s, s]
-            den_cov[s, s] = spec.a_coef**2 * cov_s[s - 1, s - 1] + spec.trans_var
-        alpha, beta = regression(k)
-        a_til[s] = integral(
-            num_mean, num_cov, den_mean, den_cov, alpha, beta, 2, f"A~_{s}"
-        )
-        b_til[s] = integral(
-            num_mean, num_cov, den_mean, den_cov, 0.0, 0.0, 0, f"B~_{s}"
-        )
-        c_til[s] = integral(
-            num_mean, num_cov, den_mean, den_cov, alpha, beta, 1, f"C~_{s}"
+            den_cov[s, s] = (
+                scalar_model.a_coef**2 * cov_s[s - 1, s - 1] + scalar_model.trans_var
+            )
+        a_til[s], b_til[s], c_til[s] = _ratio_constants(
+            num_mean, num_cov, den_mean, den_cov, *regression(k), f"A/B/C~_{s}"
         )
 
     return VarianceConstants(

@@ -12,7 +12,8 @@ Subcommands:
   procedure and print one pass/fail line per check.
 
 One experiment per JSON config file; a validated echo of the config is
-written next to the results so every output directory is reproducible
+written next to the results, and a run from that echo rewrites the same
+``results.csv`` byte for byte, so every output directory is reproducible
 from its own contents.  Exit codes: 0 success, 1 partial failure
 (some replicate collapsed or a selftest check failed), 2 usage or
 configuration errors.
@@ -41,7 +42,6 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -62,12 +62,11 @@ from .model import (
 from .nested import (
     PROCEDURES,
     STAGE_PROPOSALS,
-    ExactTransitionProcedure,
     make_procedure,
     nsmc_run,
     proper_weighting_check,
 )
-from .smc import FilterOutput, _outer_run, bootstrap_pf
+from .smc import FilterOutput, bootstrap_pf
 
 
 class ConfigError(ValueError):
@@ -313,13 +312,9 @@ def _run_method(
         proc = make_procedure(method.inner, method.M, **kwargs)
         return nsmc_run(config.model, data, method.N, method.M, proc, rng)
     # nsmc-general: the bootstrap-reduction configuration of the general
-    # algorithm (transition proposal, unit multipliers, exact draws);
-    # richer configurations are library-level.
-    model = config.model
-    prepare = partial(ExactTransitionProcedure().prepare, model)
-    return _outer_run(
-        method.name, model, prepare, "transition", "one", data, method.N, rng, False
-    )
+    # algorithm (transition proposal, unit multipliers, exact draws), which
+    # is the bootstrap filter; richer configurations are library-level.
+    return replace(bootstrap_pf(config.model, data, method.N, rng), ess_trace=None)
 
 
 def _run_replicate(args) -> list[tuple]:
@@ -395,10 +390,7 @@ def _write_summaries(config, data, rows, out_dir):
     """Aggregate per-method statistics; squared errors use the exact
     filter as ground truth when it applies."""
     try:
-        exact = config.model
-        if isinstance(exact, IndependentSsmSpec):
-            exact = exact.to_stssm()
-        truth = kalman_run(exact, data)
+        truth = kalman_run(config.model.to_stssm(), data)
     except ValueError:
         # No equivalent chain model, or data the filters reject (the
         # replicates then carry ``failed`` rows).

@@ -22,17 +22,19 @@ transition density: every weight reduces to a closed form.  The shared
 part (``sample_obs``, ``log_obs``) lives in their base class
 :class:`ModelBundle`, so the filters and :func:`simulate` never branch
 on the model type;
-``make_model`` checks that its argument is one and returns it.  Specs
-serialise through ``to_dict``/``from_dict``, keyed like the model block
-of an experiment config, and ``SPEC_KINDS`` maps the ``kind`` key back
-to the class.
+``make_model`` checks that its argument is one and returns it.  Every
+spec serialises through the one ``ModelBundle.to_dict``/``from_dict``
+pair, keyed like the model block of an experiment config: its init
+fields under their config keys, plus its ``kind``.  A spec keeps exactly
+the numbers a config gives, so ``from_dict(to_dict(s)) == s`` holds bit
+for bit.  ``SPEC_KINDS`` maps the ``kind`` key back to the class.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -140,9 +142,8 @@ def chain_precision(tau: float, lam: float, n: int) -> TridiagPrecision:
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     diag = np.full(n, tau + 2.0 * lam)
-    if n >= 1:
-        diag[0] = tau + lam
-        diag[-1] = tau + lam
+    diag[0] = tau + lam
+    diag[-1] = tau + lam
     if n == 1:
         diag[0] = tau
     return TridiagPrecision(diag=diag, offdiag=np.full(n - 1, -lam))
@@ -243,13 +244,26 @@ def _real(block: dict, key: str, default=None) -> float:
     return float(value)
 
 
+#: Spec field name -> its config key, where the two differ.
+_CONFIG_KEYS = {"lam": "lambda"}
+
+
 class ModelBundle:
-    """Base class of the model specs: the sampler/evaluator protocol.
+    """Base class of the model specs: the sampler/evaluator protocol and
+    the one serialisation.
 
     Holds the parts both model families share: the observation sampler
-    and log-density.  Subclasses supply ``n_x``, ``obs_var``,
-    ``sample_transition`` and ``inner_target``.
+    and log-density, and ``to_dict``/``from_dict``.  Subclasses are
+    frozen dataclasses that supply ``kind``, ``DEFAULTS``, ``n_x``,
+    ``obs_var``, ``sample_transition``, ``inner_target`` and
+    ``to_stssm``, an equivalent chain model or ``ValueError``.
     """
+
+    #: The ``kind`` key of the model block.
+    kind = ""
+    #: Config defaults of the init fields a model block may omit, by field
+    #: name.  They may differ from the constructor's defaults.
+    DEFAULTS: dict = {}
 
     def sample_obs(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One observation per row of ``x``: ``x`` plus isotropic noise."""
@@ -259,22 +273,50 @@ class ModelBundle:
         """Batched ``log g(y | x)``, summed over components."""
         return np.sum(_gauss_logpdf(x, y, self.obs_var), axis=-1)
 
+    def to_dict(self) -> dict:
+        """``kind`` and the init fields, keyed like the model block of a
+        config."""
+        return {"kind": self.kind} | {
+            _CONFIG_KEYS.get(f.name, f.name): getattr(self, f.name)
+            for f in fields(self) if f.init
+        }
+
+    @classmethod
+    def from_dict(cls, block: dict) -> "ModelBundle":
+        """Inverse of :meth:`to_dict`.  A field absent from ``block`` takes
+        its ``DEFAULTS`` entry or raises ``KeyError``; other keys are
+        ignored."""
+        kwargs = {"n_x": int(block["n_x"])}
+        for f in fields(cls):
+            if f.init and f.name != "n_x":
+                key = _CONFIG_KEYS.get(f.name, f.name)
+                kwargs[f.name] = _real(block, key, cls.DEFAULTS.get(f.name))
+        return cls(**kwargs)
+
 
 @dataclass(frozen=True)
 class StssmSpec(ModelBundle):
     """Linear-Gaussian spatio-temporal state-space model.
 
-    ``x_t = a_coef * x_{t-1} + v_t`` with ``v_t`` a chain GMRF draw, and
-    ``y_t = x_t + e_t`` with isotropic observation noise.  The initial
-    state is a pure noise draw, ``x_1 ~ N(0, Q^{-1})``: the initial law
-    (``t = 1``) is the transition from ``x_prev = 0``.  A non-finite
-    ``a_coef`` or ``obs_var`` raises ``ValueError`` naming the field.
+    ``x_t = a_coef * x_{t-1} + v_t`` with ``v_t`` a draw of the chain GMRF
+    with node weight ``tau`` and coupling ``lam``, and ``y_t = x_t + e_t``
+    with isotropic observation noise.  The initial state is a pure noise
+    draw, ``x_1 ~ N(0, Q^{-1})``: the initial law (``t = 1``) is the
+    transition from ``x_prev = 0``.  ``noise_precision`` is ``Q``, built
+    once by :func:`chain_precision`; the spec keeps ``tau`` and ``lam``
+    themselves, so it serialises to the numbers it was built from.  A
+    non-finite parameter raises ``ValueError`` naming the field.
     """
 
+    kind = "stssm"
+    DEFAULTS = {"a_coef": 0.5}
+
     n_x: int
-    a_coef: float
-    noise_precision: TridiagPrecision
+    tau: float
+    lam: float
     obs_var: float
+    a_coef: float = 0.5
+    noise_precision: TridiagPrecision = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_x < 1:
@@ -282,58 +324,17 @@ class StssmSpec(ModelBundle):
         _check_finite(a_coef=self.a_coef, obs_var=self.obs_var)
         if self.obs_var <= 0.0:
             raise ValueError(f"obs_var must be positive, got {self.obs_var}")
-        if self.noise_precision.n != self.n_x:
-            raise ValueError("noise_precision size must match n_x")
+        prec = chain_precision(self.tau, self.lam, self.n_x)
+        object.__setattr__(self, "noise_precision", prec)
 
     @classmethod
-    def chain(
-        cls, n_x: int, tau: float, lam: float, obs_var: float, a_coef: float = 0.5
-    ) -> "StssmSpec":
-        """Convenience constructor from the chain GMRF parameters."""
-        return cls(
-            n_x=n_x,
-            a_coef=a_coef,
-            noise_precision=chain_precision(tau, lam, n_x),
-            obs_var=obs_var,
-        )
+    def chain(cls, *args, **kwargs) -> "StssmSpec":
+        """The constructor under its older name, with the same arguments."""
+        return cls(*args, **kwargs)
 
-    def to_dict(self) -> dict:
-        """Parameters keyed like the ``stssm`` model block of a config.
-
-        ``tau`` and ``lambda`` are read back from the first row of the
-        precision, so a precision that :func:`chain_precision` did not
-        build (up to round-off) raises ``ValueError`` instead of being
-        written as a different model.
-        """
-        prec = self.noise_precision
-        lam = float(-prec.offdiag[0]) if prec.offdiag.size else 0.0
-        tau = float(prec.diag[0]) - lam
-        chain = chain_precision(tau, lam, self.n_x)
-        if not np.allclose(prec.dense(), chain.dense(), rtol=1e-12, atol=0.0):
-            raise ValueError(
-                "noise_precision is not a chain precision; tau and lambda "
-                "cannot describe it"
-            )
-        return {
-            "kind": "stssm",
-            "n_x": self.n_x,
-            "tau": tau,
-            "lambda": lam,
-            "obs_var": self.obs_var,
-            "a_coef": self.a_coef,
-        }
-
-    @classmethod
-    def from_dict(cls, block: dict) -> "StssmSpec":
-        """Inverse of :meth:`to_dict`; ``a_coef`` defaults to 0.5, other
-        keys are ignored and a missing field raises ``KeyError``."""
-        return cls.chain(
-            n_x=int(block["n_x"]),
-            tau=_real(block, "tau"),
-            lam=_real(block, "lambda"),
-            obs_var=_real(block, "obs_var"),
-            a_coef=_real(block, "a_coef", 0.5),
-        )
+    def to_stssm(self) -> "StssmSpec":
+        """The spec itself: it is its own chain model."""
+        return self
 
     def sample_transition(
         self, x_prev: np.ndarray, rng: np.random.Generator, t: int = 2
@@ -367,8 +368,12 @@ class IndependentSsmSpec(ModelBundle):
     ``x_1 ~ N(init_mean, init_var)``, ``x_t ~ N(a_coef * x_{t-1}, trans_var)``
     and ``y ~ N(x, obs_var)``.  By convention the observation is replicated
     across coordinates: ``y_{t,d}`` is identical for every ``d``.  A
-    non-finite parameter raises ``ValueError`` naming the field.
+    non-finite parameter raises ``ValueError`` naming the field.  A config
+    block may omit ``a_coef`` but must give ``obs_var``.
     """
+
+    kind = "independent"
+    DEFAULTS = {"a_coef": 0.5, "init_mean": 0.0, "init_var": 1.0, "trans_var": 1.0}
 
     n_x: int
     a_coef: float
@@ -399,30 +404,12 @@ class IndependentSsmSpec(ModelBundle):
                 "only zero-mean models with init_var == trans_var map to an "
                 "equivalent chain model"
             )
-        return StssmSpec.chain(
+        return StssmSpec(
             n_x=self.n_x,
             tau=1.0 / self.trans_var,
             lam=0.0,
             obs_var=self.obs_var,
             a_coef=self.a_coef,
-        )
-
-    def to_dict(self) -> dict:
-        """Parameters keyed like the ``independent`` model block of a config."""
-        return {"kind": "independent", **asdict(self)}
-
-    @classmethod
-    def from_dict(cls, block: dict) -> "IndependentSsmSpec":
-        """Inverse of :meth:`to_dict`; optional fields take the config
-        defaults, other keys are ignored and a missing field raises
-        ``KeyError``."""
-        return cls(
-            n_x=int(block["n_x"]),
-            a_coef=_real(block, "a_coef", 0.5),
-            init_mean=_real(block, "init_mean", 0.0),
-            init_var=_real(block, "init_var", 1.0),
-            trans_var=_real(block, "trans_var", 1.0),
-            obs_var=_real(block, "obs_var"),
         )
 
     def _law(self, x_prev: np.ndarray, t: int):
@@ -465,7 +452,7 @@ class IndependentSsmSpec(ModelBundle):
 
 
 #: The ``kind`` key of a serialised spec mapped to its class.
-SPEC_KINDS = {"stssm": StssmSpec, "independent": IndependentSsmSpec}
+SPEC_KINDS = {cls.kind: cls for cls in (StssmSpec, IndependentSsmSpec)}
 
 
 def make_model(spec) -> ModelBundle:

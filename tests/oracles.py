@@ -105,10 +105,11 @@ def ratio_integral_gh(mean_n, cov_n, mean_d, cov_d, alpha, beta, degree, name, r
     ``N_n(x)^2 / N_d(x) * (alpha + beta * x_last)^degree``, with the
     order doubled until two successive values agree to ``rel_tol``.
 
-    A drop-in for ``nsmc.asymptotics._ratio_integral_closed``.  Only the
-    reference Gaussian the nodes are placed on comes from the package's
-    ``_ratio_moments``; the integrand is evaluated pointwise.  Raises
-    ``AssertionError`` if order 128 is reached without agreement.
+    ``degree`` 2, 0 and 1 give the three integrals of
+    ``nsmc.asymptotics._ratio_constants``.  Only the reference Gaussian
+    the nodes are placed on comes from the package's ``_ratio_moments``;
+    the integrand is evaluated pointwise.  Raises ``AssertionError`` if
+    order 128 is reached without agreement.
     """
     from nsmc.asymptotics import _ratio_moments
 

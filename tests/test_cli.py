@@ -279,6 +279,17 @@ class TestRunExperiment:
             ["M", "N", "inner", "kind", "name", "stage_proposal"],
         ]
 
+    def test_rerun_from_echo_is_byte_identical(self, tmp_path):
+        # The echo once wrote tau = 3.3 as 3.3000000000000003, and the
+        # rerun from it wrote different ESS values.
+        cfg = _base_config(tmp_path, output_dir=str(tmp_path / "first"))
+        cfg["model"].update({"n_x": 4, "tau": 3.3, "lambda": 0.9})
+        assert main(["run", "--config", str(_write(tmp_path, cfg))]) == 0
+        echo = tmp_path / "first" / "config.echo.json"
+        assert main(["run", "--config", str(echo), "--out", str(tmp_path / "again")]) == 0
+        first = (tmp_path / "first" / "results.csv").read_bytes()
+        assert (tmp_path / "again" / "results.csv").read_bytes() == first
+
     def test_experiment_name_is_not_a_method_name(self, tmp_path):
         # The last method is named "nsmc"; the experiment stays "unit".
         config = parse_config(_base_config(tmp_path))
