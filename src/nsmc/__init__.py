@@ -18,7 +18,6 @@ from .exceptions import (
     WeightCollapseError,
 )
 from .model import (
-    ChainFactorization,
     Dataset,
     IndependentSsmSpec,
     StssmSpec,

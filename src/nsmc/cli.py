@@ -159,6 +159,14 @@ def _as_int(value, field: str) -> int:
         raise ConfigError(f"{field}: expected an integer, got {value!r}") from None
 
 
+def _as_str(value, field: str) -> str:
+    """``value`` if it is a string, else a :class:`ConfigError` naming
+    ``field``."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{field}: expected a string, got {value!r}")
+    return value
+
+
 def _spec_from_block(cls, block: dict, where: str):
     """``cls.from_dict(block)`` with errors named after the config block."""
     if "n_x" in block:
@@ -175,7 +183,7 @@ def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
     """Validate a parsed JSON document into an :class:`ExperimentConfig`."""
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
-    name = raw.get("name", base_name)
+    name = _as_str(raw.get("name", base_name), "name")
     mblock = _require(raw, "model")
     kind = _require(mblock, "kind", "model")
     T = _as_int(_require(mblock, "T", "model"), "model.T")
@@ -189,6 +197,8 @@ def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
     if not isinstance(dblock, dict):
         raise ConfigError("data: expected a JSON object")
     data_path = dblock.get("path")
+    if data_path is not None:
+        _as_str(data_path, "data.path")
     data_seed = _as_int(dblock.get("seed", 0), "data.seed")
     if data_seed < 0:
         raise ConfigError("data.seed: must be >= 0")
@@ -208,9 +218,7 @@ def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
             raise ConfigError(f"{where}.kind: unknown kind {mk!r}")
         if mk in ("kalman", "fapf") and not isinstance(model, StssmSpec):
             raise ConfigError(f"{where}.kind: {mk} requires the stssm model")
-        method_name = m.get("name", f"{mk}-{i}")
-        if not isinstance(method_name, str):
-            raise ConfigError(f"{where}.name: expected a string, got {method_name!r}")
+        method_name = _as_str(m.get("name", f"{mk}-{i}"), f"{where}.name")
         n = _as_int(m.get("N", 0), f"{where}.N")
         mm = _as_int(m.get("M", 0), f"{where}.M")
         inner = m.get("inner", "smc+bs")
@@ -265,7 +273,7 @@ def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
         methods=tuple(methods),
         replicates=replicates,
         budget_matching=budget_matching,
-        output_dir=str(raw.get("output_dir", "out")),
+        output_dir=_as_str(raw.get("output_dir", "out"), "output_dir"),
     )
 
 
@@ -468,7 +476,7 @@ def _cmd_asymptotics(raw: dict, out: str | None, verbose: bool) -> int:
         curve = variance_curve(spec, t, spec.n_x, m_grid, ys=ys_arr)
     except ValueError as err:
         raise ConfigError(f"asymptotics: {err}") from None
-    out_dir = Path(out or raw.get("output_dir", "out"))
+    out_dir = Path(out or _as_str(raw.get("output_dir", "out"), "output_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "variance_curve.csv"
     with open(path, "w", newline="") as fh:

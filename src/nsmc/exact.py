@@ -44,27 +44,23 @@ __all__ = [
 @dataclass(frozen=True)
 class KalmanBelief:
     """Filtering posterior ``N(mean, basis @ diag(var) @ basis.T)`` with
-    accumulated log-likelihood, held in the eigenbasis of the noise
-    precision ``Q`` (:meth:`TridiagPrecision.spectrum`).  The form is
-    exact for every belief the package produces: with a zero initial
+    accumulated log-likelihood, where ``basis`` holds the eigenvectors of
+    the model's noise precision ``Q`` (:meth:`TridiagPrecision.spectrum`),
+    so the belief keeps only the variances along them.  The form is exact
+    for every belief the package produces: with a zero initial
     covariance, ``a * I`` dynamics, noise covariance ``Q^{-1}`` and
     ``obs_var * I`` observations, each covariance commutes with ``Q``."""
 
     mean: np.ndarray  # (n_x,)
-    var: np.ndarray  # (n_x,), variances along the columns of basis
-    basis: np.ndarray  # (n_x, n_x), eigenvectors of Q as columns
+    var: np.ndarray  # (n_x,), variances along the eigenvectors of Q
     loglik: float
-
-    @property
-    def cov(self) -> np.ndarray:
-        return (self.basis * self.var) @ self.basis.T
 
 
 def kalman_init(model: StssmSpec) -> KalmanBelief:
     """Degenerate belief at zero; the first predict step then yields the
     initial prior ``N(0, Q^{-1})``."""
     n = model.n_x
-    return KalmanBelief(np.zeros(n), np.zeros(n), model.noise_precision.spectrum()[1], 0.0)
+    return KalmanBelief(np.zeros(n), np.zeros(n), 0.0)
 
 
 def kalman_step(
@@ -90,7 +86,7 @@ def kalman_step(
             f"log predictive density is {log_pred}; the observation is "
             "numerically impossible under the model"
         )
-    return KalmanBelief(mean_pred + shift, var, basis, belief.loglik + log_pred)
+    return KalmanBelief(mean_pred + shift, var, belief.loglik + log_pred)
 
 
 def _eig_update(var_pred, resid, basis, obs_var):

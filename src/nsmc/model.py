@@ -49,7 +49,8 @@ _LOG_2PI = np.log(2.0 * np.pi)
 
 @dataclass(frozen=True)
 class TridiagPrecision:
-    """Symmetric tridiagonal precision matrix of a chain GMRF.
+    """Symmetric tridiagonal precision matrix of a chain GMRF, with its
+    Markov factorization.
 
     Parameters
     ----------
@@ -58,13 +59,20 @@ class TridiagPrecision:
     offdiag : np.ndarray
         Sub/super diagonal, length ``n - 1``.
 
-    ``fact`` is its :func:`chain_factorization`, computed once at
-    construction with read-only arrays.
+    A tridiagonal precision admits the exact sequential factorization
+    ``p(v) = prod_d Normal(v_d; phi_d * v_{d-1}, 1 / c_d)``, with
+    ``phi_1 = 0``.  Construction computes the conditional precisions
+    ``c`` and autoregressive coefficients ``phi`` once, by a backward
+    elimination sweep, as read-only arrays of length ``n``; they serve
+    prior sampling and the nested filter's inner stage law.  The sweep
+    doubles as the positive-definiteness check: a non-positive pivot
+    raises ``np.linalg.LinAlgError``.
     """
 
     diag: np.ndarray
     offdiag: np.ndarray
-    fact: ChainFactorization = field(init=False, repr=False, compare=False)
+    c: np.ndarray = field(init=False, repr=False, compare=False)
+    phi: np.ndarray = field(init=False, repr=False, compare=False)
     _spectrum: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -80,15 +88,35 @@ class TridiagPrecision:
             raise ValueError("offdiag must have length len(diag) - 1")
         if np.any(diag <= 0.0):
             raise ValueError("diagonal entries must be positive")
-        # SPD check doubles as the factorization used everywhere else.
-        fact = chain_factorization(self)
-        fact.c.setflags(write=False)
-        fact.phi.setflags(write=False)
-        object.__setattr__(self, "fact", fact)
+        n = diag.size
+        c = np.empty(n)
+        c[-1] = diag[-1]
+        for d in range(n - 2, -1, -1):
+            if c[d + 1] <= 0.0:
+                raise np.linalg.LinAlgError(
+                    f"tridiagonal precision is not positive definite (pivot {d + 2})"
+                )
+            c[d] = diag[d] - offdiag[d] ** 2 / c[d + 1]
+        if np.any(c <= 0.0):
+            raise np.linalg.LinAlgError(
+                "tridiagonal precision is not positive definite"
+            )
+        phi = np.zeros(n)
+        if n > 1:
+            phi[1:] = -offdiag / c[1:]
+        c.setflags(write=False)
+        phi.setflags(write=False)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "phi", phi)
 
     @property
     def n(self) -> int:
         return self.diag.size
+
+    @property
+    def cond_var(self) -> np.ndarray:
+        """Conditional variances ``1 / c`` of the Markov factorization."""
+        return 1.0 / self.c
 
     def dense(self) -> np.ndarray:
         """Return the full ``n x n`` matrix."""
@@ -149,58 +177,6 @@ def chain_precision(tau: float, lam: float, n: int) -> TridiagPrecision:
     return TridiagPrecision(diag=diag, offdiag=np.full(n - 1, -lam))
 
 
-@dataclass(frozen=True)
-class ChainFactorization:
-    """Markov factorization of a zero-mean chain GMRF.
-
-    A tridiagonal precision admits the exact sequential factorization
-    ``p(v) = prod_d Normal(v_d; phi_d * v_{d-1}, 1 / c_d)`` where the
-    ``c_d`` come from a backward elimination sweep and ``phi_1 = 0``.
-    It serves prior sampling and the nested filter's inner stage law.
-    """
-
-    c: np.ndarray  # conditional precisions, length n
-    phi: np.ndarray  # autoregressive coefficients, length n (phi[0] == 0)
-
-    @property
-    def n(self) -> int:
-        return self.c.size
-
-    @property
-    def cond_var(self) -> np.ndarray:
-        return 1.0 / self.c
-
-
-def chain_factorization(prec: TridiagPrecision) -> ChainFactorization:
-    """Backward-sweep factorization of a tridiagonal precision.
-
-    Raises
-    ------
-    np.linalg.LinAlgError
-        If the matrix is not positive definite (a pivot becomes
-        non-positive during elimination).
-    """
-    diag = prec.diag
-    off = prec.offdiag
-    n = diag.size
-    c = np.empty(n)
-    c[-1] = diag[-1]
-    for d in range(n - 2, -1, -1):
-        if c[d + 1] <= 0.0:
-            raise np.linalg.LinAlgError(
-                f"tridiagonal precision is not positive definite (pivot {d + 2})"
-            )
-        c[d] = diag[d] - off[d] ** 2 / c[d + 1]
-    if np.any(c <= 0.0):
-        raise np.linalg.LinAlgError(
-            "tridiagonal precision is not positive definite"
-        )
-    phi = np.zeros(n)
-    if n > 1:
-        phi[1:] = -off / c[1:]
-    return ChainFactorization(c=c, phi=phi)
-
-
 def sample_gmrf_chain(
     prec: TridiagPrecision,
     rng: np.random.Generator,
@@ -208,18 +184,17 @@ def sample_gmrf_chain(
 ) -> np.ndarray:
     """Exact draw from the zero-mean Gaussian with tridiagonal precision.
 
-    Runs the sequential chain factorization forward over components.
-    ``size`` prepends batch dimensions; the returned array has shape
-    ``size + (n,)``.
+    Runs the precision's Markov factorization forward over components,
+    ``v_d = phi_d * v_{d-1} + sqrt(1 / c_d) * z_d``.  ``size`` prepends
+    batch dimensions; the returned array has shape ``size + (n,)``.
     """
-    fact = prec.fact
-    n = fact.n
+    n = prec.n
     z = rng.standard_normal(size + (n,))
-    sd = np.sqrt(fact.cond_var)
+    sd = np.sqrt(prec.cond_var)
     v = np.empty_like(z)
     v[..., 0] = sd[0] * z[..., 0]
     for d in range(1, n):
-        v[..., d] = fact.phi[d] * v[..., d - 1] + sd[d] * z[..., d]
+        v[..., d] = prec.phi[d] * v[..., d - 1] + sd[d] * z[..., d]
     return v
 
 
@@ -344,18 +319,20 @@ class StssmSpec(ModelBundle):
         return v if t == 1 else self.a_coef * x_prev + v
 
     def inner_target(self, t: int, x_prev, y_t, proposal: str = "prior"):
-        """Chain stage decomposition of ``gamma_t / gamma_{t-1}``: the
-        chain Markov factors of the transition noise (Markov order 1)."""
+        """Chain stage decomposition of ``gamma_t / gamma_{t-1}``: stage
+        ``d`` is the factor ``Normal(v_d; phi_d * v_{d-1}, 1 / c_d)`` of the
+        noise precision's Markov factorization, shifted to the state
+        ``x_t = a_coef * x_prev + v`` (Markov order 1)."""
         from .nested import GaussianStageTarget
 
-        fact = self.noise_precision.fact
+        prec = self.noise_precision
         x_prev = np.asarray(x_prev, dtype=float)
         # Per-stage conditional mean is alpha_d + phi_d * x_{d-1}.
         ax = np.zeros_like(x_prev) if t == 1 else self.a_coef * x_prev
         alpha = ax.copy()
-        alpha[..., 1:] -= fact.phi[1:] * ax[..., :-1]
+        alpha[..., 1:] -= prec.phi[1:] * ax[..., :-1]
         return GaussianStageTarget(
-            alpha, fact.phi, fact.c, fact.cond_var, y_t, self.obs_var, proposal,
+            alpha, prec.phi, prec.c, prec.cond_var, y_t, self.obs_var, proposal,
             markov_order=1,
         )
 

@@ -64,7 +64,6 @@ from .smc import (
     _categorical_rows,
     _empty_system,
     _ExactTransitionAux,
-    _multinomial_rows,
     _outer_run,
     _outer_step,
     _pick_rows,
@@ -537,7 +536,9 @@ class SelfNestedProcedure(ProperWeightingProcedure):
     from importance sampling and uniform stage weights handed to the
     final backward simulation.  Each stage makes one weight pass over its
     ``(batch, mo, mi)`` candidates for both the stage scores and the pick
-    among the resampled systems' candidates, gathered by flat index."""
+    among the resampled systems' candidates, gathered by flat index, and
+    one over its ``(batch, mo)`` stage scores for both their log-mean and
+    the resampling of the systems."""
 
     kind = "self-nested"
 
@@ -569,9 +570,9 @@ class SelfNestedProcedure(ProperWeightingProcedure):
             prev = particles[d - 1][..., None] if d and target.markov_order else None
             cand, lw = tiled.propagate(d, prev, mi, rng)
             w, shift = _row_weights(lw)
-            stage_log_tau = _row_log_mean(w, shift)  # (*batch, mo)
-            log_tau = log_tau + _row_logmeanexp(stage_log_tau)
-            idx = _multinomial_rows(stage_log_tau, mo, rng)
+            stage_w, stage_shift = _row_weights(_row_log_mean(w, shift))  # (*batch, mo)
+            log_tau = log_tau + _row_log_mean(stage_w, stage_shift)
+            idx = _search_rows(stage_w, mo, rng)
             if d > 0:
                 ancestors[d - 1] = idx
             rows = (row0 + idx).reshape(-1)

@@ -61,11 +61,13 @@ def multinomial_resample(
     """Draw ``count`` i.i.d. categorical indices by inverse CDF.
 
     Uses strict ``u < cum`` comparisons so indices with zero probability
-    are never selected; the cumulative array is pinned to end at exactly
-    1.0.
+    are never selected.  The trailing block of the cumulative array that
+    equals its last entry is pinned to exactly 1.0, so a uniform just
+    below 1 cannot pass a live mass that sums to slightly less than 1
+    and land on a trailing zero-probability index.
     """
     cum = np.cumsum(np.asarray(probabilities, dtype=float))
-    cum[-1] = 1.0
+    cum[cum >= cum[-1]] = 1.0
     u = rng.random(count)
     return np.searchsorted(cum, u, side="right")
 
@@ -148,17 +150,6 @@ def _search_rows(w: np.ndarray, count: int, rng: np.random.Generator) -> np.ndar
         step >>= 1
     pos -= before_row
     return pos
-
-
-def _multinomial_rows(
-    logw: np.ndarray, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """``count`` categorical draws per row of log-weights ``(..., M)``,
-    by :func:`_search_rows` on the :func:`_row_weights` of ``logw``.
-
-    :func:`nsmc.nested.inner_smc` calls the search directly, on stage
-    weights shifted by the row maxima it already holds."""
-    return _search_rows(_row_weights(logw)[0], count, rng)
 
 
 @dataclass(frozen=True)

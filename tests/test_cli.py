@@ -87,11 +87,14 @@ BAD_CONFIGS = [
     ("T-below-one", _with("model", T=0), "model.T: must be >= 1"),
     ("T-not-integral", _with("model", T=2.9), "model.T: expected an integer"),
     ("n_x-not-integral", _with("model", n_x=2.5), "model.n_x: expected an integer"),
+    ("name-not-string", _with(name=["x"]), "^name: expected a string"),
+    ("output-dir-null", _with(output_dir=None), "^output_dir: expected a string"),
     ("data-missing", _with(drop=("data",)), "^data: missing"),
     ("data-not-object", _with(data=5), "data: expected a JSON object"),
     ("data-no-seed-or-path", _with(data={}), "data: needs either"),
     ("seed-not-integer", _with(data={"seed": "x"}), "data.seed: expected an integer"),
     ("seed-negative", _with(data={"seed": -1}), "data.seed: must be >= 0"),
+    ("data-path-not-string", _with(data={"path": 5}), "^data.path: expected a string"),
     ("methods-missing", _with(drop=("methods",)), "^methods: missing"),
     ("methods-not-list", _with(methods={"kind": "kalman"}), "methods: expected a list"),
     ("methods-empty", _with(methods=[]), "methods: at least one"),
@@ -189,6 +192,21 @@ class TestConfigValidation:
         cfg["model"]["T"] = "abc"
         assert main(["run", "--config", str(_write(tmp_path, cfg))]) == 2
         assert "model.T: expected an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit,field",
+        [(_with(data={"path": 5}), "data.path"), (_with(name=["x"]), "name"),
+         (_with(output_dir=None), "output_dir")],
+        ids=["data-path", "name", "output-dir"],
+    )
+    def test_mistyped_string_field_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, edit, field
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = _write(tmp_path, edit(_base_config(tmp_path)))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert f"error: {field}: expected a string" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_exact_method_on_independent_model_exits_2_before_output(self, tmp_path, capsys):
         cfg = _independent_with("fapf")(_base_config(tmp_path))

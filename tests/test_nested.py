@@ -32,7 +32,7 @@ from nsmc.nested import (
     nsmc_step,
     proper_weighting_check,
 )
-from nsmc.smc import ParticleSystem, _categorical_rows, _multinomial_rows
+from nsmc.smc import ParticleSystem, _categorical_rows, _row_weights, _search_rows
 
 from oracles import dense_conditional
 
@@ -509,7 +509,7 @@ def _self_nested_reference(proc, model, t, x_prev, y_t, rng):
         cand, lw = tiled.propagate(d, prev, mi, rng)
         stage_log_tau = _logmeanexp_reference(lw)
         log_tau = log_tau + _logmeanexp_reference(stage_log_tau)
-        idx = _multinomial_rows(stage_log_tau, mo, rng)
+        idx = _search_rows(_row_weights(stage_log_tau)[0], mo, rng)
         if d > 0:
             ancestors[d - 1] = idx
         cand = np.take_along_axis(cand, idx[..., None], axis=-2)

@@ -1,4 +1,4 @@
-"""The chain factorization and the noise precision's spectrum are computed
+"""The precision's Markov factorization and its spectrum are computed
 once per precision and agree with dense linear algebra, and far-out
 observations fail cleanly instead of leaking floating-point warnings."""
 
@@ -15,7 +15,6 @@ from nsmc.model import (
     Dataset,
     StssmSpec,
     TridiagPrecision,
-    chain_factorization,
     chain_precision,
     make_model,
 )
@@ -24,10 +23,11 @@ from nsmc.model import (
 @pytest.mark.parametrize("n", [1, 2, 9])
 def test_stored_factorization_matches_a_fresh_one(n):
     prec = chain_precision(1.3, 0.7, n)
-    fresh = chain_factorization(prec)
-    np.testing.assert_array_equal(prec.fact.c, fresh.c)
-    np.testing.assert_array_equal(prec.fact.phi, fresh.phi)
-    assert not prec.fact.c.flags.writeable and not prec.fact.phi.flags.writeable
+    fresh = chain_precision(1.3, 0.7, n)
+    np.testing.assert_array_equal(prec.c, fresh.c)
+    np.testing.assert_array_equal(prec.phi, fresh.phi)
+    np.testing.assert_array_equal(prec.cond_var, 1.0 / fresh.c)
+    assert not prec.c.flags.writeable and not prec.phi.flags.writeable
 
 
 @given(
@@ -45,11 +45,10 @@ def test_chain_factorization_matches_dense_cholesky(tau, lam, n):
     prec = chain_precision(tau, lam, n)
     q = prec.dense()
     r = np.linalg.cholesky(q[::-1, ::-1])[::-1, ::-1]
-    fact = chain_factorization(prec)
-    np.testing.assert_allclose(fact.c, np.diag(r) ** 2, rtol=1e-10)
+    np.testing.assert_allclose(prec.c, np.diag(r) ** 2, rtol=1e-10)
     phi = -np.diag(r, 1) / np.diag(r)[1:]
-    np.testing.assert_allclose(fact.phi[1:], phi, rtol=1e-10, atol=1e-14)
-    assert fact.phi[0] == 0.0
+    np.testing.assert_allclose(prec.phi[1:], phi, rtol=1e-10, atol=1e-14)
+    assert prec.phi[0] == 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 9])

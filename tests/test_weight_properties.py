@@ -1,11 +1,12 @@
-"""Property tests for the log-weight primitives, plus the exact per-row
-resolution of ``_multinomial_rows``, its search against a per-row
+"""Property tests for the log-weight primitives and outer resampling's
+choice of live indices, plus the exact per-row
+resolution of ``_search_rows`` on ``_row_weights``, its search against a per-row
 ``searchsorted``, the rejection of NaN rows and chi-square frequency
 tests of the row samplers."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
@@ -16,11 +17,11 @@ from nsmc.model import StssmSpec
 from nsmc.nested import GaussianStageTarget, inner_smc
 from nsmc.smc import (
     _categorical_rows,
-    _multinomial_rows,
     _pick_rows,
     _row_logmeanexp,
     _row_weights,
     _search_rows,
+    multinomial_resample,
     normalize_logweights,
 )
 
@@ -85,7 +86,7 @@ def test_categorical_rows_draws_live_indices(logw, seed):
 @PROPERTY
 @given(logw=weight_rows(), count=st.integers(1, 7), seed=seeds)
 def test_multinomial_rows_draws_live_indices(logw, count, seed):
-    idx = _multinomial_rows(logw, count, np.random.default_rng(seed))
+    idx = _search_rows(_row_weights(logw)[0], count, np.random.default_rng(seed))
     assert idx.shape == logw.shape[:-1] + (count,)
     assert np.all((idx >= 0) & (idx < logw.shape[-1]))
     _assert_no_dead_draws(logw, idx)
@@ -102,7 +103,7 @@ def test_multinomial_rows_draws_live_indices(logw, count, seed):
     seed=seeds,
 )
 def test_multinomial_rows_keeps_batch_shape(logw, count, seed):
-    idx = _multinomial_rows(logw, count, np.random.default_rng(seed))
+    idx = _search_rows(_row_weights(logw)[0], count, np.random.default_rng(seed))
     assert idx.shape == logw.shape[:-1] + (count,)
     assert np.all((idx >= 0) & (idx < logw.shape[-1]))
     _assert_no_dead_draws(logw.reshape(-1, logw.shape[-1]), idx.reshape(-1, count))
@@ -115,7 +116,7 @@ def test_row_samplers_reject_nan(logw, row, col):
     with pytest.raises(ValueError, match="NaN"):
         _categorical_rows(logw, np.random.default_rng(0))
     with pytest.raises(ValueError, match="NaN"):
-        _multinomial_rows(logw, 3, np.random.default_rng(0))
+        _search_rows(_row_weights(logw)[0], 3, np.random.default_rng(0))
 
 
 @PROPERTY
@@ -162,9 +163,9 @@ class _NanStageTarget(GaussianStageTarget):
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "batched"])
 def test_inner_smc_rejects_nan_stage_weight(strict):
     spec = StssmSpec.chain(n_x=3, tau=1.0, lam=0.5, obs_var=0.25)
-    fact = spec.noise_precision.fact
+    prec = spec.noise_precision
     target = _NanStageTarget(
-        np.zeros((2, 3)), fact.phi, fact.c, fact.cond_var, np.zeros(3), 0.25,
+        np.zeros((2, 3)), prec.phi, prec.c, prec.cond_var, np.zeros(3), 0.25,
         "prior", markov_order=1,
     )
     with pytest.raises(ValueError, match="NaN"):
@@ -176,7 +177,7 @@ def test_row_samplers_reject_nan_rows():
     with pytest.raises(ValueError, match="NaN"):
         _categorical_rows(logw, np.random.default_rng(0))
     with pytest.raises(ValueError, match="NaN"):
-        _multinomial_rows(logw, 3, np.random.default_rng(0))
+        _search_rows(_row_weights(logw)[0], 3, np.random.default_rng(0))
 
 
 #: Row widths 1-40, with every power of two up to 32 drawn as often as
@@ -191,8 +192,34 @@ class _GivenUniforms:
         self.u = u
 
     def random(self, shape):
-        assert shape == self.u.shape
+        assert np.empty(shape).shape == self.u.shape
         return self.u
+
+
+#: The largest uniform ``Generator.random`` can return, ``1 - 2**-53``.
+U_MAX = np.nextafter(1.0, 0.0)
+
+
+def test_multinomial_resample_skips_a_dead_tail_below_one():
+    # The live mass sums to 1 - 2**-53 in floating point, so the largest
+    # uniform lies above it; it must still pick the last live index.
+    probs = np.array([0.3, 0.6, 0.1, 0.0])
+    assert np.cumsum(probs)[-2] == U_MAX
+    idx = multinomial_resample(probs, 1, _GivenUniforms(np.array([U_MAX])))
+    assert idx.tolist() == [2]
+
+
+@PROPERTY
+@given(logw=arrays(float, st.integers(1, 12), elements=entries))
+def test_multinomial_resample_draws_live_indices(logw):
+    # Interior and trailing -inf weights, against the smallest, a middle
+    # and the largest uniform.
+    assume(np.isfinite(np.max(logw)))
+    probs = normalize_logweights(logw)[0]
+    u = np.array([0.0, 0.5, U_MAX])
+    idx = multinomial_resample(probs, u.size, _GivenUniforms(u))
+    assert np.all((idx >= 0) & (idx < logw.size))
+    assert np.all(probs[idx] > 0.0)
 
 
 @PROPERTY
@@ -241,7 +268,7 @@ def test_multinomial_rows_resolution_does_not_depend_on_row():
     # p = [0.5, 1] on every row and a uniform just below 0.5: index 0 is
     # the exact draw on every row, however many rows there are.
     logw = np.zeros((4096, 2))
-    idx = _multinomial_rows(logw, 3, _ConstantUniforms(0.5 - 1e-13))
+    idx = _search_rows(_row_weights(logw)[0], 3, _ConstantUniforms(0.5 - 1e-13))
     assert np.all(idx == 0)
 
 
@@ -294,7 +321,8 @@ def test_categorical_rows_frequencies():
 
 
 def test_multinomial_rows_frequencies():
-    _assert_frequencies(_multinomial_rows(FREQ_LOGW, FREQ_DRAWS, np.random.default_rng(102)))
+    w = _row_weights(FREQ_LOGW)[0]
+    _assert_frequencies(_search_rows(w, FREQ_DRAWS, np.random.default_rng(102)))
 
 
 def test_pick_rows_frequencies():
