@@ -167,12 +167,6 @@ def compute_constants(
         alpha = mean_t[t - 1] - beta * mean_t[k - 1]
         return alpha, beta
 
-    for s in range(1, t):
-        mean_s, cov_s = scalar_posterior_joint(scalar_model, ys[:s])
-        a_s[s], b_s[s], c_s[s] = _ratio_constants(
-            mean_t[:s], cov_t[:s, :s], mean_s, cov_s, *regression(s), f"A/B/C_{s}"
-        )
-
     for s in range(t):
         k = s + 1
         num_mean, num_cov = mean_t[:k], cov_t[:k, :k]
@@ -181,6 +175,9 @@ def compute_constants(
             den_cov = np.array([[scalar_model.init_var]])
         else:
             mean_s, cov_s = scalar_posterior_joint(scalar_model, ys[:s])
+            a_s[s], b_s[s], c_s[s] = _ratio_constants(
+                mean_t[:s], cov_t[:s, :s], mean_s, cov_s, *regression(s), f"A/B/C_{s}"
+            )
             den_mean = np.append(mean_s, scalar_model.a_coef * mean_s[s - 1])
             den_cov = np.zeros((k, k))
             den_cov[:s, :s] = cov_s

@@ -2,8 +2,9 @@
 
 Subcommands:
 
-* ``simulate``  -- draw a dataset from the configured model and write it
-  (CSV plus JSON sidecar) into the output directory.
+* ``simulate``  -- draw a dataset from the configured model at
+  ``data.seed`` and write it (CSV plus JSON sidecar) into the output
+  directory; a config that names ``data.path`` is refused.
 * ``run``       -- run every configured method over replicated seeds,
   write raw per-replicate results and aggregated summaries.
 * ``asymptotics`` -- emit the variance-versus-M curve of the
@@ -439,6 +440,8 @@ def _write_summaries(config, data, rows, out_dir):
 
 
 def _cmd_simulate(config: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
+    if config.data_path is not None:
+        raise ConfigError("data.path: simulate draws from data.seed and reads no dataset")
     out_dir.mkdir(parents=True, exist_ok=True)
     data = simulate(config.model, config.T, seed=config.data_seed)
     path = out_dir / "dataset.csv"
@@ -448,7 +451,7 @@ def _cmd_simulate(config: ExperimentConfig, out_dir: Path, verbose: bool) -> int
     return 0
 
 
-def _cmd_run(config: ExperimentConfig, out_dir: Path, workers: int, verbose: bool) -> int:
+def _cmd_run(config: ExperimentConfig, workers: int, verbose: bool) -> int:
     status = run_experiment(config, workers=workers)
     if verbose:
         print(f"experiment {config.name}: exit status {status}")
@@ -540,7 +543,7 @@ def main(argv=None) -> int:
             config = replace(config, output_dir=args.out)
         if args.command == "simulate":
             return _cmd_simulate(config, Path(config.output_dir), args.verbose)
-        return _cmd_run(config, Path(config.output_dir), getattr(args, "workers", 1), args.verbose)
+        return _cmd_run(config, getattr(args, "workers", 1), args.verbose)
     except (ConfigError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -30,16 +30,18 @@ def squared_error(estimate, truth):
 def unbiasedness_test(samples: np.ndarray, target: float) -> float:
     """z-score of the sample mean against ``target``.
 
-    The test passes when ``|z| <= 3``.  Degenerate samples (zero sample
-    standard deviation) return ``z = 0.0`` when the mean hits the target
-    exactly and signed infinity otherwise, so constants at the target
-    count as a pass.
+    The test passes when ``|z| <= 3``.  Degenerate samples (all equal,
+    told by equality, as the std of equal floats need not round to 0)
+    return ``z = 0.0`` when they hit the target exactly and signed
+    infinity otherwise, so constants at the target count as a pass.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size < 30:
         raise ValueError("unbiasedness_test needs at least 30 samples")
-    mean = samples.mean()
-    stderr = samples.std(ddof=1) / np.sqrt(samples.size)
+    if np.all(samples == samples[0]):
+        mean, stderr = samples[0], 0.0
+    else:
+        mean, stderr = samples.mean(), samples.std(ddof=1) / np.sqrt(samples.size)
     if stderr == 0.0:
         return 0.0 if mean == target else float(np.sign(mean - target) * np.inf)
     return float((mean - target) / stderr)

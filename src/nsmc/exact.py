@@ -11,19 +11,20 @@ Gaussian update whose covariances commute with the noise precision
 zero-variance belief at each particle, batched over particles.  Both
 filters run through the package's outer run loop; the FAPF is the fully
 adapted configuration of the package's one outer step (:mod:`nsmc.smc`)
-with the conditional's cache as the exact auxiliary object, as the
-nested filter is with an inner procedure.
+driven by :class:`ExactFfbsProcedure`, whose auxiliary object is the
+conditional's cache, as the nested filter is driven by an inner
+procedure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import InvalidInputError
 from .model import _LOG_2PI, Dataset, StssmSpec
-from .smc import FilterOutput, _drive, _outer_run
+from .smc import FilterOutput, ProperWeightingProcedure, _drive, _outer_run
 
 __all__ = [
     "KalmanBelief",
@@ -33,6 +34,7 @@ __all__ = [
     "FfbsCache",
     "ffbs_forward",
     "ffbs_backward",
+    "ExactFfbsProcedure",
     "fapf_run",
 ]
 
@@ -141,9 +143,9 @@ class FfbsCache:
     ``a_coef`` give the draw ``x_t = a_coef * x_prev + v``.
 
     The cache is also the exact auxiliary object of the fully adapted
-    step: ``log_tau`` is the predictive density, ``take`` reindexes the
-    batch (outer resampling) and ``draw`` samples the locally optimal
-    proposal.
+    step: ``log_tau`` is the predictive density and ``draw(rng, rows)``
+    samples the locally optimal proposal for the batch rows ``rows``
+    that outer resampling chose (every row for ``None``).
     """
 
     v_mean: np.ndarray  # (..., n_x)
@@ -157,18 +159,10 @@ class FfbsCache:
     def log_tau(self):
         return self.log_nu
 
-    def take(self, idx):
-        """Reindex the batch dimension (outer resampling)."""
-        return replace(
-            self,
-            v_mean=self.v_mean[idx],
-            log_nu=self.log_nu[idx],
-            x_prev=self.x_prev[idx],
-        )
-
-    def draw(self, rng):
-        v = ffbs_backward(self, rng)
-        return self.a_coef * self.x_prev + v
+    def draw(self, rng, rows=None):
+        v = ffbs_backward(self, rng, rows)
+        x_prev = self.x_prev if rows is None else self.x_prev[rows]
+        return self.a_coef * x_prev + v
 
 
 def ffbs_forward(
@@ -191,20 +185,35 @@ def ffbs_forward(
     return FfbsCache(v_mean, var, log_nu, basis, x_prev, model.a_coef)
 
 
-def ffbs_backward(cache: FfbsCache, rng: np.random.Generator) -> np.ndarray:
-    """Exact joint draw ``v ~ p(v | y_t, x_prev)`` from the cache, with
-    the cache's batch shape: independent normals scaled by the posterior
-    standard deviations in the eigenbasis, then rotated back
-    (``O(N * n_x^2)`` flops for ``N`` rows).  The caller forms
-    ``x_t = a * x_prev + v``.
+def ffbs_backward(cache: FfbsCache, rng: np.random.Generator, rows=None) -> np.ndarray:
+    """Exact joint draw ``v ~ p(v | y_t, x_prev)`` from the cache, one
+    per batch row ``rows`` (``None``: every row): independent normals
+    scaled by the posterior standard deviations in the eigenbasis, then
+    rotated back (``O(N * n_x^2)`` flops for ``N`` rows).  The caller
+    forms ``x_t = a * x_prev + v``.
     """
-    z = rng.standard_normal(cache.v_mean.shape)
-    return cache.v_mean + (z * np.sqrt(cache.var)) @ cache.basis.T
+    v_mean = cache.v_mean if rows is None else cache.v_mean[rows]
+    z = rng.standard_normal(v_mean.shape)
+    return v_mean + (z * np.sqrt(cache.var)) @ cache.basis.T
 
 
 # ---------------------------------------------------------------------------
 # Fully adapted particle filter
 # ---------------------------------------------------------------------------
+
+
+class ExactFfbsProcedure(ProperWeightingProcedure):
+    """Zero-variance procedure for the tractable chain model: ``tau`` is
+    the exact predictive density and draws are exact proposal draws.
+    Running the outer filter with it is the fully adapted particle
+    filter.  Any other model raises :class:`InvalidInputError`."""
+
+    kind = "exact-ffbs"
+
+    def prepare(self, model, t, x_prev, y_t, rng):
+        if not isinstance(model, StssmSpec):
+            raise InvalidInputError(f"exact-ffbs needs a StssmSpec, got {type(model).__name__}")
+        return ffbs_forward(model, x_prev, y_t)
 
 
 def fapf_run(
@@ -222,8 +231,6 @@ def fapf_run(
     """
     if not isinstance(model, StssmSpec):
         raise InvalidInputError(f"fapf_run needs a StssmSpec, got {type(model).__name__}")
-
-    def prepare(t, x_prev, y_t, rng):
-        return ffbs_forward(model, x_prev, y_t)
-
-    return _outer_run("fapf", model, prepare, "gamma-ratio", "tau", data, N, rng, False)
+    return _outer_run(
+        "fapf", model, ExactFfbsProcedure(), "gamma-ratio", "tau", data, N, rng, False
+    )

@@ -28,8 +28,9 @@ vectorized pass.
 An inner SMC stage takes the row maxima of its log-weights once, in the
 NaN and collapse check, and reuses them as the shift of both the next
 stage's resampling weights and the stage's factor of ``tau``.  Outer
-resampling copies no inner state: the auxiliary object records the
-chosen rows, and the draws read those rows directly.
+resampling copies no inner state: the outer step hands the chosen rows
+to the auxiliary object's ``draw(rng, rows)``, which reads those rows
+directly.
 
 All inner machinery is batched over outer particles: arrays carry shape
 ``(n_stages, *batch, M)`` and every stage operation is vectorized across
@@ -38,10 +39,12 @@ the batch, which is what makes replicated experiments cheap.
 Procedures see the model only through the ``t``-aware protocol of
 :mod:`nsmc.model` (transition sampler, observation density, initial law
 at ``t = 1``, ``inner_target``), so no code here branches on the model
-type.  ``PROCEDURES`` is the one table of procedure names.  The outer
-filter is the package's one outer step (:mod:`nsmc.smc`) driven by a
-procedure: :func:`general_nsmc_step` is the general algorithm, with the
-procedure scores or constants as adjustment multipliers, and
+type.  ``PROCEDURES`` is the one table of procedure names; the exact
+procedures and the procedure base live next to their auxiliary objects
+in :mod:`nsmc.exact` and :mod:`nsmc.smc` and are re-exported here.  The
+outer filter is the package's one outer step (:mod:`nsmc.smc`) driven
+by a procedure: :func:`general_nsmc_step` is the general algorithm, with
+the procedure scores or constants as adjustment multipliers, and
 :func:`nsmc_step` its fully adapted configuration, which with
 :class:`ExactFfbsProcedure` is the fully adapted particle filter.
 """
@@ -49,21 +52,21 @@ procedure scores or constants as adjustment multipliers, and
 from __future__ import annotations
 
 import copy
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .exceptions import InnerCollapseError, InvalidInputError
+from .exceptions import InnerCollapseError
 from .model import _LOG_2PI, Dataset, ModelBundle, StssmSpec, _gauss_logpdf, make_model
-from .exact import ffbs_forward
+from .exact import ExactFfbsProcedure
 from .smc import (
+    ExactTransitionProcedure,
     FilterOutput,
     ParticleSystem,
+    ProperWeightingProcedure,
     _categorical_rows,
     _empty_system,
-    _ExactTransitionAux,
     _outer_run,
     _outer_step,
     _pick_rows,
@@ -120,7 +123,8 @@ class GaussianStageTarget:
       ``(*batch, M)`` and the chosen next component ``x_next`` of shape
       ``(*batch,)``; only differences across particles matter to the
       backward kernel.
-    * ``take(idx)`` reindexes the batch dimension for outer resampling.
+    * ``take(idx)`` reindexes the batch dimension, for the self-nested
+      tiling and for a backward draw at the rows outer resampling chose.
     """
 
     def __init__(self, alpha, phi, c, var, y_t, obs_var, proposal, markov_order):
@@ -182,9 +186,9 @@ class InnerState:
     ``logw`` the stage weights.  ``log_tau`` is the running product of
     stage weight means, one entry per batch row; ``-inf`` marks a
     collapsed (zero-score) system, which is legal as long as some
-    sibling survives.  Outer resampling never copies a state: the inner
-    SMC procedure's auxiliary object records the chosen batch rows, and
-    the draws read those rows.
+    sibling survives.  Outer resampling never copies a state: the outer
+    step passes the chosen batch rows to the auxiliary object's
+    ``draw(rng, rows)``, and the draws read those rows.
     """
 
     particles: np.ndarray  # (n_stages, *batch, M)
@@ -382,59 +386,29 @@ def empirical_draw(
 # ---------------------------------------------------------------------------
 
 
-class ProperWeightingProcedure(ABC):
-    """Factory for properly weighted ``(x_t, tau)`` pairs.
-
-    ``prepare`` simulates the auxiliary variable (everything the inner
-    method generated) for a batch of outer particles and returns an aux
-    object carrying ``log_tau``, a ``take`` method for outer resampling,
-    and ``draw`` for the propagation draw.  ``draw`` may be invoked
-    repeatedly on the same aux; shared ancestors use independent
-    randomness per invocation.
-    """
-
-    kind: str = ""
-
-    @abstractmethod
-    def prepare(self, model, t, x_prev, y_t, rng):
-        ...
-
-
 @dataclass(frozen=True)
 class _InnerSmcAux:
     """The auxiliary object of an inner SMC run: its ``target`` and
-    ``state``, the draw ``kappa`` and the batch ``rows`` of ``state``
-    that outer resampling chose (``None``: every row, in order).
-
-    ``take`` records the chosen rows, composing the indices when taken
-    twice, and never copies the state; the draws read those rows
-    directly, and only the empirical draw reads the ancestors.
-    """
+    ``state`` and the draw ``kappa``.  ``draw(rng, rows)`` reads the
+    batch ``rows`` of ``state`` (indices into the flattened batch, the
+    outer particles) directly and never copies the state; only the
+    empirical draw reads the ancestors."""
 
     target: GaussianStageTarget
     state: InnerState
     kappa: str
-    rows: np.ndarray | None = None
 
     @property
     def log_tau(self):
-        log_tau = self.state.log_tau
-        return log_tau if self.rows is None else log_tau.reshape(-1)[self.rows]
+        return self.state.log_tau
 
-    def take(self, idx):
-        rows = self.rows
-        if rows is None:
-            rows = np.arange(self.state.log_tau.size).reshape(self.state.log_tau.shape)
-        return _InnerSmcAux(self.target.take(idx), self.state, self.kappa, rows[idx])
-
-    def draw(self, rng):
+    def draw(self, rng, rows=None):
         if not self.target.markov_order:
-            return _stagewise_draw(self.state, self.rows, rng)
+            return _stagewise_draw(self.state, rows, rng)
         if self.kappa == "backward":
-            return backward_simulate(
-                self.state, self.target, rng, strict=False, rows=self.rows
-            )
-        return empirical_draw(self.state, rng, rows=self.rows)
+            target = self.target if rows is None else self.target.take(rows)
+            return backward_simulate(self.state, target, rng, strict=False, rows=rows)
+        return empirical_draw(self.state, rng, rows=rows)
 
 
 class InnerSmcProcedure(ProperWeightingProcedure):
@@ -466,18 +440,12 @@ class _ImportanceAux:
     logw: np.ndarray  # (*batch, m)
     log_tau: np.ndarray  # (*batch,)
 
-    def take(self, idx):
-        return _ImportanceAux(
-            candidates=self.candidates[idx],
-            logw=self.logw[idx],
-            log_tau=self.log_tau[idx],
-        )
-
-    def draw(self, rng):
-        j = _categorical_rows(self.logw, rng)
-        return np.take_along_axis(
-            self.candidates, j[..., None, None], axis=-2
-        )[..., 0, :]
+    def draw(self, rng, rows=None):
+        cand, logw = self.candidates, self.logw
+        if rows is not None:
+            cand, logw = cand[rows], logw[rows]
+        j = _categorical_rows(logw, rng)
+        return np.take_along_axis(cand, j[..., None, None], axis=-2)[..., 0, :]
 
 
 class ImportanceProcedure(ProperWeightingProcedure):
@@ -503,31 +471,6 @@ class ImportanceProcedure(ProperWeightingProcedure):
         cand = model.sample_transition(tiled, rng, t)
         logw = model.log_obs(y_t, cand)
         return _ImportanceAux(candidates=cand, logw=logw, log_tau=_row_logmeanexp(logw))
-
-
-class ExactFfbsProcedure(ProperWeightingProcedure):
-    """Zero-variance procedure for the tractable chain model: ``tau`` is
-    the exact predictive density and draws are exact proposal draws.
-    Running the outer filter with it reproduces the fully adapted
-    sampler.  Any other model raises :class:`InvalidInputError`."""
-
-    kind = "exact-ffbs"
-
-    def prepare(self, model, t, x_prev, y_t, rng):
-        if not isinstance(model, StssmSpec):
-            raise InvalidInputError(f"exact-ffbs needs a StssmSpec, got {type(model).__name__}")
-        return ffbs_forward(model, x_prev, y_t)
-
-
-class ExactTransitionProcedure(ProperWeightingProcedure):
-    """Exact sampler from the transition prior with ``tau = 1``;
-    properly weighted for ``r_t = f``.  Plugged into the general outer
-    algorithm it reproduces the bootstrap filter."""
-
-    kind = "exact-transition"
-
-    def prepare(self, model, t, x_prev, y_t, rng):
-        return _ExactTransitionAux(model, t, np.asarray(x_prev, dtype=float))
 
 
 class SelfNestedProcedure(ProperWeightingProcedure):
@@ -681,8 +624,7 @@ def general_nsmc_step(
         raise ValueError(f"nu_hat must be 'tau' or 'one', got {nu_hat!r}")
     if log_r not in ("gamma-ratio", "transition"):
         raise ValueError(f"log_r must be 'gamma-ratio' or 'transition', got {log_r!r}")
-    prepare = partial(proc.prepare, model)
-    return _outer_step(system, model, prepare, log_r, nu_hat, y_t, rng)[0]
+    return _outer_step(system, model, proc, log_r, nu_hat, y_t, rng)[0]
 
 
 def nsmc_run(
@@ -702,10 +644,9 @@ def nsmc_run(
     """
     if isinstance(proc, str):
         proc = make_procedure(proc, M)
-    m = make_model(model)
-    prepare = partial(proc.prepare, m)
-    method = f"nsmc-{proc.kind}"
-    return _outer_run(method, m, prepare, "gamma-ratio", "tau", data, N, rng, True)
+    return _outer_run(
+        f"nsmc-{proc.kind}", make_model(model), proc, "gamma-ratio", "tau", data, N, rng, True
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +714,8 @@ def proper_weighting_check(
         prods = tau * vals
         est = prods.mean()
         truth = nu * expectation
-        se = prods.std(ddof=1) / np.sqrt(n_reps)
+        # Constants by equality: the std of equal floats need not be 0.
+        se = 0.0 if np.all(prods == prods[0]) else prods.std(ddof=1) / np.sqrt(n_reps)
         if se == 0.0:
             # Zero-variance procedures: agreement up to the dense
             # oracle's own round-off counts as an exact pass.

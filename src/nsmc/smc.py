@@ -2,22 +2,25 @@
 
 Log-domain weight handling, multinomial resampling, effective sample
 size, the particle-system container, the common filter-output record,
-the outer run loop, the one outer step and the bootstrap particle
-filter baseline.
+the outer run loop, the one outer step, the properly weighted procedure
+protocol and the bootstrap particle filter baseline.
 
 Every filter in the package runs through one outer loop, ``_drive``: it
 checks the data against the model dimension and folds a step function
 over the observations into a :class:`FilterOutput`.  A step reports its
 own filtering mean and variance, its normalizer increment and
 optionally an ESS.  Every particle filter steps through ``_outer_step``,
-the general algorithm with adjustment multipliers: the fully adapted
-and the nested filter are its ``("gamma-ratio", "tau")`` configuration,
-differing only in the procedure that supplies the ``tau`` scores and
-draws, and the bootstrap filter its ``("transition", "one")`` one.
+the general algorithm with adjustment multipliers, driven by a
+:class:`ProperWeightingProcedure`: the fully adapted and the nested
+filter are its ``("gamma-ratio", "tau")`` configuration, differing only
+in the procedure that supplies the ``tau`` scores and draws, and the
+bootstrap filter its ``("transition", "one")`` one with
+:class:`ExactTransitionProcedure`.
 """
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +34,8 @@ __all__ = [
     "multinomial_resample",
     "ParticleSystem",
     "FilterOutput",
+    "ProperWeightingProcedure",
+    "ExactTransitionProcedure",
     "bootstrap_pf",
 ]
 
@@ -248,6 +253,25 @@ def _normalize_at(logw: np.ndarray, t: int, detail: str = "") -> tuple[np.ndarra
         raise WeightCollapseError(step=t, detail=detail) from None
 
 
+class ProperWeightingProcedure(ABC):
+    """Factory for properly weighted ``(x_t, tau)`` pairs.
+
+    ``prepare(model, t, x_prev, y_t, rng)`` simulates the auxiliary
+    variable (everything the inner method generated) for a batch of
+    outer particles and returns an aux object carrying the scores
+    ``log_tau`` and ``draw(rng, rows=None)``, the propagation draw for
+    the batch rows ``rows`` that outer resampling chose (``None``: every
+    row).  ``draw`` may be invoked repeatedly on the same aux; a repeated
+    row gets independent randomness per occurrence.
+    """
+
+    kind: str = ""
+
+    @abstractmethod
+    def prepare(self, model, t, x_prev, y_t, rng):
+        ...
+
+
 @dataclass(frozen=True)
 class _ExactTransitionAux:
     """Auxiliary object of exact draws from the transition ``f``: unit
@@ -261,36 +285,45 @@ class _ExactTransitionAux:
     def log_tau(self):
         return np.zeros(self.x_prev.shape[:-1])
 
-    def take(self, idx):
-        return _ExactTransitionAux(self.model, self.t, self.x_prev[idx])
+    def draw(self, rng, rows=None):
+        x_prev = self.x_prev if rows is None else self.x_prev[rows]
+        return self.model.sample_transition(x_prev, rng, self.t)
 
-    def draw(self, rng):
-        return self.model.sample_transition(self.x_prev, rng, self.t)
+
+class ExactTransitionProcedure(ProperWeightingProcedure):
+    """Exact sampler from the transition prior with ``tau = 1``;
+    properly weighted for ``r_t = f``.  Plugged into the general outer
+    algorithm it reproduces the bootstrap filter."""
+
+    kind = "exact-transition"
+
+    def prepare(self, model, t, x_prev, y_t, rng):
+        return _ExactTransitionAux(model, t, np.asarray(x_prev, dtype=float))
 
 
 def _outer_step(
-    system: ParticleSystem, model, prepare, log_r, nu_hat: str, y_t, rng, ess_threshold=None
+    system: ParticleSystem, model, proc, log_r, nu_hat: str, y_t, rng, ess_threshold=None
 ) -> tuple[ParticleSystem, np.ndarray]:
     """One step of the general outer algorithm, documented at
     :func:`nsmc.nested.general_nsmc_step`; the only code that resamples,
     draws and weights outer particles.
 
-    ``prepare(t, x_prev, y_t, rng)`` returns the auxiliary object:
-    scores ``log_tau``, ``take(idx)`` for outer resampling and
-    ``draw(rng)``.  With constant multipliers, ``ess_threshold`` resamples
-    only when the ESS of the previous weights is below
-    ``ess_threshold * N``, and otherwise carries them normalized to mean
-    one.  Returns the new system and the normalized weights its ESS is
-    taken on: the resampling probabilities of ``tau`` in the fully
-    adapted configuration, whose new weights are uniform, else the new
-    weights.
+    ``proc.prepare(model, t, x_prev, y_t, rng)`` returns the auxiliary
+    object; with ``tau`` multipliers the ancestors its scores select go
+    to its ``draw(rng, rows)``, so no aux is copied.  With constant
+    multipliers, ``ess_threshold`` resamples only when the ESS of the
+    previous weights is below ``ess_threshold * N``, and otherwise
+    carries them normalized to mean one.  Returns the new system and the
+    normalized weights its ESS is taken on: the resampling probabilities
+    of ``tau`` in the fully adapted configuration, whose new weights are
+    uniform, else the new weights.
     """
     t = system.t + 1
     N = system.n
     logw_prev = system.logw
     x_prev = system.states
     fully_adapted = log_r == "gamma-ratio" and nu_hat == "tau"
-    ancestors = carried = None
+    ancestors = rows = carried = None
     adj = 0.0
     if nu_hat == "one":
         # The multipliers do not read the auxiliary variable, so the
@@ -308,9 +341,8 @@ def _outer_step(
                 carried = logw_prev - log_mean
         if ancestors is None:
             ancestors = np.arange(N)
-        aux = prepare(t, x_prev, y_t, rng)
-    else:
-        aux = prepare(t, x_prev, y_t, rng)
+    aux = proc.prepare(model, t, x_prev, y_t, rng)
+    if nu_hat == "tau":
         log_nu = np.asarray(aux.log_tau, dtype=float)
         detail = "all adjusted weights are zero"
         if np.count_nonzero(logw_prev):
@@ -322,10 +354,9 @@ def _outer_step(
             # All-zero previous weights: the same formula, bit for bit,
             # without its identity terms.
             probs, adj = _normalize_at(log_nu, t, detail)
-        ancestors = multinomial_resample(probs, N, rng)
-        aux = aux.take(ancestors)
+        ancestors = rows = multinomial_resample(probs, N, rng)
 
-    states = aux.draw(rng)
+    states = aux.draw(rng, rows)
     if fully_adapted:
         # gamma_t / r_t and tau / nu_hat cancel exactly: uniform weights.
         logw, log_mean_w = np.zeros(N), 0.0
@@ -334,7 +365,7 @@ def _outer_step(
         log_tau = np.asarray(aux.log_tau, dtype=float)
         if nu_hat == "tau":
             # Grouped so that tau / nu_hat cancels exactly where it is one.
-            log_tau = log_tau - log_nu[ancestors]
+            log_tau = log_tau[ancestors] - log_nu[ancestors]
         logw = core + log_tau
         if carried is not None:
             logw = carried + logw
@@ -356,7 +387,7 @@ def _outer_step(
 
 
 def _outer_run(
-    method: str, model, prepare, log_r, nu_hat: str, data: Dataset, N: int, rng,
+    method: str, model, proc, log_r, nu_hat: str, data: Dataset, N: int, rng,
     with_ess: bool, ess_threshold=None,
 ) -> FilterOutput:
     """Run :func:`_outer_step` over ``data`` from ``N`` particles at zero.
@@ -372,7 +403,7 @@ def _outer_run(
 
     def step(system, t, y_t):
         system, probs = _outer_step(
-            system, model, prepare, log_r, nu_hat, y_t, rng, ess_threshold
+            system, model, proc, log_r, nu_hat, y_t, rng, ess_threshold
         )
         states = system.states
         if fully_adapted:
@@ -401,11 +432,7 @@ def bootstrap_pf(
     ``ess_threshold * N``); the default of ``None`` matches the
     per-step-resampling analysis used everywhere else in this package.
     """
-    m = make_model(model)
-
-    def prepare(t, x_prev, y_t, rng):
-        return _ExactTransitionAux(m, t, x_prev)
-
     return _outer_run(
-        "bpf", m, prepare, "transition", "one", data, N, rng, True, ess_threshold
+        "bpf", make_model(model), ExactTransitionProcedure(), "transition", "one",
+        data, N, rng, True, ess_threshold,
     )

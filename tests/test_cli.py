@@ -222,6 +222,13 @@ class TestConfigValidation:
         assert "model: tau must be finite, got inf" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_simulate_refuses_a_dataset_path_before_output(self, tmp_path, capsys):
+        # simulate once ignored the path and wrote a seed-0 dataset.
+        cfg = _base_config(tmp_path, data={"path": str(tmp_path / "dataset.csv")})
+        assert main(["simulate", "--config", str(_write(tmp_path, cfg))]) == 2
+        assert "error: data.path: simulate" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_unknown_method_kind(self, tmp_path):
         cfg = _base_config(tmp_path, methods=[{"name": "x", "kind": "magic", "N": 5}])
         with pytest.raises(ConfigError, match=r"methods\[0\].kind"):

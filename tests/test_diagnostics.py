@@ -37,6 +37,14 @@ class TestUnbiasednessTest:
         z = unbiasedness_test(np.full(50, 2.5), 2.0)
         assert z == np.inf
 
+    @pytest.mark.parametrize("value", [0.01, 0.1, 1 / 3, -2.7, 1e-7])
+    def test_non_dyadic_constants_are_exact(self, value):
+        # The standard deviation of these constants is not 0.0 in
+        # floating point; equality still makes them degenerate samples.
+        samples = np.full(30, value)
+        assert unbiasedness_test(samples, value) == 0.0
+        assert unbiasedness_test(samples, np.nextafter(value, np.inf)) == -np.inf
+
     def test_null_distribution_passes(self):
         rng = np.random.default_rng(7)
         samples = rng.normal(3.0, 1.0, size=10**4)

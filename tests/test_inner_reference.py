@@ -2,14 +2,15 @@
 against a plain reference: the stage loop, backward simulation, the
 empirical draw and the nested filter written with ``_row_weights``, a
 per-row ``np.searchsorted``, ``take_along_axis`` and an eager take of
-the inner state.  Also checks that outer resampling of an inner SMC's
-auxiliary object records rows instead of copying the inner state."""
+the inner state.  Also checks that every auxiliary object's draw at the
+rows outer resampling chose equals the draw of an eagerly indexed copy."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
+from nsmc.exact import FfbsCache
 from nsmc.exceptions import InnerCollapseError
 from nsmc.model import IndependentSsmSpec, StssmSpec, make_model, simulate
 from nsmc.nested import (
@@ -17,9 +18,12 @@ from nsmc.nested import (
     GaussianStageTarget,
     InnerSmcProcedure,
     InnerState,
+    _ImportanceAux,
+    _InnerSmcAux,
     backward_simulate,
     empirical_draw,
     inner_smc,
+    make_procedure,
     nsmc_run,
 )
 from nsmc.smc import _categorical_rows, _pick_rows, _row_logmeanexp, _row_weights
@@ -105,10 +109,10 @@ class _ReferenceAux:
     def log_tau(self):
         return self.state.log_tau
 
-    def take(self, idx):
-        return _ReferenceAux(self.target.take(idx), _take_state(self.state, idx), self.kappa)
-
-    def draw(self, rng):
+    def draw(self, rng, rows=None):
+        if rows is not None:
+            taken = _ReferenceAux(self.target.take(rows), _take_state(self.state, rows), self.kappa)
+            return taken.draw(rng)
         if self.kappa == "backward":
             return _reference_backward(self.state, self.target, rng)
         return _reference_empirical(self.state, rng)
@@ -196,38 +200,43 @@ def test_nested_filter_matches_the_reference(kappa, proposal, m):
         np.testing.assert_array_equal(getattr(out, field), getattr(ref, field))
 
 
-TAKE_MODELS = {
+DRAW_MODELS = {
     "order-1": StssmSpec.chain(n_x=5, tau=1.0, lam=0.8, obs_var=0.25),
     "order-0": IndependentSsmSpec(n_x=5, a_coef=0.5, init_mean=0.3, obs_var=0.4),
 }
+DRAW_CASES = [
+    ("exact-ffbs", "order-1"),
+    ("exact-transition", "order-1"),
+    ("exact-transition", "order-0"),
+    ("is", "order-1"),
+    ("is", "order-0"),
+] + [(kind, case) for kind in ("smc+bs", "smc+empirical") for case in ("order-1", "order-0")]
 
 
-@pytest.mark.parametrize("kappa", ["backward", "empirical"])
-@pytest.mark.parametrize("case", sorted(TAKE_MODELS))
-def test_outer_take_records_rows_instead_of_copying(case, kappa):
-    spec = TAKE_MODELS[case]
-    x_prev, y = _inputs(n_x=spec.n_x)
-    aux = InnerSmcProcedure(4, kappa).prepare(spec, 2, x_prev, y, np.random.default_rng(10))
-    i = np.array([3, 3, 0, 6, 1, 5, 3, 2])
-    j = np.array([7, 0, 0, 4, 2])
-    taken = aux.take(i)
-    for field in ("particles", "ancestors", "logw", "log_tau"):
-        if getattr(aux.state, field).size:  # order 0 records no ancestors
-            assert np.shares_memory(getattr(taken.state, field), getattr(aux.state, field))
-    twice, once = taken.take(j), aux.take(i[j])
-    np.testing.assert_array_equal(twice.rows, once.rows)
-    np.testing.assert_array_equal(twice.log_tau, aux.state.log_tau[i[j]])
-    np.testing.assert_array_equal(
-        twice.draw(np.random.default_rng(11)), once.draw(np.random.default_rng(11))
-    )
-    for idx, lazy in ((i, taken), (i[j], twice)):
-        eager = dataclasses.replace(
-            aux, target=aux.target.take(idx), state=_take_state(aux.state, idx)
+def _eager(aux, rows):
+    """``aux`` with every batch field copied at ``rows``."""
+    if isinstance(aux, _InnerSmcAux):
+        return dataclasses.replace(
+            aux, target=aux.target.take(rows), state=_take_state(aux.state, rows)
         )
-        np.testing.assert_array_equal(eager.log_tau, lazy.log_tau)
-        x = lazy.draw(np.random.default_rng(12))
-        np.testing.assert_array_equal(x, eager.draw(np.random.default_rng(12)))
-        assert x.flags.c_contiguous
-        if case == "order-1":
-            ref = _ReferenceAux(aux.target, aux.state, kappa).take(idx)
-            np.testing.assert_array_equal(x, ref.draw(np.random.default_rng(12)))
+    if isinstance(aux, FfbsCache):
+        return dataclasses.replace(
+            aux, v_mean=aux.v_mean[rows], log_nu=aux.log_nu[rows], x_prev=aux.x_prev[rows]
+        )
+    if isinstance(aux, _ImportanceAux):
+        return _ImportanceAux(aux.candidates[rows], aux.logw[rows], aux.log_tau[rows])
+    return dataclasses.replace(aux, x_prev=aux.x_prev[rows])
+
+
+@pytest.mark.parametrize("kind,case", DRAW_CASES)
+def test_draw_at_rows_equals_the_draw_of_an_eager_copy(kind, case):
+    spec = DRAW_MODELS[case]
+    x_prev, y = _inputs(n_x=spec.n_x)
+    aux = make_procedure(kind, 4).prepare(spec, 2, x_prev, y, np.random.default_rng(10))
+    rows = np.array([3, 3, 0, 6, 1, 5, 3, 2])
+    x = aux.draw(np.random.default_rng(12), rows)
+    np.testing.assert_array_equal(x, _eager(aux, rows).draw(np.random.default_rng(12)))
+    assert x.shape == (rows.size, spec.n_x) and x.flags.c_contiguous
+    if kind.startswith("smc") and case == "order-1":
+        ref = _ReferenceAux(aux.target, aux.state, aux.kappa)
+        np.testing.assert_array_equal(x, ref.draw(np.random.default_rng(12), rows))

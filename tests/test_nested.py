@@ -385,12 +385,17 @@ class TestProperWeighting:
             z = (prods.mean() - np.exp(log_nu) * expectation) / se
             assert abs(z) <= 3.5, f"{kind} M={m} phi={phi}: z={z:.2f}"
 
-    def test_exact_procedure_zero_variance(self):
-        proc = ExactFfbsProcedure()
+    @pytest.mark.parametrize("n_x", [1, 2, 3])
+    def test_exact_procedure_zero_variance(self, n_x):
+        spec = StssmSpec.chain(n_x=n_x, tau=1.0, lam=1.0, obs_var=0.25, a_coef=0.5)
+        x_prev, y = np.resize(self.X_PREV, n_x), np.resize(self.Y, n_x)
         rng = np.random.default_rng(13)
-        checks = proper_weighting_check(proc, self.SPEC, self.X_PREV, self.Y, 5000, rng)
+        checks = proper_weighting_check(ExactFfbsProcedure(), spec, x_prev, y, 5000, rng)
         est, truth, z = checks["1"]
         np.testing.assert_allclose(est, truth, rtol=1e-9)
+        # tau is the same float in every replicate, whose standard
+        # deviation need not round to zero.
+        assert z == 0.0
 
     def test_optimal_stage_proposal_properly_weighted(self):
         proc = InnerSmcProcedure(5, kappa="backward", stage_proposal="optimal")
