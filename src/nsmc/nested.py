@@ -21,9 +21,10 @@ draws in the same call, and the backward kernel reads only the factor
 linking two neighbouring components, so the inner samplers carry no
 prefix beyond the previous component and one outer step costs
 O(N * M * n_x).  At Markov order 0 no stage reads another, so the inner
-SMC does not resample between stages, and both of its draws, backward
-and empirical, pick each component from its own stage's weights in one
-vectorized pass.
+SMC does not resample between stages: it draws and weights every stage
+in one ``propagate`` call and one vectorized pass, and both of its
+draws, backward and empirical, pick each component from the stage
+weights that pass stored, again in one pass.
 
 An inner SMC stage takes the row maxima of its log-weights once, in the
 NaN and collapse check, and reuses them as the shift of both the next
@@ -116,7 +117,11 @@ class GaussianStageTarget:
       component: ``(*batch, m)`` from :func:`inner_smc`, or
       ``(*batch, mo, 1)`` from the self-nested sampler, whose unit axis
       broadcasts over the candidates.  The samplers pass ``None`` at
-      ``d = 0`` and for ``markov_order`` 0.
+      ``d = 0`` and for ``markov_order`` 0.  At ``markov_order`` 0,
+      ``d = None`` draws every stage at once: both arrays then lead with
+      the stage axis, ``(n, *batch, m)``, and hold bit for bit what the
+      calls for ``d = 0 .. n - 1`` would return, drawn by one
+      ``standard_normal`` call that consumes ``rng`` as those calls do.
     * ``log_suffix_ratio(d, x_d, x_next)`` is
       ``log p_{n-1}((x_{0:d}^j, suffix)) - log p_d(x_{0:d}^j)`` up to a
       constant in ``j``, given the stage-``d`` particles ``x_d`` of shape
@@ -142,17 +147,28 @@ class GaussianStageTarget:
         self.batch_shape = alpha.shape[:-1]
 
     def propagate(self, d, prev, m, rng):
-        mean = self.alpha[..., d, None]
-        if prev is not None:
-            mean = mean + self.phi[d] * prev
-        z = rng.standard_normal(self.batch_shape + (m,))
+        if d is None:
+            if self.markov_order:
+                raise ValueError("only a Markov order 0 target draws every stage at once")
+            # Stage-leading parameters, broadcasting against (n, *batch, m).
+            lead = (self.n_stages,) + (1,) * (len(self.batch_shape) + 1)
+            mean = np.moveaxis(self.alpha, -1, 0)[..., None]
+            var, c, y = (a.reshape(lead) for a in (self.var, self.c, self.y))
+            shape = (self.n_stages,) + self.batch_shape + (m,)
+        else:
+            mean = self.alpha[..., d, None]
+            if prev is not None:
+                mean = mean + self.phi[d] * prev
+            var, c, y = self.var[d], self.c[d], self.y[d]
+            shape = self.batch_shape + (m,)
+        z = rng.standard_normal(shape)
         if self.proposal == "prior":
-            x = mean + np.sqrt(self.var[d]) * z
-            return x, _gauss_logpdf(x, self.y[d], self.obs_var)
-        post_prec = self.c[d] + 1.0 / self.obs_var
-        post_mean = (self.c[d] * mean + self.y[d] / self.obs_var) / post_prec
+            x = mean + np.sqrt(var) * z
+            return x, _gauss_logpdf(x, y, self.obs_var)
+        post_prec = c + 1.0 / self.obs_var
+        post_mean = (c * mean + y / self.obs_var) / post_prec
         x = post_mean + np.sqrt(1.0 / post_prec) * z
-        log_w = _gauss_logpdf(self.y[d], mean, self.var[d] + self.obs_var)
+        log_w = _gauss_logpdf(y, mean, var + self.obs_var)
         return x, np.broadcast_to(log_w, x.shape)
 
     def log_suffix_ratio(self, d, x_d, x_next):
@@ -183,7 +199,11 @@ class InnerState:
     ``particles`` holds the post-propagation stage components,
     ``ancestors`` the stage resampling indices (none, shape
     ``(0, *batch, M)``, at Markov order 0, where no stage resamples),
-    ``logw`` the stage weights.  ``log_tau`` is the running product of
+    ``logw`` the stage log-weights and ``w`` the stage weights
+    ``exp(logw - shift)`` that :func:`inner_smc` computed on the way,
+    shifted by each row's maximum (0 for a row of ``-inf`` entries), which
+    the order-0 draw reads; a self-nested state carries zeros and ones.
+    ``log_tau`` is the running product of
     stage weight means, one entry per batch row; ``-inf`` marks a
     collapsed (zero-score) system, which is legal as long as some
     sibling survives.  Outer resampling never copies a state: the outer
@@ -194,11 +214,39 @@ class InnerState:
     particles: np.ndarray  # (n_stages, *batch, M)
     ancestors: np.ndarray  # (n_stages - 1 or 0, *batch, M) int
     logw: np.ndarray  # (n_stages, *batch, M)
+    w: np.ndarray  # (n_stages, *batch, M)
     log_tau: np.ndarray  # (*batch,)
 
     @property
     def n_stages(self) -> int:
         return self.particles.shape[0]
+
+
+def _weigh_stages(logw, out, strict, first_stage):
+    """The pass after ``propagate`` over a stage-leading block of
+    log-weights ``(k, *batch, M)``, stages ``first_stage ..``: writes
+    ``exp(logw - shift)`` to ``out`` and returns ``shift`` and the mask
+    of collapsed rows, both ``(k, *batch, 1)``.  ``shift`` is the row
+    maximum, or 0 for a row of ``-inf`` entries.
+
+    The first failing stage raises, as a stage-by-stage pass would: a
+    NaN or ``+inf`` log-weight as ``ValueError``, before, with
+    ``strict``, a collapsed row as :class:`InnerCollapseError` carrying
+    the 1-based stage index.
+    """
+    top = np.max(logw, axis=-1, keepdims=True)
+    valid = top < np.inf  # a row's maximum is NaN iff it holds a NaN
+    dead = np.isneginf(top)
+    if not np.all(valid) or (strict and np.any(dead)):
+        failed = ~valid | dead if strict else ~valid
+        k = int(np.argmax(failed.reshape(failed.shape[0], -1).any(axis=-1)))
+        if not np.all(valid[k]):
+            raise ValueError("log-weights contain NaN or +inf")
+        raise InnerCollapseError(stage=first_stage + k + 1)
+    shift = np.where(dead, 0.0, top)
+    np.subtract(logw, shift, out=out)
+    np.exp(out, out=out)
+    return shift, dead
 
 
 def inner_smc(
@@ -219,61 +267,59 @@ def inner_smc(
     :class:`InnerCollapseError` carrying the 1-based stage index.  With
     ``strict=False`` (the batched mode used inside the outer filter)
     collapsed rows get ``log_tau = -inf`` and are carried along inertly.
-    A NaN or ``+inf`` stage weight raises ``ValueError`` in either mode.
+    A NaN or ``+inf`` stage weight raises ``ValueError`` in either mode;
+    the first failing stage raises, the ``ValueError`` first.
 
     Of the prefix, only the previous component is resampled and handed
     to ``propagate``, so a stage costs O(batch * M) whatever its index.
     Stages resample only when ``target.markov_order`` is 1: at order 0
     no stage reads another, ``tau`` never reads the ancestors, and
     skipping the resampling keeps it unbiased (Whiteley, Lee and Heine,
-    2016), so no ancestors are recorded and ``propagate`` gets ``None``.
+    2016), so no ancestors are recorded.  Every stage is then drawn by
+    one ``propagate(None, None, m, rng)`` call and weighted in one pass
+    over the whole ``(n, *batch, M)`` block, with the same bits and
+    random stream as a stage-by-stage loop; only the generator state
+    left after an error differs, as the whole block is drawn first.
 
     Each stage takes its row maxima once, in the NaN and collapse check,
     and reuses them as the shift of its weights, which the next stage
-    resamples on (a collapsed row on unit weights) and ``tau`` averages;
-    no later pass recomputes them.  The chosen previous components are
-    gathered by one flat ``take``.
+    resamples on (a collapsed row on unit weights), ``tau`` averages and
+    the state keeps; no later pass recomputes them.  The chosen previous
+    components are gathered by one flat ``take``.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    n = target.n_stages
-    batch = target.batch_shape
-    resampled = max(n - 1, 0) if target.markov_order else 0
-    particles = np.empty((n,) + batch + (m,))
-    ancestors = np.zeros((resampled,) + batch + (m,), dtype=np.intp)
-    logw = np.empty((n,) + batch + (m,))
-    # Stage weights exp(logw - shift), shifted by the row maxima of the
-    # stage check (0 for a row of -inf entries): the next stage resamples
-    # on them and tau is their row log-means.
-    w = np.empty_like(logw)
-    shift = np.empty((n,) + batch + (1,))
-    dead = np.zeros(batch, dtype=bool)
-    # Flat offset of each batch row's first particle within a stage.
-    offsets = np.arange(0, int(np.prod(batch)) * m, m).reshape(batch + (1,))
-
-    for d in range(n):
-        prev = None
-        if d and resampled:
-            # A collapsed row resamples from unit weights.
-            idx = _search_rows(np.where(dead[..., None], 1.0, w[d - 1]), m, rng)
-            ancestors[d - 1] = idx
-            idx += offsets
-            prev = particles[d - 1].take(idx)
-        particles[d], logw[d] = target.propagate(d, prev, m, rng)
-        stage_max = np.max(logw[d], axis=-1, keepdims=True)
-        if not np.all(stage_max < np.inf):
-            raise ValueError("log-weights contain NaN or +inf")
-        stage_dead = np.isneginf(stage_max)
-        if strict and np.any(stage_dead):
-            raise InnerCollapseError(stage=d + 1)
-        dead |= stage_dead[..., 0]
-        shift[d] = np.where(stage_dead, 0.0, stage_max)
-        np.subtract(logw[d], shift[d], out=w[d])
-        np.exp(w[d], out=w[d])
-
+    if not target.markov_order:
+        particles, logw = target.propagate(None, None, m, rng)
+        w = np.empty(logw.shape)
+        shift = _weigh_stages(logw, w, strict, 0)[0]
+        ancestors = np.zeros((0,) + particles.shape[1:], dtype=np.intp)
+    else:
+        n = target.n_stages
+        batch = target.batch_shape
+        particles = np.empty((n,) + batch + (m,))
+        ancestors = np.zeros((max(n - 1, 0),) + batch + (m,), dtype=np.intp)
+        logw = np.empty((n,) + batch + (m,))
+        w = np.empty_like(logw)
+        shift = np.empty((n,) + batch + (1,))
+        dead = np.zeros(batch, dtype=bool)
+        # Flat offset of each batch row's first particle within a stage.
+        offsets = np.arange(0, int(np.prod(batch)) * m, m).reshape(batch + (1,))
+        for d in range(n):
+            prev = None
+            if d:
+                # A collapsed row resamples from unit weights.
+                idx = _search_rows(np.where(dead[..., None], 1.0, w[d - 1]), m, rng)
+                ancestors[d - 1] = idx
+                idx += offsets
+                prev = particles[d - 1].take(idx)
+            particles[d], logw[d] = target.propagate(d, prev, m, rng)
+            stage = slice(d, d + 1)
+            shift[stage], stage_dead = _weigh_stages(logw[stage], w[stage], strict, d)
+            dead |= stage_dead[0, ..., 0]
     log_tau = np.sum(_row_log_mean(w, shift), axis=0)
     return InnerState(
-        particles=particles, ancestors=ancestors, logw=logw, log_tau=log_tau
+        particles=particles, ancestors=ancestors, logw=logw, w=w, log_tau=log_tau
     )
 
 
@@ -344,15 +390,20 @@ def _stagewise_draw(inner: InnerState, rows, rng: np.random.Generator) -> np.nda
     """Pick every component from its own stage's weights, in one pass,
     for the batch ``rows`` of ``inner`` (every row for ``None``).
 
-    The picks use one uniform per stage and row, drawn last stage first
+    The picks read the stage weights ``inner.w`` that the forward pass
+    stored, with one uniform per stage and row, drawn last stage first
     as :func:`backward_simulate` draws them, whose result this equals
-    bitwise when no stage reads another (all suffix ratios zero).
-    Returns a C-contiguous ``(*batch, n)`` array.
+    bitwise when no stage reads another (all suffix ratios zero).  A
+    stage weight row whose total is NaN or ``+inf`` raises
+    ``ValueError``.  Returns a C-contiguous ``(*batch, n)`` array.
     """
-    logw = inner.logw
+    w = inner.w
     if rows is not None:
-        logw = logw.reshape(logw.shape[0], -1, logw.shape[-1])[:, rows]
-    j = _pick_rows(_row_weights(logw)[0][::-1], rng)[::-1]
+        w = w.reshape(w.shape[0], -1, w.shape[-1])[:, rows]
+    # The sum of all row totals is NaN or +inf iff some row's is.
+    if not np.sum(w) < np.inf:
+        raise ValueError("stage weights contain NaN or +inf")
+    j = _pick_rows(w[::-1], rng)[::-1]
     return _pick_stages(inner.particles, j, _row_offsets(inner, rows))
 
 
@@ -367,8 +418,8 @@ def empirical_draw(
     A state with no recorded ancestors (an inner SMC at Markov order 0)
     picks each component from its own stage's weights instead: there an
     ancestor is a fresh draw from its stage's weights, so the law is the
-    same.  A NaN or ``+inf`` weight in any stage then raises
-    ``ValueError``.
+    same.  A NaN or ``+inf`` in the stored stage weights ``inner.w``
+    then raises ``ValueError``.
     """
     if not inner.ancestors.shape[0]:
         return _stagewise_draw(inner, rows, rng)
@@ -525,6 +576,7 @@ class SelfNestedProcedure(ProperWeightingProcedure):
             particles=particles,
             ancestors=ancestors,
             logw=np.zeros((n,) + batch + (mo,)),
+            w=np.ones((n,) + batch + (mo,)),
             log_tau=log_tau,
         )
         return _InnerSmcAux(target=target, state=state, kappa="backward")

@@ -361,12 +361,11 @@ def _outer_step(
         # gamma_t / r_t and tau / nu_hat cancel exactly: uniform weights.
         logw, log_mean_w = np.zeros(N), 0.0
     else:
-        core = 0.0 if log_r == "gamma-ratio" else model.log_obs(y_t, states)
-        log_tau = np.asarray(aux.log_tau, dtype=float)
-        if nu_hat == "tau":
-            # Grouped so that tau / nu_hat cancels exactly where it is one.
-            log_tau = log_tau[ancestors] - log_nu[ancestors]
-        logw = core + log_tau
+        logw = 0.0 if log_r == "gamma-ratio" else model.log_obs(y_t, states)
+        # With tau multipliers tau / nu_hat is exactly one: resampling
+        # never selects a zero-score ancestor.
+        if nu_hat == "one":
+            logw = logw + np.asarray(aux.log_tau, dtype=float)
         if carried is not None:
             logw = carried + logw
         probs, log_mean_w = _normalize_at(logw, t, "all carried weights zero")

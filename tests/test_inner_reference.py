@@ -2,8 +2,10 @@
 against a plain reference: the stage loop, backward simulation, the
 empirical draw and the nested filter written with ``_row_weights``, a
 per-row ``np.searchsorted``, ``take_along_axis`` and an eager take of
-the inner state.  Also checks that every auxiliary object's draw at the
-rows outer resampling chose equals the draw of an eagerly indexed copy."""
+the inner state.  At Markov order 0 the same reference runs stage by
+stage, never resampling, against the library's one whole pass.  Also
+checks that every auxiliary object's draw at the rows outer resampling
+chose equals the draw of an eagerly indexed copy."""
 
 import dataclasses
 
@@ -29,6 +31,7 @@ from nsmc.nested import (
 from nsmc.smc import _categorical_rows, _pick_rows, _row_logmeanexp, _row_weights
 
 SPEC = StssmSpec.chain(n_x=6, tau=1.0, lam=0.8, obs_var=0.25, a_coef=0.5)
+INDEP_SPEC = IndependentSsmSpec(n_x=6, a_coef=0.5, init_mean=0.3, obs_var=0.4)
 M_GRID = [1, 2, 3, 16, 17, 20]
 BATCH = 7
 
@@ -46,31 +49,36 @@ def _reference_multinomial_rows(logw, count, rng):
 
 
 def _reference_inner_smc(target, m, rng, strict=False):
+    """Stage by stage; at Markov order 0 no stage resamples and every
+    ``propagate`` call gets ``None``."""
     n, batch = target.n_stages, target.batch_shape
+    resampled = n - 1 if target.markov_order else 0
     particles = np.empty((n,) + batch + (m,))
-    ancestors = np.zeros((n - 1,) + batch + (m,), dtype=np.intp)
+    ancestors = np.zeros((resampled,) + batch + (m,), dtype=np.intp)
     logw = np.empty((n,) + batch + (m,))
     dead = np.zeros(batch, dtype=bool)
     for d in range(n):
         prev = None
-        if d:
+        if d and resampled:
             resample_lw = np.where(dead[..., None], 0.0, logw[d - 1])
             ancestors[d - 1] = _reference_multinomial_rows(resample_lw, m, rng)
             prev = np.take_along_axis(particles[d - 1], ancestors[d - 1], axis=-1)
         particles[d], logw[d] = target.propagate(d, prev, m, rng)
+        _row_weights(logw[d])  # a NaN or +inf raises before a collapse
         stage_dead = np.isneginf(np.max(logw[d], axis=-1))
         if strict and np.any(stage_dead):
             raise InnerCollapseError(stage=d + 1)
         dead = dead | stage_dead
     log_tau = np.sum(_row_logmeanexp(logw), axis=0)
-    return InnerState(particles, ancestors, logw, log_tau)
+    return InnerState(particles, ancestors, logw, _row_weights(logw)[0], log_tau)
 
 
 def _take_state(state, idx):
     """Eager outer resampling: every field of ``state`` copied at the
     batch rows ``idx``."""
     return InnerState(
-        state.particles[:, idx], state.ancestors[:, idx], state.logw[:, idx], state.log_tau[idx]
+        state.particles[:, idx], state.ancestors[:, idx], state.logw[:, idx], state.w[:, idx],
+        state.log_tau[idx],
     )
 
 
@@ -113,7 +121,9 @@ class _ReferenceAux:
         if rows is not None:
             taken = _ReferenceAux(self.target.take(rows), _take_state(self.state, rows), self.kappa)
             return taken.draw(rng)
-        if self.kappa == "backward":
+        # At Markov order 0 an ancestor is a fresh draw from its stage's
+        # weights: the empirical draw is the backward one.
+        if self.kappa == "backward" or not self.target.markov_order:
             return _reference_backward(self.state, self.target, rng)
         return _reference_empirical(self.state, rng)
 
@@ -124,21 +134,44 @@ class _ReferenceProcedure(InnerSmcProcedure):
         return _ReferenceAux(target, _reference_inner_smc(target, self.m, rng), self.kappa)
 
 
-class _DyingTarget(GaussianStageTarget):
-    """Chain stage law with vanishing weights: at stage 1 the first
-    particle of every row, at stage 2 all of batch row 1, at stage 3 all
-    but the last particle of batch row 3."""
+class _EditedTarget(GaussianStageTarget):
+    """A stage law whose stage-``d`` log-weights ``edit(d, lw)`` changes
+    in place, stage by stage or, when ``d`` is None (the whole pass of an
+    order-0 target), in every stage of the block."""
 
     def propagate(self, d, prev, m, rng):
         x, lw = super().propagate(d, prev, m, rng)
         lw = np.array(lw)
+        for e, stage in enumerate(lw) if d is None else [(d, lw)]:
+            self.edit(e, stage)
+        return x, lw
+
+
+class _DyingTarget(_EditedTarget):
+    """Vanishing weights: at stage 1 the first particle of every row, at
+    stage 2 all of batch row 1, at stage 3 all but the last particle of
+    batch row 3."""
+
+    def edit(self, d, lw):
         if d == 1:
             lw[:, 0] = -np.inf
         if d == 2:
             lw[1] = -np.inf
         if d == 3:
             lw[3, :-1] = -np.inf
-        return x, lw
+
+
+class _NanAndDeadTarget(_EditedTarget):
+    """One NaN log-weight, in batch row 0, at stage ``nan_stage``, and a
+    collapsed batch row 2 at stage ``dead_stage``."""
+
+    nan_stage = dead_stage = None
+
+    def edit(self, d, lw):
+        if d == self.nan_stage:
+            lw[0, -1] = np.nan
+        if d == self.dead_stage:
+            lw[2] = -np.inf
 
 
 def _inputs(seed=3, n_x=SPEC.n_x):
@@ -146,14 +179,15 @@ def _inputs(seed=3, n_x=SPEC.n_x):
     return rng.standard_normal((BATCH, n_x)), np.linspace(-0.5, 1.0, n_x)
 
 
-def _target(proposal, cls=GaussianStageTarget):
+def _target(proposal, cls=GaussianStageTarget, order=1):
     x_prev, y = _inputs()
-    base = make_model(SPEC).inner_target(2, x_prev, y, proposal)
-    return cls(base.alpha, base.phi, base.c, base.var, y, base.obs_var, proposal, 1)
+    spec = SPEC if order else INDEP_SPEC
+    base = make_model(spec).inner_target(2, x_prev, y, proposal)
+    return cls(base.alpha, base.phi, base.c, base.var, y, base.obs_var, proposal, order)
 
 
 def _assert_states_equal(state, ref):
-    for field in ("particles", "ancestors", "logw", "log_tau"):
+    for field in ("particles", "ancestors", "logw", "w", "log_tau"):
         np.testing.assert_array_equal(getattr(state, field), getattr(ref, field))
 
 
@@ -196,6 +230,70 @@ def test_nested_filter_matches_the_reference(kappa, proposal, m):
     data = simulate(SPEC, 3, seed=8)
     out = nsmc_run(SPEC, data, 12, m, InnerSmcProcedure(m, kappa, proposal), np.random.default_rng(9))
     ref = nsmc_run(SPEC, data, 12, m, _ReferenceProcedure(m, kappa, proposal), np.random.default_rng(9))
+    for field in ("method", "filter_means", "filter_vars", "logz_increments", "ess_trace"):
+        np.testing.assert_array_equal(getattr(out, field), getattr(ref, field))
+
+
+@pytest.mark.parametrize("m", M_GRID)
+@pytest.mark.parametrize("proposal", STAGE_PROPOSALS)
+@pytest.mark.parametrize("cls", [GaussianStageTarget, _DyingTarget], ids=["live", "dying"])
+def test_order_zero_whole_pass_and_draws_match_the_stage_loop(cls, proposal, m):
+    target = _target(proposal, cls, order=0)
+    state = inner_smc(target, m, np.random.default_rng(5), strict=False)
+    ref = _reference_inner_smc(target, m, np.random.default_rng(5))
+    _assert_states_equal(state, ref)
+    assert state.ancestors.shape == (0, BATCH, m)
+    if cls is _DyingTarget:
+        assert np.isneginf(state.log_tau[1])
+        assert np.all(np.isfinite(np.delete(state.log_tau, 1))) == (m > 1)
+    # Both draws pick each component from its own stage's weights: the
+    # backward reference, whose suffix ratios are all zero.
+    want = _reference_backward(ref, target, np.random.default_rng(6))
+    for kappa in ("backward", "empirical"):
+        x = _InnerSmcAux(target, state, kappa).draw(np.random.default_rng(6))
+        np.testing.assert_array_equal(x, want)
+    np.testing.assert_array_equal(empirical_draw(state, np.random.default_rng(6)), want)
+
+
+@pytest.mark.parametrize("proposal", STAGE_PROPOSALS)
+def test_order_zero_strict_mode_collapses_at_the_reference_stage(proposal):
+    target = _target(proposal, _DyingTarget, order=0)
+    with pytest.raises(InnerCollapseError) as err:
+        inner_smc(target, 4, np.random.default_rng(5), strict=True)
+    with pytest.raises(InnerCollapseError) as ref_err:
+        _reference_inner_smc(target, 4, np.random.default_rng(5), strict=True)
+    assert err.value.stage == ref_err.value.stage == 3
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "batched"])
+@pytest.mark.parametrize("nan_stage,dead_stage", [(3, 1), (1, 3), (2, 2)])
+def test_order_zero_first_failing_stage_raises_nan_before_collapse(nan_stage, dead_stage, strict):
+    # The whole pass raises what the stage loop raises first: within a
+    # stage a NaN before a collapse, and a collapse only when strict.
+    target = _target("prior", _NanAndDeadTarget, order=0)
+    target.nan_stage, target.dead_stage = nan_stage, dead_stage
+    collapse_first = strict and dead_stage < nan_stage
+    for run in (inner_smc, _reference_inner_smc):
+        if collapse_first:
+            with pytest.raises(InnerCollapseError) as err:
+                run(target, 4, np.random.default_rng(5), strict=strict)
+            assert err.value.stage == dead_stage + 1
+        else:
+            with pytest.raises(ValueError, match="NaN"):
+                run(target, 4, np.random.default_rng(5), strict=strict)
+
+
+@pytest.mark.parametrize("m", M_GRID)
+@pytest.mark.parametrize("proposal", STAGE_PROPOSALS)
+@pytest.mark.parametrize("kappa", ["backward", "empirical"])
+def test_order_zero_nested_filter_matches_the_reference(kappa, proposal, m):
+    data = simulate(INDEP_SPEC, 3, seed=8)
+    out = nsmc_run(
+        INDEP_SPEC, data, 12, m, InnerSmcProcedure(m, kappa, proposal), np.random.default_rng(9)
+    )
+    ref = nsmc_run(
+        INDEP_SPEC, data, 12, m, _ReferenceProcedure(m, kappa, proposal), np.random.default_rng(9)
+    )
     for field in ("method", "filter_means", "filter_vars", "logz_increments", "ess_trace"):
         np.testing.assert_array_equal(getattr(out, field), getattr(ref, field))
 

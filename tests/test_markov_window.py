@@ -56,14 +56,16 @@ def test_hooks_receive_only_the_markov_window(kind, order):
     aux = SelfNestedProcedure(mo, mi).prepare(
         model, 2, x_prev, y, np.random.default_rng(9)
     )
-    # One hook call per stage, every stage, in both samplers; stage 0 and
-    # every stage of an order-0 target get None.
-    assert len(prevs) == 2 * N_X
-    smc_prevs, nested_prevs = prevs[:N_X], prevs[N_X:]
+    # The self-nested sampler makes one hook call per stage, and so does
+    # inner_smc at order 1; at order 0 inner_smc makes one call for every
+    # stage at once.  Stage 0 and every call at order 0 get None.
+    smc_calls = N_X if order else 1
+    assert len(prevs) == smc_calls + N_X
+    smc_prevs, nested_prevs = prevs[:smc_calls], prevs[smc_calls:]
     assert smc_prevs[0] is None and nested_prevs[0] is None
     for d in range(1, N_X):
         if order == 0:
-            assert smc_prevs[d] is None and nested_prevs[d] is None
+            assert nested_prevs[d] is None
             continue
         # inner_smc: the stage-(d-1) particles its stage-d resampling chose.
         np.testing.assert_array_equal(

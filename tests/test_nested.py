@@ -40,7 +40,8 @@ from oracles import dense_conditional
 class Gaussian1dTarget:
     """Duck-typed single-stage target with analytic mass: ``p_0`` is
     ``mass * Normal(loc, scale)``, proposed from
-    ``Normal(prop_loc, prop_scale)``."""
+    ``Normal(prop_loc, prop_scale)``.  Every stage has that law, and
+    ``propagate(None, ...)`` stacks the stage-by-stage draws."""
 
     markov_order = 0
 
@@ -51,6 +52,9 @@ class Gaussian1dTarget:
         self.batch_shape = batch
 
     def propagate(self, d, prev, m, rng):
+        if d is None:
+            stages = [self.propagate(e, None, m, rng) for e in range(self.n_stages)]
+            return tuple(np.stack(a) for a in zip(*stages))
         x = self.prop_loc + self.prop_scale * rng.standard_normal(
             self.batch_shape + (m,)
         )
@@ -102,7 +106,8 @@ class TestInnerSmc:
 
             def propagate(self, d, prev, m, rng):
                 x, lw = super().propagate(d, prev, m, rng)
-                return x, lw if d < 2 else np.full_like(lw, -np.inf)
+                # At d = None the stacked stages already hold the edit.
+                return x, lw if d is None or d < 2 else np.full_like(lw, -np.inf)
 
         with pytest.raises(InnerCollapseError) as err:
             inner_smc(DoomedTarget(), 8, np.random.default_rng(4))
@@ -115,7 +120,8 @@ class TestInnerSmc:
 
             def propagate(self, d, prev, m, rng):
                 x, lw = super().propagate(d, prev, m, rng)
-                lw[0] = -np.inf
+                if d is not None:  # else the stacked stages hold the edit
+                    lw[0] = -np.inf
                 return x, lw
 
         state = inner_smc(HalfDoomed(), 4, np.random.default_rng(5), strict=False)
@@ -240,7 +246,7 @@ class TestBackwardSimulate:
         state = inner_smc(target, 4, np.random.default_rng(12))
         logw = state.logw.copy()
         logw[0, 1] = np.nan
-        bad = InnerState(state.particles, state.ancestors, logw, state.log_tau)
+        bad = InnerState(state.particles, state.ancestors, logw, state.w, state.log_tau)
         with pytest.raises(ValueError, match="NaN"):
             backward_simulate(bad, target, np.random.default_rng(13), strict=strict)
 
@@ -252,7 +258,7 @@ class TestBackwardSimulate:
         state = inner_smc(target, 4, np.random.default_rng(12))
         logw = state.logw.copy()
         logw[0] = -np.inf
-        dead = InnerState(state.particles, state.ancestors, logw, state.log_tau)
+        dead = InnerState(state.particles, state.ancestors, logw, state.w, state.log_tau)
         with pytest.raises(InnerCollapseError) as err:
             backward_simulate(dead, target, np.random.default_rng(13), strict=True)
         assert err.value.stage == 1
@@ -305,10 +311,11 @@ class TestOrderZeroDraw:
 
     @pytest.mark.parametrize("kappa", ["backward", "empirical"])
     def test_nan_stage_weight_is_a_value_error(self, kappa):
+        # The draw reads the stored stage weights, so both are poisoned.
         aux = self._aux(kappa)
-        logw = aux.state.logw.copy()
-        logw[2, 1, 3] = np.nan
-        bad = dataclasses.replace(aux.state, logw=logw)
+        logw, w = aux.state.logw.copy(), aux.state.w.copy()
+        logw[2, 1, 3] = w[2, 1, 3] = np.nan
+        bad = dataclasses.replace(aux.state, logw=logw, w=w)
         with pytest.raises(ValueError, match="NaN"):
             dataclasses.replace(aux, state=bad).draw(np.random.default_rng(34))
         with pytest.raises(ValueError, match="NaN"):
@@ -428,8 +435,17 @@ class TestProperWeighting:
                 ),
                 "unknown stage proposal",
             ),
+            (
+                lambda: make_model(TestProperWeighting.SPEC).inner_target(
+                    2, np.zeros(2), np.ones(2)
+                ).propagate(None, None, 3, np.random.default_rng(0)),
+                "Markov order 0",
+            ),
         ],
-        ids=["smc-m", "kappa", "is-m", "self-nested-m", "kind", "inner-smc-m", "target-proposal"],
+        ids=[
+            "smc-m", "kappa", "is-m", "self-nested-m", "kind", "inner-smc-m", "target-proposal",
+            "whole-pass-at-order-1",
+        ],
     )
     def test_bad_arguments_rejected(self, build, match):
         with pytest.raises(ValueError, match=match):
@@ -521,7 +537,8 @@ def _self_nested_reference(proc, model, t, x_prev, y_t, rng):
         lw = np.take_along_axis(lw, idx[..., None], axis=-2)
         pick = _categorical_rows(lw, rng)
         particles[d] = np.take_along_axis(cand, pick[..., None], axis=-1)[..., 0]
-    state = InnerState(particles, ancestors, np.zeros((n,) + batch + (mo,)), log_tau)
+    shape = (n,) + batch + (mo,)
+    state = InnerState(particles, ancestors, np.zeros(shape), np.ones(shape), log_tau)
     return state, target
 
 
