@@ -77,16 +77,18 @@ def multinomial_resample(
     return np.searchsorted(cum, u, side="right")
 
 
-def _row_weights(logw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_weights(logw: np.ndarray, top: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The one weight pass over log-weight rows ``(..., M)``: returns
     ``w = exp(logw - shift)`` and ``shift``, shape ``(..., 1)``, the row
     maximum, or 0 for a row of ``-inf`` entries, whose weights are then
-    all 0.  A NaN or ``+inf`` log-weight raises ``ValueError``."""
-    m = np.max(logw, axis=-1, keepdims=True)
+    all 0.  A NaN or ``+inf`` log-weight raises ``ValueError``.  ``top``
+    passes the row maxima, shape ``(..., 1)``, when the caller has them."""
+    m = np.max(logw, axis=-1, keepdims=True) if top is None else top
     if not np.all(m < np.inf):  # a row's maximum is NaN iff it holds a NaN
         raise ValueError("log-weights contain NaN or +inf")
     shift = np.where(np.isfinite(m), m, 0.0)
-    return np.exp(logw - shift), shift
+    w = logw - shift
+    return np.exp(w, out=w), shift
 
 
 def _row_log_mean(w: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -107,6 +109,35 @@ def _pick_rows(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     cum = np.cumsum(w, axis=-1)
     u = rng.random(w.shape[:-1] + (1,)) * cum[..., -1:]
     return np.minimum(np.sum(cum <= u, axis=-1), w.shape[-1] - 1)
+
+
+def _pick_columns(cum: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """:func:`_pick_rows` over candidate-major running sums: ``cum`` has
+    shape ``(M, ...)`` and holds, along its first axis, the running sums
+    (:func:`_running_sums`) of one weight row per trailing index.  Draws
+    the uniforms ``_pick_rows`` draws for those rows, in the same order,
+    and returns its indices, shape ``cum.shape[1:]``."""
+    m_size = cum.shape[0]
+    u = rng.random(cum.shape[1:]) * cum[-1]
+    # A count below 256 fits a byte, and a byte sum along the leading
+    # axis is the fastest count numpy has.
+    below = (cum <= u).view(np.uint8)
+    count = below.sum(axis=0, dtype=np.uint8 if m_size < 256 else np.intp)
+    return np.minimum(count, m_size - 1, dtype=np.intp)
+
+
+def _running_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Running sums of ``a`` along its first axis, into ``out`` (a new
+    C-contiguous array for ``None``), added in ``np.cumsum``'s order, so
+    the bits are ``np.cumsum(a, axis=0)``'s: one vectorized add per
+    leading index is about twice as fast as ``cumsum`` along a leading
+    axis, and ``a`` may be any strided view."""
+    if out is None:
+        out = np.empty(a.shape)
+    np.copyto(out[0], a[0])
+    for k in range(1, a.shape[0]):
+        np.add(out[k - 1], a[k], out=out[k])
+    return out
 
 
 def _categorical_rows(logw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -269,7 +300,10 @@ class ProperWeightingProcedure(ABC):
 
     @abstractmethod
     def prepare(self, model, t, x_prev, y_t, rng):
-        ...
+        """Simulate the auxiliary variable for the outer particles
+        ``x_prev`` ``(*batch, n_x)`` at step ``t`` with observation
+        ``y_t``, and return its aux object (``log_tau`` of shape
+        ``batch`` and ``draw``)."""
 
 
 @dataclass(frozen=True)

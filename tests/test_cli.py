@@ -1,11 +1,16 @@
 """End-to-end tests of the experiment harness and its file outputs."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nsmc
 from nsmc.cli import ConfigError, load_config, main, parse_config, run_experiment
 
 
@@ -493,3 +498,31 @@ def test_selftest_runs_in_process(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 11
     assert all(line.endswith("PASS") for line in lines)
+
+
+@pytest.mark.parametrize("command", ["run", "simulate", "asymptotics"])
+def test_verbose_reports_what_was_written(tmp_path, capsys, command):
+    if command == "asymptotics":
+        cfg, out = _asymptotics_config(tmp_path), tmp_path / "asym"
+        line = f"wrote {out / 'variance_curve.csv'}"
+    else:
+        cfg, out = _base_config(tmp_path, methods=[{"name": "kalman", "kind": "kalman"}]), tmp_path / "out"
+        line = {
+            "run": "experiment unit: exit status 0",
+            "simulate": f"wrote {out / 'dataset.csv'} and {out / 'dataset.meta.json'}",
+        }[command]
+    path = _write(tmp_path, cfg)
+    assert main([command, "--config", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main([command, "--config", str(path), "--verbose"]) == 0
+    assert capsys.readouterr().out.splitlines() == [line]
+
+
+def test_module_entry_point_prints_usage():
+    src = Path(nsmc.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "nsmc.cli", "--help"], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: nsmc")

@@ -556,31 +556,48 @@ class _CollapsingTarget(GaussianStageTarget):
         return x, lw
 
 
-class _CollapsingModel:
-    def __init__(self, spec):
-        self.spec = spec
+class _PoisonedTarget(GaussianStageTarget):
+    """Stage law whose stage-1 log-weights hold ``bad`` at the last
+    candidate of system 0 of batch row 1."""
+
+    def propagate(self, d, prev, m, rng):
+        x, lw = super().propagate(d, prev, m, rng)
+        if d == 1:
+            lw[1, 0, -1] = self.bad
+        return x, lw
+
+
+class _TargetClassModel:
+    """A model whose inner targets are its spec's, as instances of
+    ``cls`` carrying the attributes ``attrs``."""
+
+    def __init__(self, spec, cls, **attrs):
+        self.spec, self.cls, self.attrs = spec, cls, attrs
 
     def inner_target(self, t, x_prev, y_t):
-        base = self.spec.inner_target(t, x_prev, y_t)
-        return _CollapsingTarget(
-            base.alpha, base.phi, base.c, base.var, y_t, base.obs_var, "prior",
-            base.markov_order,
-        )
+        target = self.spec.inner_target(t, x_prev, y_t)
+        target.__class__ = self.cls
+        vars(target).update(self.attrs)
+        return target
 
 
+SELF_NESTED_CHAIN = StssmSpec.chain(n_x=5, tau=1.0, lam=0.8, obs_var=0.25)
+SELF_NESTED_INDEPENDENT = IndependentSsmSpec(n_x=4, a_coef=0.5, init_mean=0.7, obs_var=1.0)
 SELF_NESTED_PIN_MODELS = {
-    "chain": (StssmSpec.chain(n_x=5, tau=1.0, lam=0.8, obs_var=0.25), 2),
-    "independent": (IndependentSsmSpec(n_x=4, a_coef=0.5, init_mean=0.7, obs_var=1.0), 1),
-    "collapsed": (_CollapsingModel(StssmSpec.chain(n_x=5, tau=1.0, lam=0.8, obs_var=0.25)), 2),
+    "chain": (SELF_NESTED_CHAIN, 2),
+    "independent": (SELF_NESTED_INDEPENDENT, 1),
+    "collapsed": (_TargetClassModel(SELF_NESTED_CHAIN, _CollapsingTarget), 2),
 }
 
 
-@pytest.mark.parametrize("mo,mi", [(2, 1), (4, 3), (5, 20)])
+@pytest.mark.parametrize("mo,mi", [(2, 1), (4, 3), (5, 20), (20, 20), (3, 33)])
 @pytest.mark.parametrize("case", sorted(SELF_NESTED_PIN_MODELS))
 def test_self_nested_stage_is_bitwise_pinned(case, mo, mi):
     # Pins the random-draw order of the self-nested stage (propagate,
     # system resampling, one uniform per system for the pick) and the
-    # bits of every field against the whole-row gather formulation.
+    # bits of every field against the whole-row gather formulation, and
+    # the draw, at every row and at chosen rows, on the unit stage
+    # weights (the order-0 draw reads them).
     model, t = SELF_NESTED_PIN_MODELS[case]
     n_x = 5 if case != "independent" else 4
     x_prev = np.random.default_rng(7).standard_normal((3, n_x))
@@ -589,7 +606,7 @@ def test_self_nested_stage_is_bitwise_pinned(case, mo, mi):
     rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
     aux = proc.prepare(model, t, x_prev, y_t, rng)
     ref_state, ref_target = _self_nested_reference(proc, model, t, x_prev, y_t, ref_rng)
-    for field in ("particles", "ancestors", "logw", "log_tau"):
+    for field in ("particles", "ancestors", "logw", "w", "log_tau"):
         np.testing.assert_array_equal(getattr(aux.state, field), getattr(ref_state, field))
     if case == "collapsed":
         assert np.isneginf(aux.state.log_tau[2])
@@ -597,6 +614,21 @@ def test_self_nested_stage_is_bitwise_pinned(case, mo, mi):
     np.testing.assert_array_equal(
         aux.draw(rng), backward_simulate(ref_state, ref_target, ref_rng, strict=False)
     )
+    rows = np.array([2, 0, 2, 2])
+    np.testing.assert_array_equal(
+        aux.draw(rng, rows),
+        backward_simulate(ref_state, ref_target.take(rows), ref_rng, strict=False, rows=rows),
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("spec", [SELF_NESTED_CHAIN, SELF_NESTED_INDEPENDENT], ids=["chain", "independent"])
+def test_self_nested_rejects_nan_or_plus_inf_stage_weight(spec, bad):
+    model = _TargetClassModel(spec, _PoisonedTarget, bad=bad)
+    with pytest.raises(ValueError, match=r"NaN or \+inf"):
+        SelfNestedProcedure(4, 3).prepare(
+            model, 2, np.zeros((3, spec.n_x)), np.zeros(spec.n_x), np.random.default_rng(0)
+        )
 
 
 class TestNsmcStep:

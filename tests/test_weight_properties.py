@@ -1,7 +1,8 @@
 """Property tests for the log-weight primitives and outer resampling's
 choice of live indices, plus the exact per-row
 resolution of ``_search_rows`` on ``_row_weights``, its search against a per-row
-``searchsorted``, the rejection of NaN rows and chi-square frequency
+``searchsorted``, the candidate-major pick ``_pick_columns`` against
+``_pick_rows``, the rejection of NaN rows and chi-square frequency
 tests of the row samplers."""
 
 import numpy as np
@@ -17,9 +18,11 @@ from nsmc.model import StssmSpec
 from nsmc.nested import GaussianStageTarget, inner_smc
 from nsmc.smc import (
     _categorical_rows,
+    _pick_columns,
     _pick_rows,
     _row_logmeanexp,
     _row_weights,
+    _running_sums,
     _search_rows,
     multinomial_resample,
     normalize_logweights,
@@ -252,6 +255,44 @@ def test_search_rows_equals_per_row_searchsorted(logw, count, seed):
         else:
             expected = np.searchsorted(cum[row] / row_total, u[row], side="right")
             np.testing.assert_array_equal(idx[row], expected)
+
+
+@PROPERTY
+@given(
+    logw=st.tuples(st.integers(1, 6), st.integers(1, 40)).flatmap(
+        lambda shape: arrays(float, shape, elements=entries)
+    ),
+    chosen=st.lists(st.integers(0, 7), max_size=12),
+    hot=st.integers(0, 39),
+    seed=seeds,
+)
+def test_pick_columns_equals_pick_rows_on_the_chosen_rows(logw, chosen, hot, seed):
+    # An all-zero row and a single-mass row ride along with the drawn
+    # ones; the chosen rows may repeat, or be none at all.
+    m = logw.shape[-1]
+    single = np.zeros(m)
+    single[hot % m] = 1.0
+    w = np.vstack([_row_weights(logw)[0], np.zeros(m), single])
+    rows = np.array(chosen, dtype=np.intp) % len(w)
+    cum = _running_sums(w.take(rows, axis=0).T)
+    np.testing.assert_array_equal(cum, np.cumsum(w[rows], axis=-1).T)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    idx = _pick_columns(cum, rng)
+    np.testing.assert_array_equal(idx, _pick_rows(w[rows], ref_rng))
+    assert idx.shape == rows.shape and idx.dtype == np.intp
+    assert np.all(idx[rows == len(w) - 2] == m - 1)
+    assert np.all(idx[rows == len(w) - 1] == hot % m)
+    # The same uniforms were consumed.
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_pick_columns_counts_past_a_byte():
+    # Rows wider than 255 count their picks in a wider integer.
+    w = np.random.default_rng(3).random((50, 300)) ** 8
+    w[:, 280:] = 0.0
+    idx = _pick_columns(_running_sums(w.T), np.random.default_rng(4))
+    np.testing.assert_array_equal(idx, _pick_rows(w, np.random.default_rng(4)))
+    assert idx.max() >= 256
 
 
 class _ConstantUniforms:
