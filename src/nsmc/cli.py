@@ -10,7 +10,7 @@ Subcommands:
 * ``asymptotics`` -- emit the variance-versus-M curve of the
   independent-model analysis as CSV.
 * ``selftest``  -- run the proper-weighting audit for every inner
-  procedure and print one pass/fail line per check.
+  procedure, self-nested included, at M = 1, 5 and 20: one PASS/FAIL line each.
 
 One experiment per JSON config file; a validated echo of the config is
 written next to the results, and a run from that echo rewrites the same
@@ -238,11 +238,8 @@ def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
                 )
         if mk != "kalman" and n < 1:
             raise ConfigError(f"{where}.N: must be >= 1 for kind {mk!r}")
-        if mk == "nsmc":
-            if mm < 1:
-                raise ConfigError(f"{where}.M: must be >= 1 for nested methods")
-            if inner == "self-nested" and mm < 2:
-                raise ConfigError(f"{where}.M: self-nested needs M >= 2")
+        if mk == "nsmc" and mm < 1:
+            raise ConfigError(f"{where}.M: must be >= 1 for nested methods")
         methods.append(
             MethodConfig(
                 name=method_name,
@@ -500,8 +497,6 @@ def _cmd_selftest(n_reps: int, verbose: bool) -> int:
     failures = 0
     for kind in VALID_INNER:
         for m in (1, 5, 20):
-            if kind == "self-nested" and m < 2:
-                continue
             proc = make_procedure(kind, m)
             checks = proper_weighting_check(proc, spec, x_prev, y_t, n_reps, rng)
             worst = max(abs(z) for _, _, z in checks.values())

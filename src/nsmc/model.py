@@ -39,6 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .exceptions import InvalidInputError
+
 _LOG_2PI = np.log(2.0 * np.pi)
 
 
@@ -151,6 +153,12 @@ def _check_finite(**fields) -> None:
     for name, value in fields.items():
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_n_x(n_x) -> None:
+    """Raise :class:`InvalidInputError` unless ``n_x`` is a positive integer, not a bool."""
+    if isinstance(n_x, bool) or not isinstance(n_x, (int, np.integer)) or n_x < 1:
+        raise InvalidInputError(f"n_x must be a positive integer, got {n_x!r}")
 
 
 def chain_precision(tau: float, lam: float, n: int) -> TridiagPrecision:
@@ -280,8 +288,8 @@ class StssmSpec(ModelBundle):
     transition from ``x_prev = 0``.  ``noise_precision`` is ``Q``, built
     once by :func:`chain_precision`; the spec keeps ``tau`` and ``lam``
     themselves, so it serialises to the numbers it was built from.  A
-    non-finite parameter raises ``ValueError`` naming the field.
-    """
+    non-finite parameter, or an ``n_x`` that is not a positive integer,
+    raises ``ValueError`` naming the field."""
 
     kind = "stssm"
     DEFAULTS = {"a_coef": 0.5}
@@ -294,8 +302,7 @@ class StssmSpec(ModelBundle):
     noise_precision: TridiagPrecision = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_x < 1:
-            raise ValueError(f"n_x must be >= 1, got {self.n_x}")
+        _check_n_x(self.n_x)
         _check_finite(a_coef=self.a_coef, obs_var=self.obs_var)
         if self.obs_var <= 0.0:
             raise ValueError(f"obs_var must be positive, got {self.obs_var}")
@@ -322,7 +329,7 @@ class StssmSpec(ModelBundle):
         """Chain stage decomposition of ``gamma_t / gamma_{t-1}``: stage
         ``d`` is the factor ``Normal(v_d; phi_d * v_{d-1}, 1 / c_d)`` of the
         noise precision's Markov factorization, shifted to the state
-        ``x_t = a_coef * x_prev + v`` (Markov order 1)."""
+        ``x_t = a_coef * x_prev + v`` (Markov order 1, or 0 at ``lam = 0``)."""
         from .nested import GaussianStageTarget
 
         prec = self.noise_precision
@@ -332,8 +339,7 @@ class StssmSpec(ModelBundle):
         alpha = ax.copy()
         alpha[..., 1:] -= prec.phi[1:] * ax[..., :-1]
         return GaussianStageTarget(
-            alpha, prec.phi, prec.c, prec.cond_var, y_t, self.obs_var, proposal,
-            markov_order=1,
+            alpha, prec.phi, prec.c, prec.cond_var, y_t, self.obs_var, proposal
         )
 
 
@@ -345,8 +351,9 @@ class IndependentSsmSpec(ModelBundle):
     ``x_1 ~ N(init_mean, init_var)``, ``x_t ~ N(a_coef * x_{t-1}, trans_var)``
     and ``y ~ N(x, obs_var)``.  By convention the observation is replicated
     across coordinates: ``y_{t,d}`` is identical for every ``d``.  A
-    non-finite parameter raises ``ValueError`` naming the field.  A config
-    block may omit ``a_coef`` but must give ``obs_var``.
+    non-finite parameter, or an ``n_x`` that is not a positive integer,
+    raises ``ValueError`` naming the field.  A config block may omit
+    ``a_coef`` but must give ``obs_var``.
     """
 
     kind = "independent"
@@ -360,6 +367,7 @@ class IndependentSsmSpec(ModelBundle):
     obs_var: float = 1.0
 
     def __post_init__(self):
+        _check_n_x(self.n_x)
         _check_finite(
             a_coef=self.a_coef, init_mean=self.init_mean, init_var=self.init_var,
             trans_var=self.trans_var, obs_var=self.obs_var,
@@ -367,8 +375,6 @@ class IndependentSsmSpec(ModelBundle):
         for name in ("init_var", "trans_var", "obs_var"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.n_x < 1:
-            raise ValueError(f"n_x must be >= 1, got {self.n_x}")
 
     def to_stssm(self) -> StssmSpec:
         """Map to an equivalent ``StssmSpec`` (diagonal noise, lambda = 0).
@@ -411,8 +417,8 @@ class IndependentSsmSpec(ModelBundle):
         """Per-coordinate stage decomposition of ``gamma_t / gamma_{t-1}``.
 
         Each stage contributes one coordinate's transition (or initial)
-        and observation factor; stages do not interact (Markov order 0),
-        so the backward kernel carries no cross terms.  With
+        and observation factor; stages do not interact (``phi = 0``, Markov
+        order 0), so the backward kernel carries no cross terms.  With
         ``proposal="optimal"`` every stage weight is constant and the
         inner estimate is exact.
         """
@@ -423,8 +429,7 @@ class IndependentSsmSpec(ModelBundle):
         alpha = np.broadcast_to(mean, x_prev.shape).astype(float)
         var = np.full(self.n_x, var)
         return GaussianStageTarget(
-            alpha, np.zeros(self.n_x), 1.0 / var, var, y_t, self.obs_var, proposal,
-            markov_order=0,
+            alpha, np.zeros(self.n_x), 1.0 / var, var, y_t, self.obs_var, proposal
         )
 
 

@@ -13,32 +13,25 @@ for the tractable cases.
 
 Both model families have the same stage law, a first-order Gaussian
 chain over the components, so all stage code is in
-:class:`GaussianStageTarget`, which each spec's ``inner_target`` builds:
-the chain spec with Markov order one, the independent spec (the chain
-with ``phi = 0``) with order zero.  Its stage hook ``propagate`` draws
-stage ``d`` given only the resampled previous component and weights the
-draws in the same call, and the backward kernel reads only the factor
-linking two neighbouring components, so the inner samplers carry no
-prefix beyond the previous component and one outer step costs
-O(N * M * n_x).  At Markov order 0 no stage reads another, so the inner
-SMC does not resample between stages: it draws and weights every stage
-in one ``propagate`` call and one vectorized pass, and both of its
-draws, backward and empirical, pick each component from the stage
-weights that pass stored, again in one pass, over particle-major
-running sums.
+:class:`GaussianStageTarget`, which each spec's ``inner_target`` builds
+and which reads its Markov order off the chain coefficients: zero where
+``phi = 0`` (the independent spec, or a chain with zero coupling), else
+one.  Its stage hook ``propagate`` draws stage ``d`` given only the
+resampled previous component and weights the draws in the same call, and
+the backward kernel reads only the factor linking two neighbouring
+components, so the inner samplers carry no prefix beyond the previous
+component and one outer step costs O(N * M * n_x).  At Markov order 0 no
+stage reads another, so the inner SMC does not resample between stages:
+it draws and weights every stage in one ``propagate`` call and one
+vectorized pass, and both of its draws, backward and empirical, pick
+each component from the stage weights that pass stored, again in one
+pass, over particle-major running sums.
 
 The self-nested sampler reduces along its candidate axis over
 contiguous rows: a reused candidate-major scratch slab gives its
 row maxima and the running sums its pick reads, which numpy computes
 2-3 times faster than along short row-major rows, with the same bits.  Only the row log-means stay row-major sums, as ``np.sum``'s
 pairwise order is what pins ``tau``.
-
-An inner SMC stage takes the row maxima of its log-weights once, in the
-NaN and collapse check, and reuses them as the shift of both the next
-stage's resampling weights and the stage's factor of ``tau``.  Outer
-resampling copies no inner state: the outer step hands the chosen rows
-to the auxiliary object's ``draw(rng, rows)``, which reads those rows
-directly.
 
 All inner machinery is batched over outer particles: arrays carry shape
 ``(n_stages, *batch, M)`` and every stage operation is vectorized across
@@ -112,8 +105,8 @@ class GaussianStageTarget:
     final-stage normalizing constant is the predictive density of
     ``y_t``.  ``proposal`` is ``"prior"`` (the stage law) or
     ``"optimal"`` (the locally optimal per-component law).
-    ``markov_order`` is 1 for a chain, or 0 when the stages do not
-    interact; ``phi`` is then not read.
+    ``markov_order`` is read off ``phi``: 1 if it has a nonzero entry,
+    else 0, where the stages do not interact and ``phi`` is not read.
 
     The samplers use three hooks:
 
@@ -137,12 +130,12 @@ class GaussianStageTarget:
       ``(*batch, M)`` and the chosen next component ``x_next`` of shape
       ``(*batch,)``; only differences across particles matter to the
       backward kernel.
-    * ``take(idx)`` reindexes the batch dimension, for a backward draw
-      at the rows outer resampling chose; ``tile(m)`` repeats every batch
+    * ``take(idx)`` indexes the flattened batch, for a backward draw at
+      the rows outer resampling chose; ``tile(m)`` repeats every batch
       row ``m`` times as a broadcast view, for the self-nested systems.
     """
 
-    def __init__(self, alpha, phi, c, var, y_t, obs_var, proposal, markov_order):
+    def __init__(self, alpha, phi, c, var, y_t, obs_var, proposal):
         if proposal not in STAGE_PROPOSALS:
             raise ValueError(f"unknown stage proposal: {proposal!r}")
         self.alpha = alpha
@@ -152,7 +145,7 @@ class GaussianStageTarget:
         self.y = np.asarray(y_t, dtype=float)
         self.obs_var = obs_var
         self.proposal = proposal
-        self.markov_order = markov_order
+        self.markov_order = int(np.any(phi != 0.0))
         self.n_stages = alpha.shape[-1]
         self.batch_shape = alpha.shape[:-1]
 
@@ -191,7 +184,7 @@ class GaussianStageTarget:
         return _gauss_logpdf(x_next[..., None], mean, self.var[nxt])
 
     def take(self, idx):
-        return self._with_alpha(self.alpha[idx])
+        return self._with_alpha(self.alpha.reshape(-1, self.n_stages)[idx])
 
     def tile(self, m):
         shape = self.batch_shape + (m, self.n_stages)
@@ -241,10 +234,10 @@ class InnerState:
 
 def _weigh_stages(logw, out, strict, first_stage):
     """The pass after ``propagate`` over a stage-leading block of
-    log-weights ``(k, *batch, M)``, stages ``first_stage ..``: writes
-    ``exp(logw - shift)`` to ``out`` and returns ``shift`` and the mask
-    of collapsed rows, both ``(k, *batch, 1)``.  ``shift`` is the row
-    maximum, or 0 for a row of ``-inf`` entries.
+    log-weights ``(k, *batch, M)``, stages ``first_stage ..``: the row
+    maxima, the collapse check, then :func:`~nsmc.smc._row_weights`,
+    which writes ``exp(logw - shift)`` to ``out``.  Returns ``shift`` and
+    the mask of collapsed rows, both ``(k, *batch, 1)``.
 
     The first failing stage raises, as a stage-by-stage pass would: a
     NaN or ``+inf`` log-weight as ``ValueError``, before, with
@@ -252,18 +245,12 @@ def _weigh_stages(logw, out, strict, first_stage):
     the 1-based stage index.
     """
     top = np.max(logw, axis=-1, keepdims=True)
-    valid = top < np.inf  # a row's maximum is NaN iff it holds a NaN
     dead = np.isneginf(top)
-    if not np.all(valid) or (strict and np.any(dead)):
-        failed = ~valid | dead if strict else ~valid
-        k = int(np.argmax(failed.reshape(failed.shape[0], -1).any(axis=-1)))
-        if not np.all(valid[k]):
-            raise ValueError("log-weights contain NaN or +inf")
+    if strict and np.any(dead):
+        k = int(np.argmax(dead.reshape(dead.shape[0], -1).any(axis=-1)))
+        _row_weights(logw[: k + 1], top[: k + 1])  # a NaN up to stage k raises first
         raise InnerCollapseError(stage=first_stage + k + 1)
-    shift = np.where(dead, 0.0, top)
-    np.subtract(logw, shift, out=out)
-    np.exp(out, out=out)
-    return shift, dead
+    return _row_weights(logw, top, out)[1], dead
 
 
 def inner_smc(
@@ -376,15 +363,16 @@ def backward_simulate(
     components are drawn with probability proportional to
     ``w_d^j * p_{n-1}((x_{0:d}^j, chosen suffix)) / p_d(x_{0:d}^j)``.
     Returns one assembled state per chosen batch row, shape
-    ``(*rows, n)``.  ``rows`` indexes the flattened batch of ``inner`` (``None``: every
-    row, in order), whose chosen rows are read stage by stage, never
-    copied; ``target`` is then the target taken at those rows.  A NaN or
-    ``+inf`` backward log-weight raises ``ValueError``; with ``strict``,
-    a row whose backward weights are all zero raises
-    :class:`InnerCollapseError`.
+    ``(*rows, n)``.  ``rows`` indexes the flattened batch of ``inner``
+    (``None``: every row, in order), whose chosen rows are read stage by
+    stage, never copied; ``target`` is the one ``inner`` ran on, taken
+    here at ``rows``.  A NaN or ``+inf`` backward log-weight raises
+    ``ValueError``; with ``strict``, a row whose backward weights are all
+    zero raises :class:`InnerCollapseError`.
     """
     n = inner.n_stages
     offsets = _row_offsets(inner, rows)
+    target = target if rows is None else target.take(rows)
     out = np.empty(offsets.shape + (n,))
     j = _categorical_rows(_stage_rows(inner.logw[n - 1], rows), rng)
     out[..., n - 1] = inner.particles[n - 1].take(offsets + j)
@@ -478,8 +466,7 @@ class _InnerSmcAux:
         if not self.target.markov_order:
             return _stagewise_draw(self.state, rows, rng)
         if self.kappa == "backward":
-            target = self.target if rows is None else self.target.take(rows)
-            return backward_simulate(self.state, target, rng, strict=False, rows=rows)
+            return backward_simulate(self.state, self.target, rng, strict=False, rows=rows)
         return empirical_draw(self.state, rng, rows=rows)
 
 

@@ -77,17 +77,20 @@ def multinomial_resample(
     return np.searchsorted(cum, u, side="right")
 
 
-def _row_weights(logw: np.ndarray, top: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The one weight pass over log-weight rows ``(..., M)``: returns
-    ``w = exp(logw - shift)`` and ``shift``, shape ``(..., 1)``, the row
-    maximum, or 0 for a row of ``-inf`` entries, whose weights are then
-    all 0.  A NaN or ``+inf`` log-weight raises ``ValueError``.  ``top``
-    passes the row maxima, shape ``(..., 1)``, when the caller has them."""
+def _row_weights(
+    logw: np.ndarray, top: np.ndarray | None = None, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one shift-and-exp pass over log-weight rows ``(..., M)``:
+    returns ``w = exp(logw - shift)``, written to ``out`` if given, and
+    ``shift``, shape ``(..., 1)``, the row maximum, or 0 for a row of
+    ``-inf`` entries, whose weights are then all 0.  A NaN or ``+inf``
+    log-weight raises ``ValueError``.  ``top`` passes the row maxima,
+    shape ``(..., 1)``, when the caller has them."""
     m = np.max(logw, axis=-1, keepdims=True) if top is None else top
     if not np.all(m < np.inf):  # a row's maximum is NaN iff it holds a NaN
         raise ValueError("log-weights contain NaN or +inf")
     shift = np.where(np.isfinite(m), m, 0.0)
-    w = logw - shift
+    w = np.subtract(logw, shift, out=out)
     return np.exp(w, out=w), shift
 
 
@@ -463,8 +466,15 @@ def bootstrap_pf(
     ``ess_threshold`` optionally switches to adaptive resampling
     (resample only when the effective sample size drops below
     ``ess_threshold * N``); the default of ``None`` matches the
-    per-step-resampling analysis used everywhere else in this package.
+    per-step-resampling analysis used everywhere else in this package,
+    and 0 never resamples.  Anything but ``None`` or a number in
+    ``[0, 1]`` raises :class:`InvalidInputError`.
     """
+    if ess_threshold is not None and not (
+        isinstance(ess_threshold, (int, float, np.integer, np.floating))
+        and not isinstance(ess_threshold, bool) and 0.0 <= ess_threshold <= 1.0
+    ):
+        raise InvalidInputError(f"ess_threshold must be None or in [0, 1]: {ess_threshold!r}")
     return _outer_run(
         "bpf", make_model(model), ExactTransitionProcedure(), "transition", "one",
         data, N, rng, True, ess_threshold,

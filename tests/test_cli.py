@@ -112,7 +112,6 @@ BAD_CONFIGS = [
     ("N-boolean", _method(N=True), r"methods\[0\].N: expected an integer"),
     ("M-not-integer", _method(M=[3]), r"methods\[0\].M: expected an integer"),
     ("M-below-one", _method(M=0), r"methods\[0\].M: must be >= 1"),
-    ("self-nested-M-one", _method(M=1, inner="self-nested"), "self-nested needs M >= 2"),
     ("inner-unknown", _method(inner="pmcmc"), r"methods\[0\].inner: unknown"),
     ("stage-proposal-unknown", _method(stage_proposal="bogus"), r"methods\[0\].stage_proposal"),
     (
@@ -245,15 +244,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="model.tau"):
             parse_config(cfg)
 
-    def test_self_nested_needs_two_inner_particles(self, tmp_path):
+    def test_self_nested_runs_at_one_inner_particle(self, tmp_path):
+        # One system with one candidate is properly weighted, so the CLI
+        # runs it like any other M >= 1.
         cfg = _base_config(
             tmp_path,
             methods=[
                 {"name": "sn", "kind": "nsmc", "N": 5, "M": 1, "inner": "self-nested"}
             ],
         )
-        with pytest.raises(ConfigError, match="self-nested"):
-            parse_config(cfg)
+        assert main(["run", "--config", str(_write(tmp_path, cfg))]) == 0
+        rows = (tmp_path / "out" / "results.csv").read_text().splitlines()
+        assert not any(",failed," in row for row in rows)
+        assert sum(",sn,logZ," in row for row in rows) == 2
 
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -496,7 +499,7 @@ class TestAsymptoticsCommand:
 def test_selftest_runs_in_process(capsys):
     assert main(["selftest", "--reps", "2000"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 11
+    assert len(lines) == 12
     assert all(line.endswith("PASS") for line in lines)
 
 

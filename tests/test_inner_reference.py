@@ -183,7 +183,7 @@ def _target(proposal, cls=GaussianStageTarget, order=1):
     x_prev, y = _inputs()
     spec = SPEC if order else INDEP_SPEC
     base = make_model(spec).inner_target(2, x_prev, y, proposal)
-    return cls(base.alpha, base.phi, base.c, base.var, y, base.obs_var, proposal, order)
+    return cls(base.alpha, base.phi, base.c, base.var, y, base.obs_var, proposal)
 
 
 def _assert_states_equal(state, ref):
@@ -338,3 +338,39 @@ def test_draw_at_rows_equals_the_draw_of_an_eager_copy(kind, case):
     if kind.startswith("smc") and case == "order-1":
         ref = _ReferenceAux(aux.target, aux.state, aux.kappa)
         np.testing.assert_array_equal(x, ref.draw(np.random.default_rng(12), rows))
+
+
+@pytest.mark.parametrize("proposal", STAGE_PROPOSALS)
+def test_backward_simulate_takes_the_target_at_its_rows(proposal):
+    # backward_simulate gets the target the state was run on and takes it
+    # at ``rows`` itself.  Far-apart rows make a target read at the wrong
+    # rows move the backward weights, so a permutation of the whole batch
+    # shows it.
+    x_prev, y = _inputs()
+    target = make_model(SPEC).inner_target(2, 3.0 * x_prev, y, proposal)
+    state = inner_smc(target, 5, np.random.default_rng(14), strict=False)
+    rows = np.random.default_rng(15).permutation(BATCH)
+    x = backward_simulate(state, target, np.random.default_rng(16), strict=False, rows=rows)
+    want = backward_simulate(
+        _take_state(state, rows), target.take(rows), np.random.default_rng(16), strict=False
+    )
+    np.testing.assert_array_equal(x, want)
+
+
+def test_backward_simulate_reads_rows_of_the_flattened_batch():
+    # ``rows`` indexes the flattened batch, for the state and the target
+    # alike, so a (2, 3) batch draws as its flattened (6,) twin.
+    x_prev = 3.0 * np.random.default_rng(17).standard_normal((2, 3, SPEC.n_x))
+    target = make_model(SPEC).inner_target(2, x_prev, np.zeros(SPEC.n_x))
+    state = inner_smc(target, 5, np.random.default_rng(18), strict=False)
+    flat_target = make_model(SPEC).inner_target(2, x_prev.reshape(6, -1), np.zeros(SPEC.n_x))
+    stages = (state.particles, state.ancestors, state.logw, state.w)
+    flat_state = InnerState(
+        *(a.reshape((a.shape[0], 6, -1)) for a in stages), state.log_tau.reshape(6)
+    )
+    rows = np.array([5, 0, 4, 4])
+    x = backward_simulate(state, target, np.random.default_rng(19), strict=False, rows=rows)
+    want = backward_simulate(
+        flat_state, flat_target, np.random.default_rng(19), strict=False, rows=rows
+    )
+    np.testing.assert_array_equal(x, want)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from nsmc.exceptions import InvalidInputError
 from nsmc.model import (
     Dataset,
     IndependentSsmSpec,
@@ -309,6 +310,22 @@ BAD_MODEL_INPUTS = [
 def test_model_validators_reject_bad_input(call, exc, pattern):
     with pytest.raises(exc, match=pattern):
         call()
+
+
+@pytest.mark.parametrize(
+    "n_x", [2.5, 2.0, True, "3", None, 0, -1, np.int64(0)],
+    ids=["fraction", "integral-float", "bool", "string", "none", "zero", "negative", "numpy-zero"],
+)
+@pytest.mark.parametrize("build", [_stssm, _independent], ids=["stssm", "independent"])
+def test_specs_refuse_an_n_x_that_is_not_a_positive_integer(build, n_x):
+    with pytest.raises(InvalidInputError, match="^n_x must be a positive integer"):
+        build(n_x=n_x)
+
+
+@pytest.mark.parametrize("n_x", [np.int64(3), np.int32(3), 3])
+@pytest.mark.parametrize("build", [_stssm, _independent], ids=["stssm", "independent"])
+def test_specs_accept_numpy_integer_n_x(build, n_x):
+    assert build(n_x=n_x).n_x == 3
 
 
 @pytest.mark.parametrize("spec", [_stssm(), _independent()], ids=["stssm", "independent"])

@@ -339,6 +339,27 @@ class TestOrderZeroDraw:
         for field in ("filter_means", "filter_vars", "logz_increments", "ess_trace"):
             np.testing.assert_array_equal(getattr(bs, field), getattr(emp, field))
 
+    @pytest.mark.parametrize(
+        "proc",
+        [
+            InnerSmcProcedure(4, "backward", "prior"),
+            InnerSmcProcedure(4, "backward", "optimal"),
+            InnerSmcProcedure(4, "empirical", "prior"),
+            SelfNestedProcedure(4, 3),
+        ],
+        ids=["smc+bs-prior", "smc+bs-optimal", "smc+empirical", "self-nested"],
+    )
+    def test_zero_coupling_chain_runs_as_its_independent_twin(self, proc):
+        # A chain with lambda = 0 has phi = 0, so its stage target reads
+        # Markov order 0 and its nested filter is the independent one.
+        spec = IndependentSsmSpec(n_x=5, a_coef=0.5, obs_var=0.25)
+        twin = spec.to_stssm()
+        data = simulate(spec, 3, seed=38)
+        out = nsmc_run(spec, data, 20, 4, proc, np.random.default_rng(39))
+        ref = nsmc_run(twin, data, 20, 4, proc, np.random.default_rng(39))
+        for field in ("method", "filter_means", "filter_vars", "logz_increments", "ess_trace"):
+            np.testing.assert_array_equal(getattr(out, field), getattr(ref, field))
+
 
 class TestProperWeighting:
     """Definition-level audit: E[tau * phi(x)] = nu * E_q[phi] for every
@@ -617,7 +638,7 @@ def test_self_nested_stage_is_bitwise_pinned(case, mo, mi):
     rows = np.array([2, 0, 2, 2])
     np.testing.assert_array_equal(
         aux.draw(rng, rows),
-        backward_simulate(ref_state, ref_target.take(rows), ref_rng, strict=False, rows=rows),
+        backward_simulate(ref_state, ref_target, ref_rng, strict=False, rows=rows),
     )
 
 

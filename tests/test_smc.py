@@ -5,7 +5,7 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import chisquare
 
-from nsmc.exceptions import WeightCollapseError
+from nsmc.exceptions import InvalidInputError, WeightCollapseError
 from nsmc.exact import kalman_run
 from nsmc.model import IndependentSsmSpec, StssmSpec, make_model, simulate
 from nsmc.smc import (
@@ -193,6 +193,25 @@ class TestBootstrap:
         ratios = np.array(ratios)
         se = ratios.std(ddof=1) / np.sqrt(reps)
         assert abs(ratios.mean() - 1.0) <= 3 * se
+
+    @pytest.mark.parametrize(
+        "theta",
+        [np.nan, -1.0, 1.5, np.inf, True, "0.5", [0.5]],
+        ids=["nan", "negative", "above-one", "inf", "bool", "string", "list"],
+    )
+    def test_meaningless_ess_threshold_is_refused(self, theta):
+        # NaN or a negative threshold once ran and never resampled.
+        spec = StssmSpec.chain(n_x=3, tau=1.0, lam=1.0, obs_var=0.25)
+        data = simulate(spec, 2, seed=20)
+        with pytest.raises(InvalidInputError, match="^ess_threshold must be"):
+            bootstrap_pf(spec, data, 10, np.random.default_rng(0), ess_threshold=theta)
+
+    @pytest.mark.parametrize("theta", [None, 0, 0.0, 0.5, 1, 1.0, np.float64(0.5)])
+    def test_ess_threshold_in_the_unit_interval_runs(self, theta):
+        spec = StssmSpec.chain(n_x=3, tau=1.0, lam=1.0, obs_var=0.25)
+        data = simulate(spec, 2, seed=20)
+        out = bootstrap_pf(spec, data, 10, np.random.default_rng(0), ess_threshold=theta)
+        assert np.isfinite(out.logZ)
 
     def test_never_resampling_equals_sequential_importance_sampling(self):
         # ess_threshold=0 never resamples after t = 1, so the filter is

@@ -169,7 +169,7 @@ def test_inner_smc_rejects_nan_stage_weight(strict):
     prec = spec.noise_precision
     target = _NanStageTarget(
         np.zeros((2, 3)), prec.phi, prec.c, prec.cond_var, np.zeros(3), 0.25,
-        "prior", markov_order=1,
+        "prior",
     )
     with pytest.raises(ValueError, match="NaN"):
         inner_smc(target, 4, np.random.default_rng(0), strict=strict)
