@@ -14,6 +14,7 @@ the inner/outer particle trade-off on independent product models.
 from .exceptions import (
     InnerCollapseError,
     InvalidInputError,
+    NotPositiveDefiniteError,
     NsmcError,
     WeightCollapseError,
 )

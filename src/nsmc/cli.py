@@ -50,7 +50,7 @@ import numpy as np
 from .asymptotics import variance_curve
 from .diagnostics import aggregate, squared_error, write_summary_csv
 from .exact import fapf_run, kalman_run
-from .exceptions import NsmcError
+from .exceptions import InvalidInputError, NsmcError
 from .model import (
     SPEC_KINDS,
     Dataset,
@@ -70,7 +70,7 @@ from .nested import (
 from .smc import FilterOutput, bootstrap_pf
 
 
-class ConfigError(ValueError):
+class ConfigError(InvalidInputError):
     """Invalid experiment configuration; the message names the field."""
 
 
@@ -490,7 +490,7 @@ def _cmd_asymptotics(raw: dict, out: str | None, verbose: bool) -> int:
 
 
 def _cmd_selftest(n_reps: int, verbose: bool) -> int:
-    spec = StssmSpec.chain(n_x=2, tau=1.0, lam=1.0, obs_var=0.25, a_coef=0.5)
+    spec = StssmSpec(n_x=2, tau=1.0, lam=1.0, obs_var=0.25, a_coef=0.5)
     x_prev = np.array([0.3, -0.8])
     y_t = np.array([0.7, 0.1])
     rng = np.random.default_rng(20_240_001)

@@ -227,7 +227,7 @@ def fapf_run(
     the eigenbasis of ``Q``), and all post-propagation importance
     weights are exactly uniform.  ``logZ`` accumulates
     ``log((1/N) * sum_i nu_i)``.  Raises :class:`InvalidInputError`
-    unless ``model`` is a ``StssmSpec``.
+    unless ``model`` is a ``StssmSpec``, or for a bad ``N`` or ``rng``.
     """
     if not isinstance(model, StssmSpec):
         raise InvalidInputError(f"fapf_run needs a StssmSpec, got {type(model).__name__}")

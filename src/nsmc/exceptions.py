@@ -1,5 +1,7 @@
 """Exception types shared across the filtering algorithms."""
 
+import numpy as np
+
 
 class NsmcError(Exception):
     """Base class for errors raised by this package."""
@@ -40,5 +42,11 @@ class InnerCollapseError(NsmcError):
 
 
 class InvalidInputError(NsmcError, ValueError):
-    """Input that no filter can run on, such as observations whose
-    dimension differs from the model's or that hold non-finite values."""
+    """Input that no filter can run on, named in the message: observations
+    of the wrong dimension or with non-finite values, or a bad argument,
+    such as a count (``N``, ``M``, ``m``, ``n_x``, ``T``) that is not a
+    Python or NumPy integer >= 1, or an ``rng`` that is not a Generator."""
+
+
+class NotPositiveDefiniteError(InvalidInputError, np.linalg.LinAlgError):
+    """A precision matrix that is not positive definite."""

@@ -39,9 +39,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import InvalidInputError
+from .exceptions import InvalidInputError, NotPositiveDefiniteError
 
 _LOG_2PI = np.log(2.0 * np.pi)
+_NOT_PD = "tridiagonal precision is not positive definite"
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +67,10 @@ class TridiagPrecision:
     ``phi_1 = 0``.  Construction computes the conditional precisions
     ``c`` and autoregressive coefficients ``phi`` once, by a backward
     elimination sweep, as read-only arrays of length ``n``; they serve
-    prior sampling and the nested filter's inner stage law.  The sweep
-    doubles as the positive-definiteness check: a non-positive pivot
-    raises ``np.linalg.LinAlgError``.
+    prior sampling and the nested filter's inner stage law.  A bad shape
+    or diagonal raises :class:`InvalidInputError`.  The sweep doubles as
+    the positive-definiteness check: a non-positive pivot raises
+    :class:`NotPositiveDefiniteError`, naming its 1-based index.
     """
 
     diag: np.ndarray
@@ -85,24 +87,18 @@ class TridiagPrecision:
         object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "offdiag", offdiag)
         if diag.ndim != 1 or diag.size < 1:
-            raise ValueError("diag must be a non-empty 1-d array")
+            raise InvalidInputError("diag must be a non-empty 1-d array")
         if offdiag.shape != (diag.size - 1,):
-            raise ValueError("offdiag must have length len(diag) - 1")
+            raise InvalidInputError("offdiag must have length len(diag) - 1")
         if np.any(diag <= 0.0):
-            raise ValueError("diagonal entries must be positive")
+            raise InvalidInputError("diagonal entries must be positive")
         n = diag.size
         c = np.empty(n)
         c[-1] = diag[-1]
         for d in range(n - 2, -1, -1):
-            if c[d + 1] <= 0.0:
-                raise np.linalg.LinAlgError(
-                    f"tridiagonal precision is not positive definite (pivot {d + 2})"
-                )
             c[d] = diag[d] - offdiag[d] ** 2 / c[d + 1]
-        if np.any(c <= 0.0):
-            raise np.linalg.LinAlgError(
-                "tridiagonal precision is not positive definite"
-            )
+            if c[d] <= 0.0:
+                raise NotPositiveDefiniteError(f"{_NOT_PD} (pivot {d + 1})")
         phi = np.zeros(n)
         if n > 1:
             phi[1:] = -offdiag / c[1:]
@@ -134,31 +130,34 @@ class TridiagPrecision:
 
         Computed on the first call and cached; both arrays are read-only
         because every later call returns the same ones.  Raises
-        ``np.linalg.LinAlgError`` if an eigenvalue is not positive.
+        :class:`NotPositiveDefiniteError` if an eigenvalue is not positive.
         """
         if self._spectrum is None:
             eigvals, basis = np.linalg.eigh(self.dense())
             if not np.all(eigvals > 0.0):
-                raise np.linalg.LinAlgError(
-                    "tridiagonal precision is not positive definite"
-                )
+                raise NotPositiveDefiniteError(_NOT_PD)
             eigvals.setflags(write=False)
             basis.setflags(write=False)
             object.__setattr__(self, "_spectrum", (eigvals, basis))
         return self._spectrum
 
 
-def _check_finite(**fields) -> None:
-    """Raise ``ValueError`` naming the first field that is not finite."""
+def _check_reals(positive=(), **fields) -> None:
+    """Raise :class:`InvalidInputError` naming the first field that is not
+    finite, or not positive if ``positive`` names it."""
     for name, value in fields.items():
         if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+            raise InvalidInputError(f"{name} must be finite, got {value}")
+        if name in positive and not value > 0.0:
+            raise InvalidInputError(f"{name} must be positive, got {value}")
 
 
-def _check_n_x(n_x) -> None:
-    """Raise :class:`InvalidInputError` unless ``n_x`` is a positive integer, not a bool."""
-    if isinstance(n_x, bool) or not isinstance(n_x, (int, np.integer)) or n_x < 1:
-        raise InvalidInputError(f"n_x must be a positive integer, got {n_x!r}")
+def _check_count(value, name: str) -> int:
+    """``value`` as an ``int``; anything but a Python or NumPy integer >= 1,
+    a bool included, raises :class:`InvalidInputError` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise InvalidInputError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def chain_precision(tau: float, lam: float, n: int) -> TridiagPrecision:
@@ -168,15 +167,12 @@ def chain_precision(tau: float, lam: float, n: int) -> TridiagPrecision:
     ``tau/2 * sum_d v_d^2 + lam/2 * sum_{d>=2} (v_d - v_{d-1})^2``,
     which gives diagonal entries ``tau + lam`` at the two chain ends,
     ``tau + 2*lam`` in the interior, and off-diagonal entries ``-lam``.
-    A ``tau`` or ``lam`` that is not finite raises ``ValueError``.
+    A bad argument raises :class:`InvalidInputError` naming it.
     """
-    _check_finite(tau=tau, **{"lambda": lam})
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    _check_reals(("tau",), tau=tau, **{"lambda": lam})
     if lam < 0.0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+        raise InvalidInputError(f"lambda must be nonnegative, got {lam}")
+    n = _check_count(n, "n")
     diag = np.full(n, tau + 2.0 * lam)
     diag[0] = tau + lam
     diag[-1] = tau + lam
@@ -268,8 +264,9 @@ class ModelBundle:
     def from_dict(cls, block: dict) -> "ModelBundle":
         """Inverse of :meth:`to_dict`.  A field absent from ``block`` takes
         its ``DEFAULTS`` entry or raises ``KeyError``; other keys are
-        ignored."""
-        kwargs = {"n_x": int(block["n_x"])}
+        ignored.  An integral float ``n_x`` becomes an ``int``."""
+        n_x = block["n_x"]
+        kwargs = {"n_x": int(n_x) if isinstance(n_x, float) and n_x.is_integer() else n_x}
         for f in fields(cls):
             if f.init and f.name != "n_x":
                 key = _CONFIG_KEYS.get(f.name, f.name)
@@ -288,8 +285,8 @@ class StssmSpec(ModelBundle):
     transition from ``x_prev = 0``.  ``noise_precision`` is ``Q``, built
     once by :func:`chain_precision`; the spec keeps ``tau`` and ``lam``
     themselves, so it serialises to the numbers it was built from.  A
-    non-finite parameter, or an ``n_x`` that is not a positive integer,
-    raises ``ValueError`` naming the field."""
+    parameter out of its domain, or an ``n_x`` that is not a positive
+    integer, raises :class:`InvalidInputError` naming the field."""
 
     kind = "stssm"
     DEFAULTS = {"a_coef": 0.5}
@@ -302,10 +299,8 @@ class StssmSpec(ModelBundle):
     noise_precision: TridiagPrecision = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_n_x(self.n_x)
-        _check_finite(a_coef=self.a_coef, obs_var=self.obs_var)
-        if self.obs_var <= 0.0:
-            raise ValueError(f"obs_var must be positive, got {self.obs_var}")
+        object.__setattr__(self, "n_x", _check_count(self.n_x, "n_x"))
+        _check_reals(("obs_var",), a_coef=self.a_coef, obs_var=self.obs_var)
         prec = chain_precision(self.tau, self.lam, self.n_x)
         object.__setattr__(self, "noise_precision", prec)
 
@@ -351,9 +346,9 @@ class IndependentSsmSpec(ModelBundle):
     ``x_1 ~ N(init_mean, init_var)``, ``x_t ~ N(a_coef * x_{t-1}, trans_var)``
     and ``y ~ N(x, obs_var)``.  By convention the observation is replicated
     across coordinates: ``y_{t,d}`` is identical for every ``d``.  A
-    non-finite parameter, or an ``n_x`` that is not a positive integer,
-    raises ``ValueError`` naming the field.  A config block may omit
-    ``a_coef`` but must give ``obs_var``.
+    parameter out of its domain, or an ``n_x`` that is not a positive
+    integer, raises :class:`InvalidInputError` naming the field.  A
+    config block may omit ``a_coef`` but must give ``obs_var``.
     """
 
     kind = "independent"
@@ -367,14 +362,9 @@ class IndependentSsmSpec(ModelBundle):
     obs_var: float = 1.0
 
     def __post_init__(self):
-        _check_n_x(self.n_x)
-        _check_finite(
-            a_coef=self.a_coef, init_mean=self.init_mean, init_var=self.init_var,
-            trans_var=self.trans_var, obs_var=self.obs_var,
-        )
-        for name in ("init_var", "trans_var", "obs_var"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        object.__setattr__(self, "n_x", _check_count(self.n_x, "n_x"))
+        reals = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "n_x"}
+        _check_reals(("init_var", "trans_var", "obs_var"), **reals)
 
     def to_stssm(self) -> StssmSpec:
         """Map to an equivalent ``StssmSpec`` (diagonal noise, lambda = 0).
@@ -479,10 +469,9 @@ def simulate(model: ModelBundle, T: int, seed: int) -> Dataset:
     """Draw latent and observed trajectories from the generative model.
 
     A pure function of ``(model, T, seed)``: identical inputs give
-    bit-identical output.
+    bit-identical output.  A bad ``T`` raises :class:`InvalidInputError`.
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+    T = _check_count(T, "T")
     model = make_model(model)
     rng = np.random.default_rng(seed)
     x = np.empty((T, model.n_x))
@@ -522,20 +511,26 @@ def load_dataset(path: str | Path) -> tuple[Dataset, ModelBundle]:
     """Read back a dataset written by :func:`save_dataset`.
 
     Malformed input raises ``ValueError`` naming the file: a sidecar
-    field missing, an empty CSV, and, with the line, a row whose cell
-    count differs from the header's, whose cells do not parse, or whose
-    ``t`` or ``d`` is outside ``1..T`` or ``1..n_x`` or repeats an
-    earlier row's.  A ``(t, d)`` pair that no row gives stays NaN.
+    field missing or refused (a ``T`` that is not a positive integer, a
+    ``seed`` that is not an integer >= 0, a model field the spec
+    refuses), an empty CSV, and, with the line, a row whose cell count
+    differs from the header's, whose cells do not parse, or whose ``t``
+    or ``d`` is outside ``1..T`` or ``1..n_x`` or repeats an earlier
+    row's.  A ``(t, d)`` pair that no row gives stays NaN.
     """
     path = Path(path)
     sidecar = path.with_suffix(".meta.json")
     with open(sidecar) as fh:
         meta = json.load(fh)
     try:
-        T, seed = meta["T"], meta["seed"]
+        T, seed = _check_count(meta["T"], "T"), meta["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
         spec = SPEC_KINDS[meta["kind"]].from_dict(meta)
     except KeyError as err:
         raise ValueError(f"{sidecar}: missing field or unknown kind {err}") from None
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{sidecar}: {err}") from None
     n_x = spec.n_x
     y = np.full((T, n_x), np.nan)
     x = np.full((T, n_x), np.nan)

@@ -58,8 +58,10 @@ from functools import partial
 
 import numpy as np
 
-from .exceptions import InnerCollapseError
-from .model import _LOG_2PI, Dataset, ModelBundle, StssmSpec, _gauss_logpdf, make_model
+from .exceptions import InnerCollapseError, InvalidInputError
+from .model import (
+    _LOG_2PI, Dataset, ModelBundle, StssmSpec, _check_count, _gauss_logpdf, make_model,
+)
 from .exact import ExactFfbsProcedure
 from .smc import (
     ExactTransitionProcedure,
@@ -137,7 +139,7 @@ class GaussianStageTarget:
 
     def __init__(self, alpha, phi, c, var, y_t, obs_var, proposal):
         if proposal not in STAGE_PROPOSALS:
-            raise ValueError(f"unknown stage proposal: {proposal!r}")
+            raise InvalidInputError(f"unknown stage proposal: {proposal!r}")
         self.alpha = alpha
         self.phi = phi
         self.c = c
@@ -272,7 +274,8 @@ def inner_smc(
     ``strict=False`` (the batched mode used inside the outer filter)
     collapsed rows get ``log_tau = -inf`` and are carried along inertly.
     A NaN or ``+inf`` stage weight raises ``ValueError`` in either mode;
-    the first failing stage raises, the ``ValueError`` first.
+    the first failing stage raises, the ``ValueError`` first.  A bad
+    ``m`` raises :class:`InvalidInputError`.
 
     Of the prefix, only the previous component is resampled and handed
     to ``propagate``, so a stage costs O(batch * M) whatever its index.
@@ -291,8 +294,7 @@ def inner_smc(
     the state keeps; no later pass recomputes them.  The chosen previous
     components are gathered by one flat ``take``.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _check_count(m, "m")
     if not target.markov_order:
         particles, logw = target.propagate(None, None, m, rng)
         w = np.empty(logw.shape)
@@ -473,16 +475,14 @@ class _InnerSmcAux:
 class InnerSmcProcedure(ProperWeightingProcedure):
     """Inner SMC over components, finished by backward simulation
     (``kappa="backward"``) or by an ancestral empirical draw
-    (``kappa="empirical"``)."""
+    (``kappa="empirical"``); a bad argument raises :class:`InvalidInputError`."""
 
     def __init__(self, m: int, kappa: str = "backward", stage_proposal: str = "prior"):
-        if m < 1:
-            raise ValueError("m must be >= 1")
         if kappa not in ("backward", "empirical"):
-            raise ValueError(f"unknown kappa: {kappa!r}")
+            raise InvalidInputError(f"unknown kappa: {kappa!r}")
         if stage_proposal not in STAGE_PROPOSALS:
-            raise ValueError(f"unknown stage proposal: {stage_proposal!r}")
-        self.m = m
+            raise InvalidInputError(f"unknown stage proposal: {stage_proposal!r}")
+        self.m = _check_count(m, "m")
         self.kappa = kappa
         self.stage_proposal = stage_proposal
         self.kind = "smc+bs" if kappa == "backward" else "smc+empirical"
@@ -513,14 +513,13 @@ class ImportanceProcedure(ProperWeightingProcedure):
     Draws ``m`` candidates from the model transition and weights each by
     the incremental target over the transition density, which is the
     likelihood ``log_obs(y_t, x)``; ``tau`` is the mean weight, and the
-    draw picks one candidate proportionally to the weights."""
+    draw picks one candidate proportionally to the weights.  A bad ``m``
+    raises :class:`InvalidInputError`."""
 
     kind = "is"
 
     def __init__(self, m: int):
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        self.m = m
+        self.m = _check_count(m, "m")
 
     def prepare(self, model, t, x_prev, y_t, rng):
         x_prev = np.asarray(x_prev, dtype=float)[..., None, :]
@@ -552,15 +551,14 @@ class SelfNestedProcedure(ProperWeightingProcedure):
     order pins ``log tau`` on every numpy version, and a sum down the
     slab would add in another order.  The systems read their row's
     ``alpha`` through a broadcast view (``tile``), and the state carries
-    broadcast zeros and ones as its ``logw`` and ``w``."""
+    broadcast zeros and ones as its ``logw`` and ``w``.  A bad ``m_outer``
+    or ``m_inner`` raises :class:`InvalidInputError`."""
 
     kind = "self-nested"
 
     def __init__(self, m_outer: int, m_inner: int):
-        if m_outer < 1 or m_inner < 1:
-            raise ValueError("m_outer and m_inner must be >= 1")
-        self.m = m_outer
-        self.m_inner = m_inner
+        self.m = _check_count(m_outer, "m_outer")
+        self.m_inner = _check_count(m_inner, "m_inner")
 
     def prepare(self, model, t, x_prev, y_t, rng):
         target = model.inner_target(t, x_prev, y_t)
@@ -625,7 +623,7 @@ PROCEDURES = {
 def make_procedure(kind: str, m: int, **kwargs) -> ProperWeightingProcedure:
     """Build a procedure from its name in :data:`PROCEDURES`."""
     if kind not in PROCEDURES:
-        raise ValueError(f"unknown procedure kind: {kind!r}")
+        raise InvalidInputError(f"unknown procedure kind: {kind!r}")
     return PROCEDURES[kind][0](m, **kwargs)
 
 
@@ -634,16 +632,10 @@ def make_procedure(kind: str, m: int, **kwargs) -> ProperWeightingProcedure:
 # ---------------------------------------------------------------------------
 
 
-def _check_uniform(system: ParticleSystem):
-    if system.logw.size and np.any(system.logw != system.logw.flat[0]):
-        raise ValueError(
-            "outer particle weights must be uniform in fully adapted mode"
-        )
-
-
 def nsmc_init(model, N: int) -> ParticleSystem:
-    """Empty particle system before the first step."""
-    return _empty_system(N, model.n_x)
+    """Empty particle system before the first step; a bad ``N`` raises
+    :class:`InvalidInputError`."""
+    return _empty_system(_check_count(N, "N"), model.n_x)
 
 
 def nsmc_step(
@@ -656,9 +648,11 @@ def nsmc_step(
     """One outer step of the fully-adapted-approximation algorithm: the
     ``("gamma-ratio", "tau")`` configuration of :func:`general_nsmc_step`,
     which resamples on ``tau``, accrues ``log((1/N) sum tau)`` and leaves
-    uniform weights.  Non-uniform incoming weights raise ``ValueError``.
+    uniform weights.  Non-uniform incoming weights raise
+    :class:`InvalidInputError`.
     """
-    _check_uniform(system)
+    if system.logw.size and np.any(system.logw != system.logw.flat[0]):
+        raise InvalidInputError("outer weights must be uniform in fully adapted mode")
     return general_nsmc_step(system, model, proc, "gamma-ratio", "tau", y_t, rng)
 
 
@@ -676,13 +670,13 @@ def general_nsmc_step(
     ``proc`` must be properly weighted for the (unnormalized) proposal
     ``r_t``, which ``log_r`` names: ``"gamma-ratio"`` (proposal equals
     the incremental target) or ``"transition"`` (proposal equals the
-    model transition); anything else raises ``ValueError``.  The weight
-    cancellations either implies are carried out algebraically, so they
-    hold exactly in floating point.
+    model transition); anything else raises :class:`InvalidInputError`.
+    The weight cancellations either implies are carried out
+    algebraically, so they hold exactly in floating point.
     ``nu_hat`` selects the adjustment multiplier: ``"tau"`` uses the
     procedure score and ``"one"`` constant multipliers; anything else
-    raises ``ValueError``.  Ancestors are resampled proportionally to
-    ``w_{t-1} * nu_hat``, and the carried weights are
+    raises :class:`InvalidInputError`.  Ancestors are resampled
+    proportionally to ``w_{t-1} * nu_hat``, and the carried weights are
 
     ``w_t = (gamma_t / gamma_{t-1}) * tau / (nu_hat * r_t)``,
 
@@ -699,9 +693,9 @@ def general_nsmc_step(
     a model spec (a :class:`~nsmc.model.ModelBundle`).
     """
     if nu_hat not in ("tau", "one"):
-        raise ValueError(f"nu_hat must be 'tau' or 'one', got {nu_hat!r}")
+        raise InvalidInputError(f"nu_hat must be 'tau' or 'one': {nu_hat!r}")
     if log_r not in ("gamma-ratio", "transition"):
-        raise ValueError(f"log_r must be 'gamma-ratio' or 'transition', got {log_r!r}")
+        raise InvalidInputError(f"log_r must be 'gamma-ratio' or 'transition': {log_r!r}")
     return _outer_step(system, model, proc, log_r, nu_hat, y_t, rng)[0]
 
 
@@ -718,7 +712,8 @@ def nsmc_run(
     ``proc`` is a procedure instance or one of the configuration names
     accepted by :func:`make_procedure` (``M`` is ignored when an instance
     is passed).  Emits per-step filtering summaries, the effective sample
-    size of the ``tau`` scores and the normalizer increments.
+    size of the ``tau`` scores and the normalizer increments.  A bad ``N``,
+    ``M``, ``proc`` name or ``rng`` raises :class:`InvalidInputError`.
     """
     if isinstance(proc, str):
         proc = make_procedure(proc, M)

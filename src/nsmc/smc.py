@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError, WeightCollapseError
-from .model import Dataset, ModelBundle, make_model
+from .model import Dataset, ModelBundle, _check_count, make_model
 
 __all__ = [
     "normalize_logweights",
@@ -431,10 +431,11 @@ def _outer_run(
     Filtering means and variances are weighted by the normalized new
     weights, or plain in the fully adapted configuration, whose weights
     are uniform; ``with_ess`` keeps the ESS trace of the weights each step
-    returns.  ``N < 1`` raises ``ValueError``.
+    returns.  A bad ``N`` or ``rng`` raises :class:`InvalidInputError`.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    N = _check_count(N, "N")
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidInputError(f"rng must be a np.random.Generator, got {rng!r}")
     fully_adapted = log_r == "gamma-ratio" and nu_hat == "tau"
 
     def step(system, t, y_t):
@@ -467,8 +468,8 @@ def bootstrap_pf(
     (resample only when the effective sample size drops below
     ``ess_threshold * N``); the default of ``None`` matches the
     per-step-resampling analysis used everywhere else in this package,
-    and 0 never resamples.  Anything but ``None`` or a number in
-    ``[0, 1]`` raises :class:`InvalidInputError`.
+    and 0 never resamples.  A bad ``N`` or ``rng``, or an ``ess_threshold``
+    not ``None`` or in ``[0, 1]``, raises :class:`InvalidInputError`.
     """
     if ess_threshold is not None and not (
         isinstance(ess_threshold, (int, float, np.integer, np.floating))

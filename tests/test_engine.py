@@ -72,7 +72,7 @@ class TestInvalidInput:
         ids=["fapf", "bpf", "nsmc"],
     )
     def test_zero_particles_rejected(self, run):
-        with pytest.raises(ValueError, match="N must be >= 1"):
+        with pytest.raises(InvalidInputError, match="^N must be a positive integer"):
             run(CHAIN, simulate(CHAIN, 2, seed=5), 0, np.random.default_rng(1))
 
     def test_cli_truncated_dataset_fails_replicates(self, tmp_path):

@@ -28,13 +28,17 @@ def _append_row(row):
     return lambda path: path.write_text(path.read_text() + row + "\n")
 
 
-def _drop_sidecar_field(key):
-    """Dataset edit: remove ``key`` from the JSON sidecar."""
+def _edit_sidecar(key, *value):
+    """Dataset edit: set ``key`` of the JSON sidecar to ``value``, or
+    remove it when no value is given."""
 
     def edit(path):
         sidecar = path.with_suffix(".meta.json")
         meta = json.loads(sidecar.read_text())
-        del meta[key]
+        if value:
+            meta[key] = value[0]
+        else:
+            del meta[key]
         sidecar.write_text(json.dumps(meta))
 
     return edit
@@ -201,19 +205,30 @@ class TestDatasetIo:
             (_append_row(""), r"d\.csv, line 6: 0 cells, expected 4"),
             (_append_row("x,1,99.0,0.0"), r"d\.csv, line 6: invalid literal for int"),
             (lambda path: path.write_text(""), r"d\.csv: the file is empty"),
-            (_drop_sidecar_field("T"), r"d\.meta\.json: missing field .*'T'"),
+            (_edit_sidecar("T"), r"d\.meta\.json: missing field .*'T'"),
+            (_edit_sidecar("T", 2.5), r"d\.meta\.json: T must be a positive integer"),
+            (_edit_sidecar("T", True), r"d\.meta\.json: T must be a positive integer"),
+            (_edit_sidecar("n_x", 2.5), r"d\.meta\.json: n_x must be a positive integer"),
+            (_edit_sidecar("n_x", True), r"d\.meta\.json: n_x must be a positive integer"),
+            (_edit_sidecar("seed", "x"), r"d\.meta\.json: seed must be a non-negative"),
+            (_edit_sidecar("obs_var", -1.0), r"d\.meta\.json: obs_var must be positive"),
         ],
         ids=[
             "t-zero", "t-past-T", "d-zero", "d-past-n_x", "repeated",
             "short-row", "blank-line", "t-not-integer", "empty-csv", "sidecar-without-T",
+            "sidecar-T-fraction", "sidecar-T-bool", "sidecar-n_x-fraction",
+            "sidecar-n_x-bool", "sidecar-seed-string", "sidecar-obs_var-negative",
         ],
     )
     def test_bad_index_row_names_its_line(self, tmp_path, edit, problem):
         # T = 2 and n_x = 2: the header and four rows, then a bad row on
-        # line 6, or an emptied CSV, or a sidecar without T.  A t of 0
-        # once overwrote the observation at time T; the last five cases
+        # line 6, or an emptied CSV, or a sidecar without T or with a
+        # field its rule refuses.  A t of 0 once overwrote the
+        # observation at time T; the short-row to sidecar-without-T cases
         # once escaped as raw IndexError, StopIteration or KeyError, or
-        # as a ValueError without the line.
+        # as a ValueError without the line.  Of the refused sidecar
+        # fields, T once escaped as a raw TypeError, n_x was truncated,
+        # the seed loaded silently and obs_var failed without the file.
         spec = StssmSpec.chain(n_x=2, tau=1.0, lam=0.0, obs_var=1.0)
         path = tmp_path / "d.csv"
         save_dataset(simulate(spec, 2, seed=1), spec, path)
@@ -262,7 +277,7 @@ BAD_MODEL_INPUTS = [
         "not-spd-first-pivot",
         lambda: TridiagPrecision([1.0, 1.0], [2.0]),
         np.linalg.LinAlgError,
-        "not positive definite$",
+        r"not positive definite \(pivot 1\)$",
     ),
     ("tau-nonpositive", lambda: chain_precision(0.0, 1.0, 3), ValueError, "tau"),
     ("lambda-negative", lambda: chain_precision(1.0, -0.1, 3), ValueError, "lambda"),

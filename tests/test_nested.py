@@ -442,7 +442,7 @@ class TestProperWeighting:
             (lambda: InnerSmcProcedure(0), "m must be"),
             (lambda: InnerSmcProcedure(2, kappa="bogus"), "unknown kappa"),
             (lambda: ImportanceProcedure(0), "m must be"),
-            (lambda: SelfNestedProcedure(2, 0), "m_outer and m_inner"),
+            (lambda: SelfNestedProcedure(2, 0), "m_inner must be a positive integer"),
             (lambda: make_procedure("bogus", 2), "unknown procedure kind"),
             (
                 lambda: inner_smc(
