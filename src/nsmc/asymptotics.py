@@ -6,7 +6,8 @@ fully adapted filter and the nested filter with ``M`` inner particles
 reduces to closed-form combinations of scalar integrals: ratios of
 smoothing and filtering marginals times conditional-mean polynomials.
 This module evaluates those constants in closed form, and the two
-variance formulas, whose gap closes as ``M`` grows.
+variance formulas, whose gap closes as ``M`` grows.  A ``t``, ``n_x``
+or ``M`` that is not an integer >= 1 raises ``InvalidInputError``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _LOG_2PI, IndependentSsmSpec
+from .model import _LOG_2PI, IndependentSsmSpec, _check_count
 
 __all__ = [
     "VarianceConstants",
@@ -144,8 +145,7 @@ def compute_constants(
     proposal is the scalar transition density, with the initial density
     standing in at the first step.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    t = _check_count(t, "t")
     ys = np.zeros(t) if ys is None else np.asarray(ys, dtype=float)
     if ys.shape != (t,):
         raise ValueError("ys must have length t")
@@ -206,6 +206,7 @@ def sigma_fa(consts: VarianceConstants, n_x: int, t: int) -> float:
     """Asymptotic variance of the fully adapted filter for ``phi = sum_d x_{t,d}``."""
     if t != consts.t:
         raise ValueError("constants were computed for a different horizon")
+    n_x = _check_count(n_x, "n_x")
     total = n_x * consts.a_t
     for s in range(1, t):
         total += n_x * consts.b_s[s] ** (n_x - 1) * consts.a_s[s]
@@ -227,6 +228,7 @@ def sigma_nsmc(consts: VarianceConstants, n_x: int, t: int, M: int) -> float:
     """
     if t != consts.t:
         raise ValueError("constants were computed for a different horizon")
+    n_x, M = _check_count(n_x, "n_x"), _check_count(M, "M")
     if M < 2:
         raise ValueError("sigma_nsmc requires M >= 2")
     total = n_x * consts.a_t
@@ -261,4 +263,5 @@ def variance_curve(
     """``(M, sigma_nsmc, sigma_fa)`` rows for a grid of inner sizes."""
     consts = compute_constants(scalar_model, t, ys=ys)
     fa = sigma_fa(consts, n_x, t)
-    return [(int(m), sigma_nsmc(consts, n_x, t, int(m)), fa) for m in m_grid]
+    ms = [_check_count(m, "M") for m in m_grid]
+    return [(m, sigma_nsmc(consts, n_x, t, m), fa) for m in ms]

@@ -84,7 +84,6 @@ METHOD_KEYS = {
     "nsmc": ("name", "kind", "N", "M", "inner"),
     "nsmc-general": ("name", "kind", "N"),
 }
-VALID_INNER = tuple(k for k, (_, fields) in PROCEDURES.items() if fields is not None)
 
 
 def _method_keys(kind: str, inner: str) -> tuple[str, ...]:
@@ -224,7 +223,7 @@ def parse_config(raw: dict, base_name: str = "experiment") -> ExperimentConfig:
         mm = _as_int(m.get("M", 0), f"{where}.M")
         inner = m.get("inner", "smc+bs")
         stage_proposal = m.get("stage_proposal", "prior")
-        if inner not in VALID_INNER:
+        if inner not in PROCEDURES:
             raise ConfigError(f"{where}.inner: unknown inner procedure {inner!r}")
         if stage_proposal not in STAGE_PROPOSALS:
             raise ConfigError(
@@ -313,8 +312,7 @@ def _run_method(
             n = method.N * method.M
         return bootstrap_pf(config.model, data, n, rng)
     if method.kind == "nsmc":
-        fields = PROCEDURES[method.inner][1]
-        kwargs = {name: getattr(method, name) for name in fields}
+        kwargs = {name: getattr(method, name) for name in PROCEDURES[method.inner][1]}
         proc = make_procedure(method.inner, method.M, **kwargs)
         return nsmc_run(config.model, data, method.N, method.M, proc, rng)
     # nsmc-general: the bootstrap-reduction configuration of the general
@@ -495,7 +493,7 @@ def _cmd_selftest(n_reps: int, verbose: bool) -> int:
     y_t = np.array([0.7, 0.1])
     rng = np.random.default_rng(20_240_001)
     failures = 0
-    for kind in VALID_INNER:
+    for kind in PROCEDURES:
         for m in (1, 5, 20):
             proc = make_procedure(kind, m)
             checks = proper_weighting_check(proc, spec, x_prev, y_t, n_reps, rng)

@@ -231,6 +231,4 @@ def fapf_run(
     """
     if not isinstance(model, StssmSpec):
         raise InvalidInputError(f"fapf_run needs a StssmSpec, got {type(model).__name__}")
-    return _outer_run(
-        "fapf", model, ExactFfbsProcedure(), "gamma-ratio", "tau", data, N, rng, False
-    )
+    return _outer_run("fapf", model, ExactFfbsProcedure(), "tau", data, N, rng, False)

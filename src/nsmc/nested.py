@@ -40,14 +40,14 @@ the batch, which is what makes replicated experiments cheap.
 Procedures see the model only through the ``t``-aware protocol of
 :mod:`nsmc.model` (transition sampler, observation density, initial law
 at ``t = 1``, ``inner_target``), so no code here branches on the model
-type.  ``PROCEDURES`` is the one table of procedure names; the exact
-procedures and the procedure base live next to their auxiliary objects
-in :mod:`nsmc.exact` and :mod:`nsmc.smc` and are re-exported here.  The
-outer filter is the package's one outer step (:mod:`nsmc.smc`) driven
-by a procedure: :func:`general_nsmc_step` is the general algorithm, with
-the procedure scores or constants as adjustment multipliers, and
-:func:`nsmc_step` its fully adapted configuration, which with
-:class:`ExactFfbsProcedure` is the fully adapted particle filter.
+type.  ``PROCEDURES`` is the one table of inner procedure names; the
+exact procedures and the procedure base live next to their auxiliary
+objects in :mod:`nsmc.exact` and :mod:`nsmc.smc` and are re-exported
+here.  The outer filter is the package's one outer step driven by a
+procedure, which names its own proposal as ``log_r``: :func:`general_nsmc_step`
+is the general algorithm, with the procedure scores or constants as
+adjustment multipliers, and :func:`nsmc_step` its fully adapted
+configuration, with :class:`ExactFfbsProcedure` the fully adapted filter.
 """
 
 from __future__ import annotations
@@ -606,17 +606,14 @@ class SelfNestedProcedure(ProperWeightingProcedure):
         return _InnerSmcAux(target=target, state=state, kappa="backward")
 
 
-#: Procedure name -> (constructor taking ``(m, **kwargs)``, the
-#: experiment-config fields passed on as keyword arguments).  ``None`` in
-#: place of the fields marks the exact procedures, which configs cannot
-#: select.
+#: Inner procedure name -> (constructor taking ``(m, **kwargs)``, the
+#: experiment-config fields passed on as keyword arguments).  The exact
+#: procedures take no ``m`` and are passed as instances.
 PROCEDURES = {
     "smc+bs": (partial(InnerSmcProcedure, kappa="backward"), ("stage_proposal",)),
     "smc+empirical": (partial(InnerSmcProcedure, kappa="empirical"), ("stage_proposal",)),
     "is": (ImportanceProcedure, ()),
     "self-nested": (lambda m: SelfNestedProcedure(m, m), ()),
-    "exact-ffbs": (lambda m, **_: ExactFfbsProcedure(), None),
-    "exact-transition": (lambda m, **_: ExactTransitionProcedure(), None),
 }
 
 
@@ -648,8 +645,8 @@ def nsmc_step(
     """One outer step of the fully-adapted-approximation algorithm: the
     ``("gamma-ratio", "tau")`` configuration of :func:`general_nsmc_step`,
     which resamples on ``tau``, accrues ``log((1/N) sum tau)`` and leaves
-    uniform weights.  Non-uniform incoming weights raise
-    :class:`InvalidInputError`.
+    uniform weights.  Non-uniform incoming weights, or a procedure
+    weighted for the transition, raise :class:`InvalidInputError`.
     """
     if system.logw.size and np.any(system.logw != system.logw.flat[0]):
         raise InvalidInputError("outer weights must be uniform in fully adapted mode")
@@ -667,15 +664,15 @@ def general_nsmc_step(
 ) -> ParticleSystem:
     """One step of the general algorithm with adjustment multipliers.
 
-    ``proc`` must be properly weighted for the (unnormalized) proposal
-    ``r_t``, which ``log_r`` names: ``"gamma-ratio"`` (proposal equals
-    the incremental target) or ``"transition"`` (proposal equals the
-    model transition); anything else raises :class:`InvalidInputError`.
-    The weight cancellations either implies are carried out
+    ``proc`` is properly weighted for the (unnormalized) proposal ``r_t``
+    it names as ``proc.log_r``: ``"gamma-ratio"`` (the incremental target)
+    or ``"transition"`` (the model transition).  ``log_r`` must restate
+    it.  The weight cancellations either implies are carried out
     algebraically, so they hold exactly in floating point.
     ``nu_hat`` selects the adjustment multiplier: ``"tau"`` uses the
-    procedure score and ``"one"`` constant multipliers; anything else
-    raises :class:`InvalidInputError`.  Ancestors are resampled
+    procedure score and ``"one"`` constant multipliers.  Any other
+    ``log_r`` or ``nu_hat``, or a non-Generator ``rng``, raises
+    :class:`InvalidInputError`.  Ancestors are resampled
     proportionally to ``w_{t-1} * nu_hat``, and the carried weights are
 
     ``w_t = (gamma_t / gamma_{t-1}) * tau / (nu_hat * r_t)``,
@@ -694,9 +691,11 @@ def general_nsmc_step(
     """
     if nu_hat not in ("tau", "one"):
         raise InvalidInputError(f"nu_hat must be 'tau' or 'one': {nu_hat!r}")
-    if log_r not in ("gamma-ratio", "transition"):
-        raise InvalidInputError(f"log_r must be 'gamma-ratio' or 'transition': {log_r!r}")
-    return _outer_step(system, model, proc, log_r, nu_hat, y_t, rng)[0]
+    if log_r != proc.log_r:
+        raise InvalidInputError(
+            f"log_r must be {proc.log_r!r} for {type(proc).__name__}, got {log_r!r}"
+        )
+    return _outer_step(system, model, proc, nu_hat, y_t, rng)[0]
 
 
 def nsmc_run(
@@ -707,19 +706,17 @@ def nsmc_run(
     proc: str | ProperWeightingProcedure,
     rng: np.random.Generator,
 ) -> FilterOutput:
-    """Run the nested filter (:func:`nsmc_step`) over a whole dataset.
-
-    ``proc`` is a procedure instance or one of the configuration names
-    accepted by :func:`make_procedure` (``M`` is ignored when an instance
-    is passed).  Emits per-step filtering summaries, the effective sample
-    size of the ``tau`` scores and the normalizer increments.  A bad ``N``,
-    ``M``, ``proc`` name or ``rng`` raises :class:`InvalidInputError`.
+    """Run :func:`general_nsmc_step` with ``tau`` multipliers over a whole
+    dataset, for the proposal the procedure names (:func:`nsmc_step` for a
+    ``"gamma-ratio"`` one).  ``proc`` is a procedure instance or an inner
+    kind of :data:`PROCEDURES` (``M`` is ignored for an instance).  Emits
+    per-step filtering summaries, the effective sample size of the ``tau``
+    scores and the normalizer increments.  A bad ``N``, ``M``, ``proc``
+    name or ``rng`` raises :class:`InvalidInputError`.
     """
     if isinstance(proc, str):
         proc = make_procedure(proc, M)
-    return _outer_run(
-        f"nsmc-{proc.kind}", make_model(model), proc, "gamma-ratio", "tau", data, N, rng, True
-    )
+    return _outer_run(f"nsmc-{proc.kind}", make_model(model), proc, "tau", data, N, rng, True)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,10 @@ over the observations into a :class:`FilterOutput`.  A step reports its
 own filtering mean and variance, its normalizer increment and
 optionally an ESS.  Every particle filter steps through ``_outer_step``,
 the general algorithm with adjustment multipliers, driven by a
-:class:`ProperWeightingProcedure`: the fully adapted and the nested
-filter are its ``("gamma-ratio", "tau")`` configuration, differing only
-in the procedure that supplies the ``tau`` scores and draws, and the
-bootstrap filter its ``("transition", "one")`` one with
-:class:`ExactTransitionProcedure`.
+:class:`ProperWeightingProcedure` that names its own proposal as
+``log_r``: the fully adapted and the nested filter are ``tau``
+multipliers with a ``"gamma-ratio"`` procedure, and the bootstrap filter
+unit multipliers with the ``"transition"`` :class:`ExactTransitionProcedure`.
 """
 
 from __future__ import annotations
@@ -290,6 +289,9 @@ def _normalize_at(logw: np.ndarray, t: int, detail: str = "") -> tuple[np.ndarra
 class ProperWeightingProcedure(ABC):
     """Factory for properly weighted ``(x_t, tau)`` pairs.
 
+    ``log_r`` names the proposal ``r_t`` the pairs are properly weighted
+    for, ``"gamma-ratio"`` (the incremental target, the default) or
+    ``"transition"`` (the model transition); the outer step reads it.
     ``prepare(model, t, x_prev, y_t, rng)`` simulates the auxiliary
     variable (everything the inner method generated) for a batch of
     outer particles and returns an aux object carrying the scores
@@ -300,6 +302,7 @@ class ProperWeightingProcedure(ABC):
     """
 
     kind: str = ""
+    log_r: str = "gamma-ratio"
 
     @abstractmethod
     def prepare(self, model, t, x_prev, y_t, rng):
@@ -333,17 +336,24 @@ class ExactTransitionProcedure(ProperWeightingProcedure):
     algorithm it reproduces the bootstrap filter."""
 
     kind = "exact-transition"
+    log_r = "transition"
 
     def prepare(self, model, t, x_prev, y_t, rng):
         return _ExactTransitionAux(model, t, np.asarray(x_prev, dtype=float))
 
 
+def _fully_adapted(proc, nu_hat: str) -> bool:
+    """Whether ``gamma_t / r_t`` and ``tau / nu_hat`` cancel: uniform new weights."""
+    return proc.log_r == "gamma-ratio" and nu_hat == "tau"
+
+
 def _outer_step(
-    system: ParticleSystem, model, proc, log_r, nu_hat: str, y_t, rng, ess_threshold=None
+    system: ParticleSystem, model, proc, nu_hat: str, y_t, rng, ess_threshold=None
 ) -> tuple[ParticleSystem, np.ndarray]:
     """One step of the general outer algorithm, documented at
     :func:`nsmc.nested.general_nsmc_step`; the only code that resamples,
-    draws and weights outer particles.
+    draws and weights outer particles, for the proposal ``proc.log_r``; a
+    non-Generator ``rng`` raises :class:`InvalidInputError`.
 
     ``proc.prepare(model, t, x_prev, y_t, rng)`` returns the auxiliary
     object; with ``tau`` multipliers the ancestors its scores select go
@@ -355,11 +365,12 @@ def _outer_step(
     of ``tau`` in the fully adapted configuration, whose new weights are
     uniform, else the new weights.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidInputError(f"rng must be a np.random.Generator, got {rng!r}")
     t = system.t + 1
     N = system.n
     logw_prev = system.logw
     x_prev = system.states
-    fully_adapted = log_r == "gamma-ratio" and nu_hat == "tau"
     ancestors = rows = carried = None
     adj = 0.0
     if nu_hat == "one":
@@ -394,11 +405,10 @@ def _outer_step(
         ancestors = rows = multinomial_resample(probs, N, rng)
 
     states = aux.draw(rng, rows)
-    if fully_adapted:
-        # gamma_t / r_t and tau / nu_hat cancel exactly: uniform weights.
+    if _fully_adapted(proc, nu_hat):
         logw, log_mean_w = np.zeros(N), 0.0
     else:
-        logw = 0.0 if log_r == "gamma-ratio" else model.log_obs(y_t, states)
+        logw = 0.0 if proc.log_r == "gamma-ratio" else model.log_obs(y_t, states)
         # With tau multipliers tau / nu_hat is exactly one: resampling
         # never selects a zero-score ancestor.
         if nu_hat == "one":
@@ -423,7 +433,7 @@ def _outer_step(
 
 
 def _outer_run(
-    method: str, model, proc, log_r, nu_hat: str, data: Dataset, N: int, rng,
+    method: str, model, proc, nu_hat: str, data: Dataset, N: int, rng,
     with_ess: bool, ess_threshold=None,
 ) -> FilterOutput:
     """Run :func:`_outer_step` over ``data`` from ``N`` particles at zero.
@@ -434,14 +444,10 @@ def _outer_run(
     returns.  A bad ``N`` or ``rng`` raises :class:`InvalidInputError`.
     """
     N = _check_count(N, "N")
-    if not isinstance(rng, np.random.Generator):
-        raise InvalidInputError(f"rng must be a np.random.Generator, got {rng!r}")
-    fully_adapted = log_r == "gamma-ratio" and nu_hat == "tau"
+    fully_adapted = _fully_adapted(proc, nu_hat)
 
     def step(system, t, y_t):
-        system, probs = _outer_step(
-            system, model, proc, log_r, nu_hat, y_t, rng, ess_threshold
-        )
+        system, probs = _outer_step(system, model, proc, nu_hat, y_t, rng, ess_threshold)
         states = system.states
         if fully_adapted:
             mean, var = states.mean(axis=0), states.var(axis=0)
@@ -476,7 +482,5 @@ def bootstrap_pf(
         and not isinstance(ess_threshold, bool) and 0.0 <= ess_threshold <= 1.0
     ):
         raise InvalidInputError(f"ess_threshold must be None or in [0, 1]: {ess_threshold!r}")
-    return _outer_run(
-        "bpf", make_model(model), ExactTransitionProcedure(), "transition", "one",
-        data, N, rng, True, ess_threshold,
-    )
+    proc = ExactTransitionProcedure()
+    return _outer_run("bpf", make_model(model), proc, "one", data, N, rng, True, ess_threshold)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nsmc.asymptotics import compute_constants, sigma_fa, sigma_nsmc, variance_curve
 from nsmc.exact import fapf_run, kalman_run
 from nsmc.exceptions import (
     InvalidInputError,
@@ -28,10 +29,12 @@ from nsmc.nested import (
     ImportanceProcedure,
     InnerSmcProcedure,
     SelfNestedProcedure,
+    general_nsmc_step,
     inner_smc,
     make_procedure,
     nsmc_init,
     nsmc_run,
+    nsmc_step,
 )
 from nsmc.smc import bootstrap_pf
 
@@ -40,6 +43,8 @@ BOUNDARY = settings(derandomize=True, deadline=None, max_examples=40)
 CHAIN = StssmSpec(n_x=3, tau=1.0, lam=1.0, obs_var=0.25)
 DATA = simulate(CHAIN, 2, seed=1)
 TARGET = CHAIN.inner_target(2, np.zeros((2, 3)), DATA.observations[0])
+SCALAR = IndependentSsmSpec(n_x=1, a_coef=0.5)
+CONSTS = compute_constants(SCALAR, 2)
 
 
 def _rng():
@@ -92,12 +97,26 @@ COUNT_CASES = {
         "n_x", lambda v: IndependentSsmSpec(n_x=v, a_coef=0.5)
     ),
     "simulate-T": ("T", lambda v: simulate(CHAIN, v, seed=1)),
+    "compute_constants-t": ("t", lambda v: compute_constants(SCALAR, v)),
+    "sigma_fa-n_x": ("n_x", lambda v: sigma_fa(CONSTS, v, 2)),
+    "sigma_nsmc-n_x": ("n_x", lambda v: sigma_nsmc(CONSTS, v, 2, 4)),
+    "sigma_nsmc-M": ("M", lambda v: sigma_nsmc(CONSTS, 2, 2, v)),
+    "variance_curve-t": ("t", lambda v: variance_curve(SCALAR, v, 2, [2, 4])),
+    "variance_curve-n_x": ("n_x", lambda v: variance_curve(SCALAR, 2, v, [2, 4])),
+    "variance_curve-M": ("M", lambda v: variance_curve(SCALAR, 2, 2, [2, v])),
 }
 
 RNG_CASES = {
     "bootstrap_pf": lambda r: bootstrap_pf(CHAIN, DATA, 5, r),
     "fapf_run": lambda r: fapf_run(CHAIN, DATA, 5, r),
     "nsmc_run": lambda r: nsmc_run(CHAIN, DATA, 5, 3, "smc+bs", r),
+    "general_nsmc_step": lambda r: general_nsmc_step(
+        nsmc_init(CHAIN, 5), CHAIN, make_procedure("smc+bs", 3), "gamma-ratio", "tau",
+        DATA.observations[0], r,
+    ),
+    "nsmc_step": lambda r: nsmc_step(
+        nsmc_init(CHAIN, 5), CHAIN, make_procedure("smc+bs", 3), DATA.observations[0], r
+    ),
 }
 
 
@@ -119,6 +138,13 @@ def test_every_count_argument_is_refused_by_name(name, call, value):
 @given(value=bad_rngs)
 def test_every_runner_refuses_a_non_generator_rng(call, value):
     _assert_refused_by_name(call, value, "rng")
+
+
+@pytest.mark.parametrize("kind", ["exact-ffbs", "exact-transition"])
+def test_exact_procedures_are_not_selected_by_name(kind):
+    # They take no M, so a name would let a bad M through unread.
+    with pytest.raises(InvalidInputError, match="^unknown procedure kind"):
+        nsmc_run(CHAIN, DATA, 5, 2.5, kind, _rng())
 
 
 def test_numpy_integer_counts_give_the_python_integer_bits():

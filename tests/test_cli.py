@@ -464,7 +464,7 @@ class TestAsymptoticsCommand:
             ({"m_grid": 5}, "asymptotics.m_grid: expected a list"),
             ({"m_grid": [2, 1]}, "asymptotics.m_grid: entries must be >= 2"),
             ({"ys": ["a", "b"]}, r"asymptotics.ys\[0\]: expected a number"),
-            ({"t": 0}, "asymptotics: t must be >= 1"),
+            ({"t": 0}, "asymptotics: t must be a positive integer"),
             ({"ys": [0.1]}, "asymptotics: ys must have length t"),
             ({"a_coef": True}, "asymptotics: a_coef: expected a number"),
             ({"ys": [True, False]}, r"asymptotics.ys\[0\]: expected a number"),

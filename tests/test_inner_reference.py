@@ -17,6 +17,8 @@ from nsmc.exceptions import InnerCollapseError
 from nsmc.model import IndependentSsmSpec, StssmSpec, make_model, simulate
 from nsmc.nested import (
     STAGE_PROPOSALS,
+    ExactFfbsProcedure,
+    ExactTransitionProcedure,
     GaussianStageTarget,
     InnerSmcProcedure,
     InnerState,
@@ -302,6 +304,7 @@ DRAW_MODELS = {
     "order-1": StssmSpec.chain(n_x=5, tau=1.0, lam=0.8, obs_var=0.25),
     "order-0": IndependentSsmSpec(n_x=5, a_coef=0.5, init_mean=0.3, obs_var=0.4),
 }
+EXACT_PROCEDURES = {"exact-ffbs": ExactFfbsProcedure, "exact-transition": ExactTransitionProcedure}
 DRAW_CASES = [
     ("exact-ffbs", "order-1"),
     ("exact-transition", "order-1"),
@@ -330,7 +333,8 @@ def _eager(aux, rows):
 def test_draw_at_rows_equals_the_draw_of_an_eager_copy(kind, case):
     spec = DRAW_MODELS[case]
     x_prev, y = _inputs(n_x=spec.n_x)
-    aux = make_procedure(kind, 4).prepare(spec, 2, x_prev, y, np.random.default_rng(10))
+    proc = EXACT_PROCEDURES[kind]() if kind in EXACT_PROCEDURES else make_procedure(kind, 4)
+    aux = proc.prepare(spec, 2, x_prev, y, np.random.default_rng(10))
     rows = np.array([3, 3, 0, 6, 1, 5, 3, 2])
     x = aux.draw(np.random.default_rng(12), rows)
     np.testing.assert_array_equal(x, _eager(aux, rows).draw(np.random.default_rng(12)))

@@ -32,7 +32,14 @@ from nsmc.nested import (
     nsmc_step,
     proper_weighting_check,
 )
-from nsmc.smc import ParticleSystem, _categorical_rows, _row_weights, _search_rows
+from nsmc.smc import (
+    ParticleSystem,
+    ProperWeightingProcedure,
+    _categorical_rows,
+    _row_weights,
+    _search_rows,
+    normalize_logweights,
+)
 
 from oracles import dense_conditional
 
@@ -685,10 +692,8 @@ class TestNsmcStep:
         assert abs(ratios.mean() - 1.0) < 3 * se
 
     def test_all_zero_tau_collapses_with_step_index(self):
-        class ZeroTauProc(ExactTransitionProcedure):
+        class ZeroTauProc(ProperWeightingProcedure):
             def prepare(self, model, t, x_prev, y_t, rng):
-                aux = super().prepare(model, t, x_prev, y_t, rng)
-
                 class Dead:
                     log_tau = np.full(x_prev.shape[0], -np.inf)
 
@@ -891,6 +896,59 @@ class TestReductionIdentities:
             )
         assert err.value.step == 2
 
+    @pytest.mark.parametrize(
+        "step",
+        [
+            lambda model, system, y, rng: general_nsmc_step(
+                system, model, InnerSmcProcedure(3), "transition", "tau", y, rng
+            ),
+            lambda model, system, y, rng: general_nsmc_step(
+                system, model, ExactTransitionProcedure(), "gamma-ratio", "one", y, rng
+            ),
+            lambda model, system, y, rng: nsmc_step(
+                system, model, ExactTransitionProcedure(), y, rng
+            ),
+        ],
+        ids=["smc-bs-as-transition", "transition-as-gamma-ratio", "nsmc_step-transition"],
+    )
+    def test_a_procedure_runs_only_for_its_own_proposal(self, step):
+        model = make_model(self.SPEC)
+        with pytest.raises(InvalidInputError, match="^log_r must be '"):
+            step(model, nsmc_init(model, 4), np.zeros(3), np.random.default_rng(0))
+
+    def test_nsmc_run_weighs_transition_draws_for_the_transition(self):
+        data = simulate(self.SPEC, 4, seed=36)
+        model = make_model(self.SPEC)
+        out = nsmc_run(self.SPEC, data, 30, 5, ExactTransitionProcedure(), np.random.default_rng(37))
+        rng = np.random.default_rng(37)
+        system = nsmc_init(model, 30)
+        for t, y in enumerate(data.observations):
+            system = general_nsmc_step(
+                system, model, ExactTransitionProcedure(), "transition", "tau", y, rng
+            )
+            probs = normalize_logweights(system.logw)[0]
+            mean = probs @ system.states
+            assert out.logz_increments[t] == system.log_increment
+            np.testing.assert_array_equal(out.filter_means[t], mean)
+            np.testing.assert_array_equal(out.filter_vars[t], probs @ (system.states - mean) ** 2)
+        assert out.logZ == system.logZ
+        assert out.logZ != 0.0
+        assert out.method == "nsmc-exact-transition"
+
+    def test_nsmc_run_with_transition_draws_unbiased(self):
+        spec = StssmSpec.chain(n_x=2, tau=1.0, lam=1.0, obs_var=0.25, a_coef=0.5)
+        data = simulate(spec, 2, seed=40)
+        kal = kalman_run(spec, data).logZ
+        rng = np.random.default_rng(41)
+        vals = np.array(
+            [
+                np.exp(nsmc_run(spec, data, 50, 1, ExactTransitionProcedure(), rng).logZ - kal)
+                for _ in range(400)
+            ]
+        )
+        se = vals.std(ddof=1) / np.sqrt(vals.size)
+        assert abs(vals.mean() - 1.0) < 3 * se
+
     def test_fully_adapted_step_rejects_non_uniform_weights(self):
         model = make_model(self.SPEC)
         system = ParticleSystem(np.zeros((4, 3)), (), np.array([0.0, -1.0, 0.0, 0.0]), 0.0, 1)
@@ -924,7 +982,7 @@ class TestNsmcRun:
         spec = IndependentSsmSpec(n_x=2, a_coef=0.5)
         data = simulate(spec, 2, seed=48)
         with pytest.raises(InvalidInputError, match="exact-ffbs needs a StssmSpec"):
-            nsmc_run(spec, data, 4, 1, "exact-ffbs", np.random.default_rng(49))
+            nsmc_run(spec, data, 4, 1, ExactFfbsProcedure(), np.random.default_rng(49))
 
     def test_ess_trace_present(self):
         spec = StssmSpec.chain(n_x=2, tau=1.0, lam=1.0, obs_var=0.5)
