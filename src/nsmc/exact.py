@@ -6,12 +6,18 @@ particle filter (FAPF).  The FAPF needs the per-particle predictive
 density ``nu = integral of f(x_t|x_{t-1}) g(y_t|x_t) dx_t`` and exact
 draws from the locally optimal proposal.  Each filter's step is one
 Gaussian update whose covariances commute with the noise precision
-``Q``, so both run it as ``n_x`` scalar updates in ``Q``'s eigenbasis
-(:func:`_eig_update`); the FAPF's update is the Kalman step from a
-zero-variance belief at each particle, batched over particles.  Both
-filters run through the package's outer run loop; the FAPF is the fully
-adapted configuration of the package's one outer step (:mod:`nsmc.smc`)
-driven by :class:`ExactFfbsProcedure`, whose auxiliary object is the
+``Q``, so both run it as ``n_x`` scalar updates in ``Q``'s eigenbasis;
+the FAPF's update is the Kalman step from a zero-variance belief at
+each particle, batched over particles.  The covariance half of a step
+(:func:`_moments`) never reads the data, so the spec memoises it for
+each step of the recursion from the zero belief (:func:`_riccati`): the
+memo grows to the longest run asked for and stops growing at the first
+step whose posterior variances repeat the previous step's bit for bit,
+after which its last entry serves every later step.  Only the data half
+(:func:`_condition`) runs per step.  Both filters run through the
+package's outer run loop; the FAPF is the fully adapted configuration
+of the package's one outer step (:mod:`nsmc.smc`) driven by
+:class:`ExactFfbsProcedure`, whose auxiliary object is the
 conditional's cache, as the nested filter is driven by an inner
 procedure.
 """
@@ -73,6 +79,9 @@ def kalman_step(
     belief's covariance commutes with ``Q`` (see :class:`KalmanBelief`).
     A step costs ``O(n_x^2)``: one projection and one back-projection.
 
+    Takes any belief, so it computes its own :func:`_moments` rather
+    than reading the spec's memo.
+
     Raises :class:`InvalidInputError` when the log predictive density of
     ``y_t`` is not finite, e.g. for an observation so far out that its
     Mahalanobis distance overflows.
@@ -80,49 +89,110 @@ def kalman_step(
     eigvals, basis = model.noise_precision.spectrum()
     mean_pred = model.a_coef * belief.mean
     var_pred = model.a_coef**2 * belief.var + 1.0 / eigvals
-    shift, var, log_pred = _eig_update(
-        var_pred, np.asarray(y_t, dtype=float) - mean_pred, basis, model.obs_var
+    s, gain, const, var = _moments(var_pred, model.obs_var)
+    shift, log_pred = _condition(
+        np.asarray(y_t, dtype=float) - mean_pred, basis, s, gain, const
     )
+    _check_predictive(log_pred)
+    return KalmanBelief(mean_pred + shift, var, belief.loglik + log_pred)
+
+
+def _moments(var_pred, obs_var):
+    """The data-free half of conditioning ``N(0, basis @ diag(var_pred) @
+    basis.T)`` on an observation under ``obs_var * I`` noise: the
+    predictive variances ``s``, the gains, the constant
+    ``n * log(2 pi) + sum(log(s))`` of the log predictive density and the
+    posterior variances, all along the columns of ``basis``."""
+    s = var_pred + obs_var
+    const = var_pred.size * _LOG_2PI + np.log(s).sum()
+    return s, var_pred / s, const, var_pred * obs_var / s
+
+
+def _condition(resid, basis, s, gain, const):
+    """The data half: the posterior mean shift and the log predictive
+    density of the observation residual ``resid``, given the
+    :func:`_moments` of its belief.  ``resid`` may carry leading batch
+    dimensions; both results are batched like it."""
+    proj = resid @ basis
+    shift = (gain * proj) @ basis.T
+    # ndarray.sum, not np.sum: the wrapper's dispatch is a measurable
+    # share of a Kalman step at small n_x.
+    with np.errstate(over="ignore"):
+        maha = (proj * proj / s).sum(axis=-1)
+    return shift, -0.5 * (const + maha)
+
+
+def _check_predictive(log_pred) -> None:
+    """Raise :class:`InvalidInputError` unless ``log_pred`` is finite."""
     if not np.isfinite(log_pred):
         raise InvalidInputError(
             f"log predictive density is {log_pred}; the observation is "
             "numerically impossible under the model"
         )
-    return KalmanBelief(mean_pred + shift, var, belief.loglik + log_pred)
 
 
-def _eig_update(var_pred, resid, basis, obs_var):
-    """Condition ``N(0, basis @ diag(var_pred) @ basis.T)`` on the
-    observation residual ``resid`` under ``obs_var * I`` noise.
+def _riccati(model: StssmSpec, T: int) -> tuple:
+    """The covariance recursion of the first ``T`` Kalman steps from the
+    zero belief (:func:`kalman_init`), memoised on ``model``.
 
-    ``resid`` may carry leading batch dimensions.  Returns the posterior
-    mean (batched like ``resid``), the posterior variances along the
-    columns of ``basis`` (shared by the batch) and the log predictive
-    density of ``resid`` (one per batch row).
+    Entry ``t - 1`` holds step ``t``'s :func:`_moments` and the marginal
+    variances ``basis**2 @ var`` that :func:`kalman_run` reports, as
+    read-only arrays.  The memo stops at the first step whose posterior
+    variances equal the previous step's bit for bit: every later step
+    has the same moments, so a tuple shorter than ``T`` serves step
+    ``t`` with its entry ``min(t, len) - 1``.  A longer memo replaces
+    the old tuple whole, so a reader never sees one half built.
     """
-    proj = resid @ basis
-    s = var_pred + obs_var
-    shift = (var_pred / s * proj) @ basis.T
-    # ndarray.sum, not np.sum: the wrapper's dispatch is a measurable
-    # share of a Kalman step at small n_x.
-    with np.errstate(over="ignore"):
-        maha = (proj * proj / s).sum(axis=-1)
-    log_pred = -0.5 * (basis.shape[0] * _LOG_2PI + np.log(s).sum() + maha)
-    return shift, var_pred * obs_var / s, log_pred
+    memo = model._riccati
+    if len(memo) >= T:
+        return memo
+    eigvals, basis = model.noise_precision.spectrum()
+    basis_sq = basis**2
+    steps = list(memo)
+    zeros = np.zeros(model.n_x)
+    var = steps[-1][3] if steps else zeros
+    prev = steps[-2][3] if len(steps) > 1 else zeros
+    while len(steps) < T and not (steps and np.array_equal(var, prev)):
+        var_pred = model.a_coef**2 * var + 1.0 / eigvals
+        s, gain, const, post = _moments(var_pred, model.obs_var)
+        marginal = basis_sq @ post
+        for arr in (s, gain, post, marginal):
+            arr.setflags(write=False)
+        steps.append((s, gain, const, post, marginal))
+        prev, var = var, post
+    memo = tuple(steps)
+    if len(memo) > len(model._riccati):
+        object.__setattr__(model, "_riccati", memo)
+    return memo
 
 
 def kalman_run(model: StssmSpec, data: Dataset) -> FilterOutput:
     """Filter a whole dataset; marginal variances land in ``filter_vars``.
-    A model other than a ``StssmSpec`` raises :class:`InvalidInputError`."""
+    The covariance half of every step comes from the spec's memo
+    (:func:`_riccati`), so a run carries only the mean and the
+    log-likelihood; increments are differences of the running
+    log-likelihood, as :func:`kalman_step` chains them.  A model other
+    than a ``StssmSpec`` raises :class:`InvalidInputError`, and a step
+    whose log predictive density is not finite as in
+    :func:`kalman_step`."""
     if not isinstance(model, StssmSpec):
         raise InvalidInputError(f"kalman_run needs a StssmSpec, got {type(model).__name__}")
-    basis_sq = model.noise_precision.spectrum()[1] ** 2
+    basis = model.noise_precision.spectrum()[1]
+    moments = _riccati(model, data.T)
+    last = len(moments)
 
-    def step(belief, t, y_t):
-        new = kalman_step(belief, model, y_t)
-        return new, new.mean, basis_sq @ new.var, new.loglik - belief.loglik, None
+    def step(state, t, y_t):
+        mean, loglik = state
+        s, gain, const, _, marginal_var = moments[min(t, last) - 1]
+        mean_pred = model.a_coef * mean
+        shift, log_pred = _condition(y_t - mean_pred, basis, s, gain, const)
+        _check_predictive(log_pred)
+        new_loglik = loglik + log_pred
+        mean = mean_pred + shift
+        return (mean, new_loglik), mean, marginal_var, new_loglik - loglik, None
 
-    return _drive("kalman", model.n_x, data, step, kalman_init(model))
+    init = kalman_init(model)
+    return _drive("kalman", model.n_x, data, step, (init.mean, init.loglik))
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +244,17 @@ def ffbs_forward(
     The centered observation ``ytil = y_t - a * x_prev`` is ``v`` plus
     ``obs_var * I`` noise, with ``v ~ N(0, Q^{-1})``: the update of
     :func:`kalman_step` from a zero-variance belief at ``x_prev``, run in
-    the eigenbasis of ``Q``.  ``log_nu`` is the exact predictive density
+    the eigenbasis of ``Q``.  Its covariance half is step 1 of the
+    Kalman recursion from the zero belief, read from the spec's memo
+    (:func:`_riccati`), so only the data half runs per call.  ``log_nu`` is the exact predictive density
     ``log p(y_t | x_prev)``.  A batch of ``N`` rows costs
     ``O(N * n_x^2)`` flops in two matrix products.
     """
-    eigvals, basis = model.noise_precision.spectrum()
+    basis = model.noise_precision.spectrum()[1]
+    s, gain, const, var, _ = _riccati(model, 1)[0]
     x_prev = np.asarray(x_prev, dtype=float)
     ytil = np.asarray(y_t, dtype=float) - model.a_coef * x_prev
-    v_mean, var, log_nu = _eig_update(1.0 / eigvals, ytil, basis, model.obs_var)
+    v_mean, log_nu = _condition(ytil, basis, s, gain, const)
     return FfbsCache(v_mean, var, log_nu, basis, x_prev, model.a_coef)
 
 

@@ -189,16 +189,16 @@ def sample_gmrf_chain(
     """Exact draw from the zero-mean Gaussian with tridiagonal precision.
 
     Runs the precision's Markov factorization forward over components,
-    ``v_d = phi_d * v_{d-1} + sqrt(1 / c_d) * z_d``.  ``size`` prepends
-    batch dimensions; the returned array has shape ``size + (n,)``.
+    ``v_d = phi_d * v_{d-1} + sqrt(1 / c_d) * z_d``: one in-place pass
+    scales every normal, then each component adds its carried term.
+    ``size`` prepends batch dimensions; the returned array has shape
+    ``size + (n,)``.
     """
-    n = prec.n
-    z = rng.standard_normal(size + (n,))
-    sd = np.sqrt(prec.cond_var)
-    v = np.empty_like(z)
-    v[..., 0] = sd[0] * z[..., 0]
-    for d in range(1, n):
-        v[..., d] = prec.phi[d] * v[..., d - 1] + sd[d] * z[..., d]
+    phi = prec.phi
+    v = rng.standard_normal(size + (prec.n,))
+    v *= np.sqrt(prec.cond_var)
+    for d in range(1, prec.n):
+        v[..., d] += phi[d] * v[..., d - 1]
     return v
 
 
@@ -284,7 +284,11 @@ class StssmSpec(ModelBundle):
     draw, ``x_1 ~ N(0, Q^{-1})``: the initial law (``t = 1``) is the
     transition from ``x_prev = 0``.  ``noise_precision`` is ``Q``, built
     once by :func:`chain_precision`; the spec keeps ``tau`` and ``lam``
-    themselves, so it serialises to the numbers it was built from.  A
+    themselves, so it serialises to the numbers it was built from.
+    ``_riccati`` is the memo of the Kalman filter's data-free covariance
+    recursion (:func:`nsmc.exact._riccati`): a read-only tuple, empty
+    until a Kalman or fully adapted run fills it, replaced whole as it
+    grows, and left out of comparisons and of ``to_dict``.  A
     parameter out of its domain, or an ``n_x`` that is not a positive
     integer, raises :class:`InvalidInputError` naming the field."""
 
@@ -297,6 +301,7 @@ class StssmSpec(ModelBundle):
     obs_var: float
     a_coef: float = 0.5
     noise_precision: TridiagPrecision = field(init=False, repr=False, compare=False)
+    _riccati: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n_x", _check_count(self.n_x, "n_x"))

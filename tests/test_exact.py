@@ -2,6 +2,9 @@
 fully adapted particle filter (``ffbs_forward``/``ffbs_backward``), and
 the fully adapted particle filter."""
 
+import pickle
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -141,6 +144,88 @@ class TestKalman:
             asym = np.max(np.abs(cov - cov.T))
             assert asym <= 1e-10
             np.linalg.cholesky(cov + 1e-12 * np.eye(6))
+
+
+def _memo_spec(obs_var=0.25, a_coef=0.5):
+    """The benchmark chain at n_x = 10, with ``obs_var`` and ``a_coef``
+    free."""
+    return StssmSpec.chain(n_x=10, tau=1.0, lam=1.0, obs_var=obs_var, a_coef=a_coef)
+
+
+def _output_bytes(out):
+    return tuple(
+        getattr(out, name).tobytes()
+        for name in ("filter_means", "filter_vars", "logz_increments")
+    )
+
+
+class TestCovarianceMemo:
+    """``kalman_run`` reads the data-free half of each step from the
+    spec's memo; its outputs must keep the bits of chained
+    ``kalman_step`` calls however the memo was filled."""
+
+    @pytest.mark.parametrize(
+        "obs_var, a_coef, entries",
+        [
+            pytest.param(0.25, 0.5, 15, id="benchmark-chain"),
+            pytest.param(1e8, 0.99, 60, id="no-fixed-point-in-60-steps"),
+            pytest.param(1e-8, 5.0, 3, id="fixed-point-at-step-3"),
+        ],
+    )
+    def test_run_equals_chained_steps_bit_for_bit(self, obs_var, a_coef, entries):
+        spec = _memo_spec(obs_var, a_coef)
+        data = simulate(spec, 60, seed=7)
+        out = kalman_run(spec, data)
+        assert len(spec._riccati) == entries
+        basis_sq = spec.noise_precision.spectrum()[1] ** 2
+        belief = kalman_init(spec)
+        means, variances, increments = [], [], []
+        for y in data.observations:
+            new = kalman_step(belief, spec, y)
+            means.append(new.mean)
+            variances.append(basis_sq @ new.var)
+            increments.append(new.loglik - belief.loglik)
+            belief = new
+        assert np.all(np.isfinite(out.logz_increments))
+        assert _output_bytes(out) == tuple(
+            np.array(a).tobytes() for a in (means, variances, increments)
+        )
+
+    def test_warm_cold_and_copied_memos_give_the_same_bytes(self):
+        data = simulate(_memo_spec(), 40, seed=8)
+        cold = _memo_spec()
+        want = _output_bytes(kalman_run(cold, data))
+        warm = _memo_spec()
+        kalman_run(warm, Dataset(5, data.observations[:5]))
+        assert len(warm._riccati) == 5
+        pickled = pickle.loads(pickle.dumps(warm))
+        rebuilt = StssmSpec.from_dict(warm.to_dict())
+        assert rebuilt._riccati == ()
+        for spec in (warm, pickled, rebuilt, cold):
+            assert _output_bytes(kalman_run(spec, data)) == want
+
+    def test_threads_sharing_a_spec_match_their_serial_runs(self):
+        long = simulate(_memo_spec(), 40, seed=9)
+        runs = (Dataset(7, long.observations[:7]), long)
+        serial = [_output_bytes(kalman_run(_memo_spec(), data)) for data in runs]
+        for _ in range(10):
+            spec = _memo_spec()
+            barrier = threading.Barrier(len(runs))
+            results = [None] * len(runs)
+
+            def run(k):
+                barrier.wait()
+                results[k] = _output_bytes(kalman_run(spec, runs[k]))
+
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(runs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert results == serial
+        for s, gain, _, var, marginal in spec._riccati:
+            for arr in (s, gain, var, marginal):
+                assert not arr.flags.writeable
 
 
 class TestFfbsForward:

@@ -29,7 +29,12 @@ def rows():
 def test_grid_keys_are_unique_and_cover_the_study():
     keys = [row.key for row in hashgrid.grid()]
     assert len(keys) == len(set(keys))
-    assert {"study-chain-n100/seed1", "study-indep-n50/seed3"} <= set(keys)
+    assert {
+        "study-chain-n100/seed1",
+        "study-indep-n50/seed3",
+        "chain-n100/kalman-T40-warm/seed3",
+        "chain-n3/fapf-N100-T40/seed1",
+    } <= set(keys)
 
 
 def test_two_runs_hash_equal(rows):

@@ -1,5 +1,6 @@
 """The precision's Markov factorization and its spectrum are computed
-once per precision and agree with dense linear algebra, and far-out
+once per precision and agree with dense linear algebra, the sampler
+keeps the bits of the factorization's recurrence, and far-out
 observations fail cleanly instead of leaking floating-point warnings."""
 
 import warnings
@@ -17,6 +18,7 @@ from nsmc.model import (
     TridiagPrecision,
     chain_precision,
     make_model,
+    sample_gmrf_chain,
 )
 
 
@@ -49,6 +51,23 @@ def test_chain_factorization_matches_dense_cholesky(tau, lam, n):
     phi = -np.diag(r, 1) / np.diag(r)[1:]
     np.testing.assert_allclose(prec.phi[1:], phi, rtol=1e-10, atol=1e-14)
     assert prec.phi[0] == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 100])
+@pytest.mark.parametrize("size", [(), (7,), (2, 3)], ids=["scalar", "flat", "grid"])
+def test_sampler_equals_the_reference_recurrence(size, n):
+    # v_d = phi_d * v_{d-1} + sd_d * z_d, one fresh array at a time.
+    prec = chain_precision(1.0, 1.0, n)
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    got = sample_gmrf_chain(prec, rng, size)
+    z = ref_rng.standard_normal(size + (n,))
+    sd = np.sqrt(prec.cond_var)
+    want = np.empty_like(z)
+    want[..., 0] = sd[0] * z[..., 0]
+    for d in range(1, n):
+        want[..., d] = prec.phi[d] * want[..., d - 1] + sd[d] * z[..., d]
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("n", [1, 2, 9])

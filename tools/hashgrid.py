@@ -12,7 +12,11 @@ inner procedure over a fixed grid, and the CLI's ``results.csv`` and
   smc+empirical under both stage proposals and IS, each at N = 100 and
   M in {1, 5, 20}, and self-nested at (mo, mi) in {(1, 1), (2, 1),
   (20, 20), (3, 33)};
-* seeds 1-3, T = 3.
+* seeds 1-3, T = 3;
+* on the three chain models, seeds 1-3 and T = 40, past the fixed point
+  of the Kalman covariance recursion: Kalman on a fresh spec, Kalman on
+  a spec that first ran a T = 5 prefix (its memo warm and short), and
+  the fully adapted filter at N = 100.
 
 Usage::
 
@@ -45,6 +49,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 T = 3
+T_LONG = 40
 SEEDS = (1, 2, 3)
 N = 100
 M_GRID = (1, 5, 20)
@@ -96,13 +101,14 @@ def hash_output(out) -> str:
     return h.hexdigest()
 
 
-def _filter_row(model: str, name: str, seed: int, run) -> Row:
+def _filter_row(model: str, name: str, seed: int, run, steps: int = T) -> Row:
     """A row hashing ``run(nsmc, spec, exact_spec, data, rng)`` on the
-    model's dataset at ``seed``, with the filter's generator at ``seed``."""
+    model's dataset of ``steps`` steps at ``seed``, with the filter's
+    generator at ``seed``."""
 
     def digest(nsmc, scratch):
         spec, exact_spec = _specs(nsmc, model)
-        data = nsmc.simulate(spec, T, seed=seed)
+        data = nsmc.simulate(spec, steps, seed=seed)
         return hash_output(run(nsmc, spec, exact_spec, data, np.random.default_rng(seed)))
 
     return Row(f"{model}/{name}/seed{seed}", digest)
@@ -133,6 +139,19 @@ def _filters():
             lambda nsmc, s, e, data, rng, mo=mo, mi=mi:
             nsmc.nsmc_run(s, data, N, mo, nsmc.SelfNestedProcedure(mo, mi), rng)
         )
+
+
+def _warm_kalman(nsmc, spec, data):
+    """Kalman on ``data`` after a run over its first five steps."""
+    nsmc.kalman_run(spec, nsmc.Dataset(5, data.observations[:5]))
+    return nsmc.kalman_run(spec, data)
+
+
+def _long_filters():
+    """(name, run) of the filters run at ``T_LONG`` on the chain models."""
+    yield f"kalman-T{T_LONG}", lambda nsmc, s, e, data, rng: nsmc.kalman_run(e, data)
+    yield f"kalman-T{T_LONG}-warm", lambda nsmc, s, e, data, rng: _warm_kalman(nsmc, e, data)
+    yield f"fapf-N{N}-T{T_LONG}", lambda nsmc, s, e, data, rng: nsmc.fapf_run(e, data, N, rng)
 
 
 def _study_row(workload: str, seed: int, config: dict) -> Row:
@@ -173,6 +192,12 @@ def grid() -> list[Row]:
         for model in MODELS
         for seed in SEEDS
         for name, run in _filters()
+    ]
+    rows += [
+        _filter_row(model, name, seed, run, T_LONG)
+        for model, (kind, _) in MODELS.items() if kind == "chain"
+        for seed in SEEDS
+        for name, run in _long_filters()
     ]
     wl = _workloads()
     for workload in wl.WORKLOADS.values():
