@@ -140,8 +140,12 @@ def _riccati(model: StssmSpec, T: int) -> tuple:
     read-only arrays.  The memo stops at the first step whose posterior
     variances equal the previous step's bit for bit: every later step
     has the same moments, so a tuple shorter than ``T`` serves step
-    ``t`` with its entry ``min(t, len) - 1``.  A longer memo replaces
-    the old tuple whole, so a reader never sees one half built.
+    ``t`` with its entry ``min(t, len) - 1``.  Step 1 predicts with the
+    noise variances ``1 / eigvals`` alone: it does not square
+    ``a_coef``, which overflows for a huge one.  A longer memo replaces
+    the old tuple whole, so a reader never sees one half built; a
+    pickled spec leaves the memo behind (see
+    :class:`~nsmc.model.StssmSpec`).
     """
     memo = model._riccati
     if len(memo) >= T:
@@ -152,8 +156,9 @@ def _riccati(model: StssmSpec, T: int) -> tuple:
     zeros = np.zeros(model.n_x)
     var = steps[-1][3] if steps else zeros
     prev = steps[-2][3] if len(steps) > 1 else zeros
+    noise_var = 1.0 / eigvals
     while len(steps) < T and not (steps and np.array_equal(var, prev)):
-        var_pred = model.a_coef**2 * var + 1.0 / eigvals
+        var_pred = model.a_coef**2 * var + noise_var if steps else noise_var
         s, gain, const, post = _moments(var_pred, model.obs_var)
         marginal = basis_sq @ post
         for arr in (s, gain, post, marginal):
@@ -246,9 +251,10 @@ def ffbs_forward(
     :func:`kalman_step` from a zero-variance belief at ``x_prev``, run in
     the eigenbasis of ``Q``.  Its covariance half is step 1 of the
     Kalman recursion from the zero belief, read from the spec's memo
-    (:func:`_riccati`), so only the data half runs per call.  ``log_nu`` is the exact predictive density
-    ``log p(y_t | x_prev)``.  A batch of ``N`` rows costs
-    ``O(N * n_x^2)`` flops in two matrix products.
+    (:func:`_riccati`), so only the data half runs per call and the
+    cache's ``var`` is the memo's read-only array.  ``log_nu`` is the
+    exact predictive density ``log p(y_t | x_prev)``.  A batch of ``N``
+    rows costs ``O(N * n_x^2)`` flops in two matrix products.
     """
     basis = model.noise_precision.spectrum()[1]
     s, gain, const, var, _ = _riccati(model, 1)[0]

@@ -107,6 +107,13 @@ class TridiagPrecision:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "phi", phi)
 
+    def __setstate__(self, state):
+        """Unpickle with ``c``, ``phi`` and the cached spectrum read-only
+        again: pickle does not keep numpy's writeable flag."""
+        self.__dict__.update(state)
+        for arr in (self.c, self.phi, *(self._spectrum or ())):
+            arr.setflags(write=False)
+
     @property
     def n(self) -> int:
         return self.diag.size
@@ -288,9 +295,10 @@ class StssmSpec(ModelBundle):
     ``_riccati`` is the memo of the Kalman filter's data-free covariance
     recursion (:func:`nsmc.exact._riccati`): a read-only tuple, empty
     until a Kalman or fully adapted run fills it, replaced whole as it
-    grows, and left out of comparisons and of ``to_dict``.  A
-    parameter out of its domain, or an ``n_x`` that is not a positive
-    integer, raises :class:`InvalidInputError` naming the field."""
+    grows, and left out of comparisons, of ``to_dict`` and of pickles
+    (a copy refills it on its first run).  A parameter out of its
+    domain, or an ``n_x`` that is not a positive integer, raises
+    :class:`InvalidInputError` naming the field."""
 
     kind = "stssm"
     DEFAULTS = {"a_coef": 0.5}
@@ -308,6 +316,11 @@ class StssmSpec(ModelBundle):
         _check_reals(("obs_var",), a_coef=self.a_coef, obs_var=self.obs_var)
         prec = chain_precision(self.tau, self.lam, self.n_x)
         object.__setattr__(self, "noise_precision", prec)
+
+    def __getstate__(self):
+        """Pickle without the memo: pickle would not keep its arrays
+        read-only, and a copy refills it on its first run."""
+        return {**self.__dict__, "_riccati": ()}
 
     @classmethod
     def chain(cls, *args, **kwargs) -> "StssmSpec":

@@ -200,7 +200,7 @@ class TestCovarianceMemo:
         assert len(warm._riccati) == 5
         pickled = pickle.loads(pickle.dumps(warm))
         rebuilt = StssmSpec.from_dict(warm.to_dict())
-        assert rebuilt._riccati == ()
+        assert pickled._riccati == () and rebuilt._riccati == ()
         for spec in (warm, pickled, rebuilt, cold):
             assert _output_bytes(kalman_run(spec, data)) == want
 
@@ -226,6 +226,37 @@ class TestCovarianceMemo:
         for s, gain, _, var, marginal in spec._riccati:
             for arr in (s, gain, var, marginal):
                 assert not arr.flags.writeable
+
+
+    def test_a_pickled_spec_keeps_its_arrays_read_only(self):
+        # Pickle drops numpy's writeable flag, so a copy that carried the
+        # memo would let a write to ``cache.var`` change its later runs.
+        spec = _memo_spec()
+        data = simulate(spec, 5, seed=10)
+        kalman_run(spec, data)
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy._riccati == ()
+        want = _output_bytes(kalman_run(copy, data))
+        cache = ffbs_forward(copy, np.zeros(spec.n_x), data.observations[0])
+        with pytest.raises(ValueError):
+            cache.var[0] = 1.0
+        prec = copy.noise_precision
+        for arr in (prec.c, prec.phi, *prec.spectrum()):
+            assert not arr.flags.writeable
+        assert _output_bytes(kalman_run(copy, data)) == want
+
+    def test_step_one_is_finite_for_any_finite_a_coef(self):
+        # From the zero belief, step 1 predicts with the noise variances
+        # alone; ``a_coef**2 * 0`` would be ``inf * 0`` here.
+        half, huge = _memo_spec(a_coef=0.5), _memo_spec(a_coef=1e200)
+        data = simulate(half, 1, seed=12)
+        for run in (
+            lambda spec: kalman_run(spec, data),
+            lambda spec: fapf_run(spec, data, 50, np.random.default_rng(3)),
+        ):
+            got = run(huge)
+            assert np.isfinite(got.logZ)
+            assert _output_bytes(got) == _output_bytes(run(half))
 
 
 class TestFfbsForward:
