@@ -10,12 +10,10 @@ Gaussian update whose covariances commute with the noise precision
 the FAPF's update is the Kalman step from a zero-variance belief at
 each particle, batched over particles.  The covariance half of a step
 (:func:`_moments`) never reads the data, so the spec memoises it for
-each step of the recursion from the zero belief (:func:`_riccati`): the
-memo grows to the longest run asked for and stops growing at the first
-step whose posterior variances repeat the previous step's bit for bit,
-after which its last entry serves every later step.  Only the data half
-(:func:`_condition`) runs per step.  Both filters run through the
-package's outer run loop; the FAPF is the fully adapted configuration
+each step of the recursion from the zero belief (:func:`_riccati`), up
+to the longest run asked for.  Only the data half (:func:`_condition`)
+runs per step.  Both filters run through the package's outer run
+loop; the FAPF is the fully adapted configuration
 of the package's one outer step (:mod:`nsmc.smc`) driven by
 :class:`ExactFfbsProcedure`, whose auxiliary object is the
 conditional's cache, as the nested filter is driven by an inner
@@ -137,44 +135,36 @@ def _riccati(model: StssmSpec, T: int) -> tuple:
 
     Entry ``t - 1`` holds step ``t``'s :func:`_moments` and the marginal
     variances ``basis**2 @ var`` that :func:`kalman_run` reports, as
-    read-only arrays.  The memo stops at the first step whose posterior
-    variances equal the previous step's bit for bit: every later step
-    has the same moments, so a tuple shorter than ``T`` serves step
-    ``t`` with its entry ``min(t, len) - 1``.  Step 1 predicts with the
-    noise variances ``1 / eigvals`` alone: it does not square
-    ``a_coef``, which overflows for a huge one.  A longer memo replaces
-    the old tuple whole, so a reader never sees one half built; a
-    pickled spec leaves the memo behind (see
-    :class:`~nsmc.model.StssmSpec`).
+    read-only arrays.  Each step predicts with :func:`kalman_step`'s
+    formula, so the memo has its bits; step 1's ``a_coef**2 * 0`` is
+    zero because the spec refuses an ``a_coef`` whose square overflows.
+    A longer ``T`` recomputes every step and replaces the memo whole, so
+    a reader never sees one half built.
     """
     memo = model._riccati
     if len(memo) >= T:
         return memo
     eigvals, basis = model.noise_precision.spectrum()
     basis_sq = basis**2
-    steps = list(memo)
-    zeros = np.zeros(model.n_x)
-    var = steps[-1][3] if steps else zeros
-    prev = steps[-2][3] if len(steps) > 1 else zeros
-    noise_var = 1.0 / eigvals
-    while len(steps) < T and not (steps and np.array_equal(var, prev)):
-        var_pred = model.a_coef**2 * var + noise_var if steps else noise_var
-        s, gain, const, post = _moments(var_pred, model.obs_var)
-        marginal = basis_sq @ post
-        for arr in (s, gain, post, marginal):
+    steps = []
+    var = np.zeros(model.n_x)
+    for _ in range(T):
+        s, gain, const, var = _moments(model.a_coef**2 * var + 1.0 / eigvals, model.obs_var)
+        marginal = basis_sq @ var
+        for arr in (s, gain, var, marginal):
             arr.setflags(write=False)
-        steps.append((s, gain, const, post, marginal))
-        prev, var = var, post
+        steps.append((s, gain, const, var, marginal))
     memo = tuple(steps)
-    if len(memo) > len(model._riccati):
+    # A run in another thread may have stored a longer memo meanwhile.
+    if T > len(model._riccati):
         object.__setattr__(model, "_riccati", memo)
     return memo
 
 
 def kalman_run(model: StssmSpec, data: Dataset) -> FilterOutput:
     """Filter a whole dataset; marginal variances land in ``filter_vars``.
-    The covariance half of every step comes from the spec's memo
-    (:func:`_riccati`), so a run carries only the mean and the
+    The covariance half of step ``t`` is entry ``t - 1`` of the spec's
+    memo (:func:`_riccati`), so a run carries only the mean and the
     log-likelihood; increments are differences of the running
     log-likelihood, as :func:`kalman_step` chains them.  A model other
     than a ``StssmSpec`` raises :class:`InvalidInputError`, and a step
@@ -184,11 +174,10 @@ def kalman_run(model: StssmSpec, data: Dataset) -> FilterOutput:
         raise InvalidInputError(f"kalman_run needs a StssmSpec, got {type(model).__name__}")
     basis = model.noise_precision.spectrum()[1]
     moments = _riccati(model, data.T)
-    last = len(moments)
 
     def step(state, t, y_t):
         mean, loglik = state
-        s, gain, const, _, marginal_var = moments[min(t, last) - 1]
+        s, gain, const, _, marginal_var = moments[t - 1]
         mean_pred = model.a_coef * mean
         shift, log_pred = _condition(y_t - mean_pred, basis, s, gain, const)
         _check_predictive(log_pred)

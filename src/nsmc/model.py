@@ -107,12 +107,11 @@ class TridiagPrecision:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "phi", phi)
 
-    def __setstate__(self, state):
-        """Unpickle with ``c``, ``phi`` and the cached spectrum read-only
-        again: pickle does not keep numpy's writeable flag."""
-        self.__dict__.update(state)
-        for arr in (self.c, self.phi, *(self._spectrum or ())):
-            arr.setflags(write=False)
+    def __reduce__(self):
+        """Pickle and copy as ``(diag, offdiag)``: the copy reruns the
+        sweep, so its ``c`` and ``phi`` are read-only too (pickle does not
+        keep numpy's writeable flag), and computes its own spectrum."""
+        return type(self), (self.diag, self.offdiag)
 
     @property
     def n(self) -> int:
@@ -239,8 +238,9 @@ class ModelBundle:
     the one serialisation.
 
     Holds the parts both model families share: the observation sampler
-    and log-density, and ``to_dict``/``from_dict``.  Subclasses are
-    frozen dataclasses that supply ``kind``, ``DEFAULTS``, ``n_x``,
+    and log-density, ``to_dict``/``from_dict``, and pickling as the init
+    fields, so that a copy rebuilds what a spec derives from them.
+    Subclasses are frozen dataclasses that supply ``kind``, ``DEFAULTS``, ``n_x``,
     ``obs_var``, ``sample_transition``, ``inner_target`` and
     ``to_stssm``, an equivalent chain model or ``ValueError``.
     """
@@ -266,6 +266,12 @@ class ModelBundle:
             _CONFIG_KEYS.get(f.name, f.name): getattr(self, f.name)
             for f in fields(self) if f.init
         }
+
+    def __reduce__(self):
+        """Pickle and copy a spec as its init fields: the copy is rebuilt
+        by the constructor, so its derived state (``noise_precision``,
+        read-only arrays, an empty Kalman memo) is built afresh."""
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     @classmethod
     def from_dict(cls, block: dict) -> "ModelBundle":
@@ -294,10 +300,12 @@ class StssmSpec(ModelBundle):
     themselves, so it serialises to the numbers it was built from.
     ``_riccati`` is the memo of the Kalman filter's data-free covariance
     recursion (:func:`nsmc.exact._riccati`): a read-only tuple, empty
-    until a Kalman or fully adapted run fills it, replaced whole as it
-    grows, and left out of comparisons, of ``to_dict`` and of pickles
-    (a copy refills it on its first run).  A parameter out of its
-    domain, or an ``n_x`` that is not a positive integer, raises
+    until a Kalman or fully adapted run fills it, replaced whole by a
+    longer one, and left out of comparisons and of ``to_dict``.  A
+    pickled or copied spec is rebuilt from its init fields
+    (:meth:`ModelBundle.__reduce__`), so it starts with an empty memo.
+    A parameter out of its domain, an ``a_coef`` whose square
+    overflows, or an ``n_x`` that is not a positive integer, raises
     :class:`InvalidInputError` naming the field."""
 
     kind = "stssm"
@@ -314,13 +322,11 @@ class StssmSpec(ModelBundle):
     def __post_init__(self):
         object.__setattr__(self, "n_x", _check_count(self.n_x, "n_x"))
         _check_reals(("obs_var",), a_coef=self.a_coef, obs_var=self.obs_var)
+        a_coef = float(self.a_coef)
+        if not np.isfinite(a_coef * a_coef):
+            raise InvalidInputError(f"a_coef must have a finite square, got {a_coef}")
         prec = chain_precision(self.tau, self.lam, self.n_x)
         object.__setattr__(self, "noise_precision", prec)
-
-    def __getstate__(self):
-        """Pickle without the memo: pickle would not keep its arrays
-        read-only, and a copy refills it on its first run."""
-        return {**self.__dict__, "_riccati": ()}
 
     @classmethod
     def chain(cls, *args, **kwargs) -> "StssmSpec":

@@ -226,6 +226,12 @@ class TestConfigValidation:
         assert "model: tau must be finite, got inf" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_a_coef_whose_square_overflows_exits_2_before_output(self, tmp_path, capsys):
+        path = _write(tmp_path, _with("model", a_coef=1e200)(_base_config(tmp_path)))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "model: a_coef must have a finite square" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_simulate_refuses_a_dataset_path_before_output(self, tmp_path, capsys):
         # simulate once ignored the path and wrote a seed-0 dataset.
         cfg = _base_config(tmp_path, data={"path": str(tmp_path / "dataset.csv")})

@@ -2,6 +2,7 @@
 fully adapted particle filter (``ffbs_forward``/``ffbs_backward``), and
 the fully adapted particle filter."""
 
+import copy
 import pickle
 import threading
 
@@ -20,7 +21,8 @@ from nsmc.exact import (
     kalman_run,
     kalman_step,
 )
-from nsmc.model import Dataset, StssmSpec, simulate
+from nsmc.model import Dataset, IndependentSsmSpec, StssmSpec, simulate
+from nsmc.nested import nsmc_run
 
 from oracles import dense_conditional, dense_joint_loglik
 
@@ -159,24 +161,38 @@ def _output_bytes(out):
     )
 
 
+def _nested_run(spec, data):
+    return nsmc_run(spec, data, 20, 3, "smc+bs", np.random.default_rng(4))
+
+
+def _copies(spec):
+    """``spec`` pickled, copied, deep-copied and rebuilt from its dict."""
+    return [
+        pickle.loads(pickle.dumps(spec)),
+        copy.copy(spec),
+        copy.deepcopy(spec),
+        type(spec).from_dict(spec.to_dict()),
+    ]
+
+
 class TestCovarianceMemo:
     """``kalman_run`` reads the data-free half of each step from the
     spec's memo; its outputs must keep the bits of chained
     ``kalman_step`` calls however the memo was filled."""
 
     @pytest.mark.parametrize(
-        "obs_var, a_coef, entries",
+        "obs_var, a_coef",
         [
-            pytest.param(0.25, 0.5, 15, id="benchmark-chain"),
-            pytest.param(1e8, 0.99, 60, id="no-fixed-point-in-60-steps"),
-            pytest.param(1e-8, 5.0, 3, id="fixed-point-at-step-3"),
+            pytest.param(0.25, 0.5, id="benchmark-chain"),
+            pytest.param(1e8, 0.99, id="slow-convergence"),
+            pytest.param(1e-8, 5.0, id="explosive"),
         ],
     )
-    def test_run_equals_chained_steps_bit_for_bit(self, obs_var, a_coef, entries):
+    def test_run_equals_chained_steps_bit_for_bit(self, obs_var, a_coef):
         spec = _memo_spec(obs_var, a_coef)
         data = simulate(spec, 60, seed=7)
         out = kalman_run(spec, data)
-        assert len(spec._riccati) == entries
+        assert len(spec._riccati) == 60
         basis_sq = spec.noise_precision.spectrum()[1] ** 2
         belief = kalman_init(spec)
         means, variances, increments = [], [], []
@@ -193,16 +209,28 @@ class TestCovarianceMemo:
 
     def test_warm_cold_and_copied_memos_give_the_same_bytes(self):
         data = simulate(_memo_spec(), 40, seed=8)
-        cold = _memo_spec()
-        want = _output_bytes(kalman_run(cold, data))
+        runs = [
+            lambda spec: kalman_run(spec, data),
+            lambda spec: fapf_run(spec, data, 50, np.random.default_rng(3)),
+            lambda spec: _nested_run(spec, data),
+        ]
+        want = [_output_bytes(run(_memo_spec())) for run in runs]
         warm = _memo_spec()
         kalman_run(warm, Dataset(5, data.observations[:5]))
         assert len(warm._riccati) == 5
-        pickled = pickle.loads(pickle.dumps(warm))
-        rebuilt = StssmSpec.from_dict(warm.to_dict())
-        assert pickled._riccati == () and rebuilt._riccati == ()
-        for spec in (warm, pickled, rebuilt, cold):
-            assert _output_bytes(kalman_run(spec, data)) == want
+        copies = _copies(warm)
+        for spec in copies:
+            assert spec == warm and spec._riccati == ()
+        for spec in (warm, *copies):
+            assert [_output_bytes(run(spec)) for run in runs] == want
+
+    def test_copied_independent_specs_give_the_same_bytes(self):
+        spec = IndependentSsmSpec(n_x=10, a_coef=0.5, init_var=2.0, obs_var=0.25)
+        data = simulate(spec, 10, seed=8)
+        want = _output_bytes(_nested_run(spec, data))
+        for copied in _copies(spec):
+            assert copied == spec
+            assert _output_bytes(_nested_run(copied, data)) == want
 
     def test_threads_sharing_a_spec_match_their_serial_runs(self):
         long = simulate(_memo_spec(), 40, seed=9)
@@ -234,21 +262,31 @@ class TestCovarianceMemo:
         spec = _memo_spec()
         data = simulate(spec, 5, seed=10)
         kalman_run(spec, data)
-        copy = pickle.loads(pickle.dumps(spec))
-        assert copy._riccati == ()
-        want = _output_bytes(kalman_run(copy, data))
-        cache = ffbs_forward(copy, np.zeros(spec.n_x), data.observations[0])
+        pickled = pickle.loads(pickle.dumps(spec))
+        assert pickled._riccati == ()
+        want = _output_bytes(kalman_run(pickled, data))
+        cache = ffbs_forward(pickled, np.zeros(spec.n_x), data.observations[0])
         with pytest.raises(ValueError):
             cache.var[0] = 1.0
-        prec = copy.noise_precision
+        prec = pickled.noise_precision
         for arr in (prec.c, prec.phi, *prec.spectrum()):
             assert not arr.flags.writeable
-        assert _output_bytes(kalman_run(copy, data)) == want
+        assert _output_bytes(kalman_run(pickled, data)) == want
+
+    def test_a_pickled_precision_keeps_its_arrays_read_only(self):
+        prec = _memo_spec().noise_precision
+        prec.spectrum()
+        pickled = pickle.loads(pickle.dumps(prec))
+        for arr in (pickled.c, pickled.phi, *pickled.spectrum()):
+            assert not arr.flags.writeable
+        for name in ("diag", "offdiag", "c", "phi"):
+            assert getattr(pickled, name).tobytes() == getattr(prec, name).tobytes()
 
     def test_step_one_is_finite_for_any_finite_a_coef(self):
-        # From the zero belief, step 1 predicts with the noise variances
-        # alone; ``a_coef**2 * 0`` would be ``inf * 0`` here.
-        half, huge = _memo_spec(a_coef=0.5), _memo_spec(a_coef=1e200)
+        # From the zero belief, step 1 predicts with ``a_coef**2 * 0`` plus
+        # the noise variances, which is the noise variances alone for any
+        # ``a_coef`` whose square is finite; the spec refuses the others.
+        half, huge = _memo_spec(a_coef=0.5), _memo_spec(a_coef=1e150)
         data = simulate(half, 1, seed=12)
         for run in (
             lambda spec: kalman_run(spec, data),

@@ -284,6 +284,18 @@ BAD_MODEL_INPUTS = [
     ("n-below-one", lambda: chain_precision(1.0, 1.0, 0), ValueError, "n must be"),
     ("stssm-n_x", lambda: _stssm(n_x=0), ValueError, "n_x must be"),
     ("stssm-obs_var", lambda: _stssm(obs_var=0.0), ValueError, "obs_var must be"),
+    (
+        "stssm-a_coef-square-overflows",
+        lambda: StssmSpec(n_x=3, tau=1.0, lam=1.0, obs_var=0.25, a_coef=1e200),
+        InvalidInputError,
+        "^a_coef must have a finite square",
+    ),
+    (
+        "stssm-negative-a_coef-square-overflows",
+        lambda: StssmSpec(n_x=3, tau=1.0, lam=1.0, obs_var=0.25, a_coef=-1e200),
+        InvalidInputError,
+        "^a_coef must have a finite square",
+    ),
     ("indep-init_var", lambda: _independent(init_var=0.0), ValueError, "init_var"),
     ("indep-trans_var", lambda: _independent(trans_var=-1.0), ValueError, "trans_var"),
     ("indep-obs_var", lambda: _independent(obs_var=0.0), ValueError, "obs_var"),
@@ -341,6 +353,13 @@ def test_specs_refuse_an_n_x_that_is_not_a_positive_integer(build, n_x):
 @pytest.mark.parametrize("build", [_stssm, _independent], ids=["stssm", "independent"])
 def test_specs_accept_numpy_integer_n_x(build, n_x):
     assert build(n_x=n_x).n_x == 3
+
+
+@pytest.mark.parametrize("a_coef", [1e154, -1e154])
+def test_stssm_accepts_an_a_coef_whose_square_is_finite(a_coef):
+    # The Kalman recursion squares a_coef; 1e154 squared is 1e308.
+    spec = StssmSpec(n_x=3, tau=1.0, lam=1.0, obs_var=0.25, a_coef=a_coef)
+    assert StssmSpec.from_dict(spec.to_dict()).a_coef == a_coef
 
 
 @pytest.mark.parametrize("spec", [_stssm(), _independent()], ids=["stssm", "independent"])

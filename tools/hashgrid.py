@@ -13,10 +13,10 @@ inner procedure over a fixed grid, and the CLI's ``results.csv`` and
   M in {1, 5, 20}, and self-nested at (mo, mi) in {(1, 1), (2, 1),
   (20, 20), (3, 33)};
 * seeds 1-3, T = 3;
-* on the three chain models, seeds 1-3 and T = 40, past the fixed point
-  of the Kalman covariance recursion: Kalman on a fresh spec, Kalman on
-  a spec that first ran a T = 5 prefix (its memo warm and short), and
-  the fully adapted filter at N = 100.
+* on the three chain models, seeds 1-3 and T = 40, a Kalman covariance
+  memo longer than the benchmark's T: Kalman on a fresh spec, Kalman on
+  a spec whose memo was first filled by a T = 5 prefix and then grows
+  to T = 40, and the fully adapted filter at N = 100.
 
 Usage::
 
