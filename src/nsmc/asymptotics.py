@@ -3,11 +3,21 @@
 For ``n_x`` independent copies of a scalar linear-Gaussian SSM and the
 test function ``phi = sum_d x_{t,d}``, the large-N variance of both the
 fully adapted filter and the nested filter with ``M`` inner particles
-reduces to closed-form combinations of scalar integrals: ratios of
-smoothing and filtering marginals times conditional-mean polynomials.
-This module evaluates those constants in closed form, and the two
-variance formulas, whose gap closes as ``M`` grows.  A ``t``, ``n_x``
-or ``M`` that is not an integer >= 1 raises ``InvalidInputError``.
+reduces to closed-form combinations of scalar integrals.  This module
+evaluates those constants, and the two variance formulas, whose gap
+closes as ``M`` grows.
+
+Each constant integrates ``N_n(x_{1:k})^2 / N_d(x_{1:k})`` times a
+polynomial in ``x_k``, where ``N_n`` is the horizon-``t`` posterior of
+the prefix and ``N_d`` its filtering law given ``y_{1:k}`` or its
+predictive law given ``y_{1:k-1}``.  By the Markov property all three
+give ``x_{1:k-1}`` the same law given ``x_k``, ``p(x_{1:k-1} | x_k,
+y_{1:k-1})``, which cancels once from the ratio and integrates to one:
+each constant is a one-dimensional integral over marginals of ``x_k``.
+
+A ``t``, ``n_x`` or ``M`` that is not an integer >= 1 raises
+``InvalidInputError``, and so does a constant or variance that is not
+finite in double precision, naming it.
 """
 
 from __future__ import annotations
@@ -16,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _LOG_2PI, IndependentSsmSpec, _check_count
+from .exceptions import InvalidInputError, NotPositiveDefiniteError
+from .model import IndependentSsmSpec, _check_count
 
 __all__ = [
     "VarianceConstants",
@@ -28,31 +39,46 @@ __all__ = [
 ]
 
 
+def _scalar_filter(spec: IndependentSsmSpec, ys: np.ndarray):
+    """Kalman filter of one scalar chain: the predictive moments of each
+    ``x_k`` given ``y_{1:k-1}`` and the filtering moments given ``y_{1:k}``,
+    as four arrays ``(pred_mean, pred_var, filt_mean, filt_var)``.  The
+    update weighs the prior mean by ``obs_var / (pred_var + obs_var)``
+    instead of subtracting it, so an explosive ``a_coef`` loses no digits."""
+    a, sv, sy = spec.a_coef, spec.trans_var, spec.obs_var
+    moments = np.empty((4, ys.size))
+    mean, var = spec.init_mean, spec.init_var
+    for k, y in enumerate(ys):
+        gain, keep = var / (var + sy), sy / (var + sy)
+        moments[:, k] = mean, var, gain * y + keep * mean, gain * sy
+        mean, var = a * moments[2, k], a * a * moments[3, k] + sv
+    return moments
+
+
 def scalar_posterior_joint(
     spec: IndependentSsmSpec, ys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Joint Gaussian posterior of one scalar chain given observations.
 
     Returns mean vector and covariance of ``x_{1:h} | y_{1:h}`` for
-    ``h = len(ys)``, built from the tridiagonal prior precision plus the
-    observation precision.
+    ``h = len(ys)``, from :func:`_scalar_filter` and a Rauch-Tung-Striebel
+    backward pass: with ``J = a_coef * filt_var_k / pred_var_{k+1}``, row
+    ``k`` of the covariance right of the diagonal is ``J`` times row
+    ``k + 1``, and ``1 - J * a_coef = trans_var / pred_var_{k+1}`` keeps
+    the smoothed moments free of cancellation.
     """
     ys = np.asarray(ys, dtype=float)
     h = ys.size
-    a, sv, s1, sy = spec.a_coef, spec.trans_var, spec.init_var, spec.obs_var
-    lam = np.zeros((h, h))
-    lam[0, 0] = 1.0 / s1
-    for s in range(1, h):
-        lam[s, s] += 1.0 / sv
-        lam[s - 1, s - 1] += a * a / sv
-        lam[s - 1, s] -= a / sv
-        lam[s, s - 1] -= a / sv
-    prior_mean = spec.init_mean * a ** np.arange(h)
-    eta = lam @ prior_mean + ys / sy
-    lam_post = lam + np.eye(h) / sy
-    cov = np.linalg.inv(lam_post)
-    cov = 0.5 * (cov + cov.T)
-    return cov @ eta, cov
+    a, sv = spec.a_coef, spec.trans_var
+    _, pred_var, mean, filt_var = _scalar_filter(spec, ys)
+    cov = np.diag(filt_var)
+    for k in range(h - 2, -1, -1):
+        gain, keep = a * cov[k, k] / pred_var[k + 1], sv / pred_var[k + 1]
+        mean[k] = keep * mean[k] + gain * mean[k + 1]
+        cov[k, k + 1 :] = gain * cov[k + 1, k + 1 :]
+        cov[k + 1 :, k] = cov[k, k + 1 :]
+        cov[k, k] = keep * cov[k, k] + gain * cov[k, k + 1]
+    return mean, cov
 
 
 @dataclass(frozen=True)
@@ -82,55 +108,35 @@ class VarianceConstants:
             raise ValueError("all b_s must be positive")
 
 
-def _log_gauss_const(mean, lam, logdet_lam):
-    return -0.5 * (mean @ lam @ mean) + 0.5 * logdet_lam - 0.5 * mean.size * _LOG_2PI
+def _finite(value, name: str):
+    """``value``; any entry that is not finite raises ``InvalidInputError``."""
+    if not np.all(np.isfinite(value)):
+        raise InvalidInputError(f"{name} is not finite in double precision")
+    return value
 
 
-def _ratio_moments(mean_n, cov_n, mean_d, cov_d, name: str):
-    """Gaussian parameters of ``N_n(x)^2 / N_d(x)`` and its log mass.
+def _ratio_constants(mean_n, var_n, mean_d, var_d, alpha, beta, name):
+    """``(A, B, C)``: the integrals of ``n(x)^2 / d(x)`` times
+    ``(alpha + beta * x)^j`` for ``j = 2, 0, 1``, where ``n`` and ``d``
+    are the scalar Gaussians ``N(mean_n, var_n)`` and ``N(mean_d, var_d)``.
 
-    The squared-over-single ratio of Gaussians is an unnormalized
-    Gaussian with precision ``2*Lam_n - Lam_d`` whenever that matrix is
-    positive definite; otherwise the integral diverges.
+    ``n^2 / d`` is an unnormalised Gaussian with precision
+    ``2 / var_n - 1 / var_d``, carried as ``g``, ``var_n`` times it, which
+    cannot overflow.  When it is not positive the integrals diverge and
+    ``NotPositiveDefiniteError`` names the constant.
     """
-    lam_n = np.linalg.inv(cov_n)
-    lam_d = np.linalg.inv(cov_d)
-    lam_star = 2.0 * lam_n - lam_d
-    try:
-        np.linalg.cholesky(lam_star)
-    except np.linalg.LinAlgError as err:
-        raise np.linalg.LinAlgError(
-            f"constant {name}: ratio integral diverges "
-            "(2*Lam_n - Lam_d is not positive definite)"
-        ) from err
-    h = 2.0 * lam_n @ mean_n - lam_d @ mean_d
-    cov_star = np.linalg.inv(lam_star)
-    cov_star = 0.5 * (cov_star + cov_star.T)
-    mean_star = cov_star @ h
-    sign_n, logdet_n = np.linalg.slogdet(lam_n)
-    sign_d, logdet_d = np.linalg.slogdet(lam_d)
-    sign_s, logdet_s = np.linalg.slogdet(lam_star)
-    log_mass = (
-        2.0 * _log_gauss_const(mean_n, lam_n, logdet_n)
-        - _log_gauss_const(mean_d, lam_d, logdet_d)
-        + 0.5 * (h @ mean_star)
-        + 0.5 * mean_n.size * _LOG_2PI
-        - 0.5 * logdet_s
-    )
-    return mean_star, cov_star, log_mass
-
-
-def _ratio_constants(mean_n, cov_n, mean_d, cov_d, alpha, beta, name):
-    """``(A, B, C)``: the integrals of ``N_n(x)^2 / N_d(x)`` times
-    ``(alpha + beta * x_last)^k`` for ``k = 2, 0, 1``, from one
-    :func:`_ratio_moments` pass."""
-    mean_star, cov_star, log_mass = _ratio_moments(
-        mean_n, cov_n, mean_d, cov_d, name
-    )
-    mass = np.exp(log_mass)
-    loc = alpha + beta * mean_star[-1]
-    second = loc * loc + beta * beta * cov_star[-1, -1]
-    return float(mass * second), float(mass), float(mass * loc)
+    ratio = var_n / var_d
+    g = 2.0 - ratio
+    if g <= 0.0:
+        raise NotPositiveDefiniteError(
+            f"constant {name}: ratio integral diverges (2/v_n - 1/v_d <= 0)"
+        )
+    diff = mean_n - mean_d
+    mass = np.sqrt(var_d) / np.sqrt(var_n * g) * np.exp(diff / var_d * diff / g)
+    loc = alpha + beta * (mean_n + ratio * diff / g)
+    second = loc * loc + (beta * np.sqrt(var_n / g)) ** 2
+    values = _finite((mass * second, mass, mass * loc), f"constant {name}")
+    return tuple(float(v) for v in values)
 
 
 def compute_constants(
@@ -143,63 +149,40 @@ def compute_constants(
     ``ys`` holds the shared scalar observations ``y_{1:t}`` (zeros by
     default, the symmetric zero-posterior-mean case).  The inner-stage
     proposal is the scalar transition density, with the initial density
-    standing in at the first step.
+    standing in at the first step.  The constants for ``x_k`` take the
+    smoothing marginal of ``x_k`` and the regression of ``x_t`` on it
+    from one :func:`scalar_posterior_joint` call; a scalar Kalman filter
+    gives the denominators, the filtering marginal ``p(x_k | y_{1:k})``
+    for ``A/B/C_k`` and the predictive one ``p(x_k | y_{1:k-1})`` for
+    ``A/B/C~_{k-1}``.
     """
     t = _check_count(t, "t")
     ys = np.zeros(t) if ys is None else np.asarray(ys, dtype=float)
     if ys.shape != (t,):
         raise ValueError("ys must have length t")
+    if not np.all(np.isfinite(ys)):
+        raise InvalidInputError("ys must be finite")
+    a_s, b_s, c_s, a_tilde, b_tilde, c_tilde = np.zeros((6, t))
+    b_s[0] = 1.0
 
-    mean_t, cov_t = scalar_posterior_joint(scalar_model, ys)
-    a_t = float(mean_t[t - 1] ** 2 + cov_t[t - 1, t - 1])
-
-    a_s = np.zeros(t)
-    b_s = np.zeros(t)
-    c_s = np.zeros(t)
-    a_s[0], b_s[0], c_s[0] = 0.0, 1.0, 0.0
-    a_til = np.zeros(t)
-    b_til = np.zeros(t)
-    c_til = np.zeros(t)
-
-    def regression(k):
-        """Coefficients of E[x_t | x_k] under the horizon-t posterior."""
-        beta = cov_t[t - 1, k - 1] / cov_t[k - 1, k - 1]
-        alpha = mean_t[t - 1] - beta * mean_t[k - 1]
-        return alpha, beta
-
-    for s in range(t):
-        k = s + 1
-        num_mean, num_cov = mean_t[:k], cov_t[:k, :k]
-        if s == 0:
-            den_mean = np.array([scalar_model.init_mean])
-            den_cov = np.array([[scalar_model.init_var]])
-        else:
-            mean_s, cov_s = scalar_posterior_joint(scalar_model, ys[:s])
-            a_s[s], b_s[s], c_s[s] = _ratio_constants(
-                mean_t[:s], cov_t[:s, :s], mean_s, cov_s, *regression(s), f"A/B/C_{s}"
+    with np.errstate(all="ignore"):
+        mean_t, cov_t = scalar_posterior_joint(scalar_model, ys)
+        pred_mean, pred_var, filt_mean, filt_var = _scalar_filter(scalar_model, ys)
+        a_t = float(_finite(mean_t[-1] ** 2 + cov_t[-1, -1], "a_t"))
+        for i in range(t):
+            # E[x_t | x_{i+1}] = alpha + beta * x_{i+1} under the horizon-t posterior.
+            beta = cov_t[-1, i] / cov_t[i, i]
+            law = (mean_t[i], cov_t[i, i])
+            reg = (mean_t[-1] - beta * mean_t[i], beta)
+            a_tilde[i], b_tilde[i], c_tilde[i] = _ratio_constants(
+                *law, pred_mean[i], pred_var[i], *reg, f"A/B/C~_{i}"
             )
-            den_mean = np.append(mean_s, scalar_model.a_coef * mean_s[s - 1])
-            den_cov = np.zeros((k, k))
-            den_cov[:s, :s] = cov_s
-            den_cov[:s, s] = scalar_model.a_coef * cov_s[:, s - 1]
-            den_cov[s, :s] = den_cov[:s, s]
-            den_cov[s, s] = (
-                scalar_model.a_coef**2 * cov_s[s - 1, s - 1] + scalar_model.trans_var
-            )
-        a_til[s], b_til[s], c_til[s] = _ratio_constants(
-            num_mean, num_cov, den_mean, den_cov, *regression(k), f"A/B/C~_{s}"
-        )
+            if i + 1 < t:
+                a_s[i + 1], b_s[i + 1], c_s[i + 1] = _ratio_constants(
+                    *law, filt_mean[i], filt_var[i], *reg, f"A/B/C_{i + 1}"
+                )
 
-    return VarianceConstants(
-        t=t,
-        a_t=a_t,
-        a_s=a_s,
-        a_tilde=a_til,
-        b_s=b_s,
-        b_tilde=b_til,
-        c_s=c_s,
-        c_tilde=c_til,
-    )
+    return VarianceConstants(t, a_t, a_s, a_tilde, b_s, b_tilde, c_s, c_tilde)
 
 
 def sigma_fa(consts: VarianceConstants, n_x: int, t: int) -> float:
@@ -208,16 +191,13 @@ def sigma_fa(consts: VarianceConstants, n_x: int, t: int) -> float:
         raise ValueError("constants were computed for a different horizon")
     n_x = _check_count(n_x, "n_x")
     total = n_x * consts.a_t
-    for s in range(1, t):
-        total += n_x * consts.b_s[s] ** (n_x - 1) * consts.a_s[s]
-        if n_x > 1:
-            total += (
-                n_x
-                * (n_x - 1)
-                * consts.b_s[s] ** (n_x - 2)
-                * consts.c_s[s] ** 2
-            )
-    return float(total)
+    with np.errstate(all="ignore"):
+        for s in range(1, t):
+            bs, a_s, c_s = consts.b_s[s], consts.a_s[s], consts.c_s[s]
+            total += n_x * bs ** (n_x - 1) * a_s
+            if n_x > 1:
+                total += n_x * (n_x - 1) * bs ** (n_x - 2) * c_s**2
+    return float(_finite(total, "sigma_fa"))
 
 
 def sigma_nsmc(consts: VarianceConstants, n_x: int, t: int, M: int) -> float:
@@ -232,25 +212,19 @@ def sigma_nsmc(consts: VarianceConstants, n_x: int, t: int, M: int) -> float:
     if M < 2:
         raise ValueError("sigma_nsmc requires M >= 2")
     total = n_x * consts.a_t
-    for s in range(t):
-        bs, bt = consts.b_s[s], consts.b_tilde[s]
-        infl = 1.0 + bt / (bs * (M - 1))
-        shrink = 1.0 - 1.0 / M
-        a_corr = consts.a_s[s] + (consts.a_tilde[s] - consts.a_s[s]) / M
-        total += (
-            n_x * bs ** (n_x - 1) * a_corr * shrink ** (n_x - 1) * infl ** (n_x - 1)
-        )
-        if n_x > 1:
-            c_corr = consts.c_s[s] + (consts.c_tilde[s] - consts.c_s[s]) / M
-            total += (
-                n_x
-                * (n_x - 1)
-                * bs ** (n_x - 2)
-                * c_corr**2
-                * shrink ** (n_x - 2)
-                * infl ** (n_x - 2)
-            )
-    return float(total)
+    shrink = 1.0 - 1.0 / M
+    with np.errstate(all="ignore"):
+        for s in range(t):
+            bs, bt = consts.b_s[s], consts.b_tilde[s]
+            infl = 1.0 + bt / (bs * (M - 1))
+            a_corr = consts.a_s[s] + (consts.a_tilde[s] - consts.a_s[s]) / M
+            p = n_x - 1
+            total += n_x * bs**p * a_corr * shrink**p * infl**p
+            if n_x > 1:
+                c_corr = consts.c_s[s] + (consts.c_tilde[s] - consts.c_s[s]) / M
+                p = n_x - 2
+                total += n_x * (n_x - 1) * bs**p * c_corr**2 * shrink**p * infl**p
+    return float(_finite(total, "sigma_nsmc"))
 
 
 def variance_curve(

@@ -158,6 +158,14 @@ def _check_reals(positive=(), **fields) -> None:
             raise InvalidInputError(f"{name} must be positive, got {value}")
 
 
+def _check_a_coef(a_coef) -> None:
+    """Raise :class:`InvalidInputError` unless ``a_coef`` squared is
+    finite: the Kalman recursions and the variance constants square it."""
+    a_coef = float(a_coef)
+    if not np.isfinite(a_coef * a_coef):
+        raise InvalidInputError(f"a_coef must have a finite square, got {a_coef}")
+
+
 def _check_count(value, name: str) -> int:
     """``value`` as an ``int``; anything but a Python or NumPy integer >= 1,
     a bool included, raises :class:`InvalidInputError` naming ``name``."""
@@ -322,9 +330,7 @@ class StssmSpec(ModelBundle):
     def __post_init__(self):
         object.__setattr__(self, "n_x", _check_count(self.n_x, "n_x"))
         _check_reals(("obs_var",), a_coef=self.a_coef, obs_var=self.obs_var)
-        a_coef = float(self.a_coef)
-        if not np.isfinite(a_coef * a_coef):
-            raise InvalidInputError(f"a_coef must have a finite square, got {a_coef}")
+        _check_a_coef(self.a_coef)
         prec = chain_precision(self.tau, self.lam, self.n_x)
         object.__setattr__(self, "noise_precision", prec)
 
@@ -370,9 +376,10 @@ class IndependentSsmSpec(ModelBundle):
     ``x_1 ~ N(init_mean, init_var)``, ``x_t ~ N(a_coef * x_{t-1}, trans_var)``
     and ``y ~ N(x, obs_var)``.  By convention the observation is replicated
     across coordinates: ``y_{t,d}`` is identical for every ``d``.  A
-    parameter out of its domain, or an ``n_x`` that is not a positive
-    integer, raises :class:`InvalidInputError` naming the field.  A
-    config block may omit ``a_coef`` but must give ``obs_var``.
+    parameter out of its domain, an ``a_coef`` whose square overflows,
+    or an ``n_x`` that is not a positive integer, raises
+    :class:`InvalidInputError` naming the field.  A config block may
+    omit ``a_coef`` but must give ``obs_var``.
     """
 
     kind = "independent"
@@ -389,6 +396,7 @@ class IndependentSsmSpec(ModelBundle):
         object.__setattr__(self, "n_x", _check_count(self.n_x, "n_x"))
         reals = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "n_x"}
         _check_reals(("init_var", "trans_var", "obs_var"), **reals)
+        _check_a_coef(self.a_coef)
 
     def to_stssm(self) -> StssmSpec:
         """Map to an equivalent ``StssmSpec`` (diagonal noise, lambda = 0).

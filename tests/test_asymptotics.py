@@ -1,13 +1,15 @@
 """Tests for the variance constants and the N-versus-M trade-off formulas."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from nsmc import asymptotics
+from nsmc import InvalidInputError
 from nsmc.asymptotics import (
     VarianceConstants,
-    _ratio_moments,
+    _ratio_constants,
     compute_constants,
     scalar_posterior_joint,
     sigma_fa,
@@ -38,6 +40,22 @@ class TestPosteriorJoint:
         np.testing.assert_allclose(mean[-1], m, rtol=1e-12)
         np.testing.assert_allclose(cov[-1, -1], v, rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "a_coef, init_mean, h", [(0.5, 0.0, 1), (0.9, 1.5, 4), (-1.2, -0.7, 6), (3.0, 0.4, 8)]
+    )
+    def test_matches_dense_information_form(self, a_coef, init_mean, h):
+        from oracles import dense_scalar_posterior
+
+        spec = IndependentSsmSpec(
+            n_x=1, a_coef=a_coef, init_mean=init_mean, init_var=2.0, trans_var=0.5, obs_var=0.3
+        )
+        ys = np.sin(np.arange(1.0, h + 1.0))
+        mean, cov = scalar_posterior_joint(spec, ys)
+        ref_mean, ref_cov = dense_scalar_posterior(spec, ys)
+        np.testing.assert_allclose(mean, ref_mean, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(cov, ref_cov, rtol=1e-12, atol=1e-14)
+        np.testing.assert_array_equal(cov, cov.T)
+
 
 class TestConstants:
     def test_boundary_values_exact(self):
@@ -51,25 +69,50 @@ class TestConstants:
         np.testing.assert_allclose(consts.c_s, 0.0, atol=1e-14)
         np.testing.assert_allclose(consts.c_tilde, 0.0, atol=1e-14)
 
-    def test_closed_form_matches_gauss_hermite(self, monkeypatch):
-        from oracles import ratio_integral_gh
+    def test_closed_form_matches_gauss_hermite(self):
+        # Each constant against the k-dimensional integral over the whole
+        # prefix x_{1:k}: the one-dimensional reduction must be exact.
+        from oracles import dense_predictive_joint, dense_scalar_posterior, ratio_integral_gh
 
+        spec = IndependentSsmSpec(
+            n_x=2, a_coef=-0.8, init_mean=0.6, init_var=1.5, trans_var=0.7, obs_var=0.9
+        )
+        t = 3
         ys = np.array([0.5, -0.2, 0.9])
-        cf = compute_constants(SPEC, 3, ys=ys)
+        cf = compute_constants(spec, t, ys=ys)
+        mean_t, cov_t = dense_scalar_posterior(spec, ys)
 
-        def gh_constants(mean_n, cov_n, mean_d, cov_d, alpha, beta, name):
-            return tuple(
-                ratio_integral_gh(mean_n, cov_n, mean_d, cov_d, alpha, beta, k, name)
-                for k in (2, 0, 1)
-            )
+        def gh(k, den, name):
+            beta = cov_t[t - 1, k - 1] / cov_t[k - 1, k - 1]
+            alpha = mean_t[t - 1] - beta * mean_t[k - 1]
+            num = (mean_t[:k], cov_t[:k, :k])
+            return [ratio_integral_gh(*num, *den, alpha, beta, j, name) for j in (2, 0, 1)]
 
-        monkeypatch.setattr(asymptotics, "_ratio_constants", gh_constants)
-        gh = compute_constants(SPEC, 3, ys=ys)
-        for name in ("a_s", "a_tilde", "b_s", "b_tilde", "c_s", "c_tilde"):
+        for s in range(t):
+            tilde = gh(s + 1, dense_predictive_joint(spec, ys[:s]), f"A/B/C~_{s}")
             np.testing.assert_allclose(
-                getattr(cf, name), getattr(gh, name), rtol=1e-6, atol=1e-12
+                [cf.a_tilde[s], cf.b_tilde[s], cf.c_tilde[s]], tilde, rtol=1e-6, atol=1e-12
             )
-        np.testing.assert_allclose(cf.a_t, gh.a_t, rtol=1e-9)
+            if s > 0:
+                plain = gh(s, dense_scalar_posterior(spec, ys[:s]), f"A/B/C_{s}")
+                np.testing.assert_allclose(
+                    [cf.a_s[s], cf.b_s[s], cf.c_s[s]], plain, rtol=1e-6, atol=1e-12
+                )
+        np.testing.assert_allclose(cf.a_t, mean_t[-1] ** 2 + cov_t[-1, -1], rtol=1e-12)
+
+    @pytest.mark.parametrize("a_coef", [1e3, 1e5, 1e6])
+    def test_explosive_model_matches_one_dimensional_reference(self, a_coef):
+        # At large a_coef the k-dimensional ratio Gaussians are badly
+        # conditioned (b~ spans 7e5 to 5e11 at 1e6); the scalar route must
+        # keep its digits.
+        from oracles import scalar_variance_constants
+
+        spec = IndependentSsmSpec(n_x=2, a_coef=a_coef)
+        ys = np.linspace(-0.5, 0.5, 4)
+        consts = compute_constants(spec, 4, ys=ys)
+        ref = scalar_variance_constants(spec, ys)
+        for name, value in ref.items():
+            np.testing.assert_allclose(getattr(consts, name), value, rtol=1e-9, err_msg=name)
 
     def test_monte_carlo_cross_check(self):
         # Importance sampling from the filtering joint (extended by the
@@ -145,14 +188,48 @@ class TestConstants:
                 assert abs(value.mean() - truth) < 3 * se
 
     def test_divergent_ratio_raises_named_error(self):
-        wide = np.array([[4.0]])
-        narrow = np.array([[1.0]])
+        # N(0, 4)^2 / N(0, 1) has precision 2/4 - 1/1 < 0.
         with pytest.raises(np.linalg.LinAlgError, match="A_test"):
-            _ratio_moments(np.zeros(1), wide, np.zeros(1), narrow, "A_test")
+            _ratio_constants(0.0, 4.0, 0.0, 1.0, 0.0, 1.0, "A_test")
+        with pytest.raises(InvalidInputError, match="A_test"):
+            _ratio_constants(0.0, 4.0, 0.0, 1.0, 0.0, 1.0, "A_test")
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 6, 10])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    def test_explosive_grid_is_finite_or_named(self, sign, t):
+        # Every spec the constructor accepts, up to |a_coef| = 1e154, gives
+        # finite constants and curve rows or InvalidInputError, and never a
+        # raw numpy error or a RuntimeWarning.
+        ys = np.linspace(-0.5, 0.5, t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for exponent in range(0, 155, 2):
+                spec = IndependentSsmSpec(n_x=3, a_coef=sign * 10.0**exponent)
+                try:
+                    consts = compute_constants(spec, t, ys=ys)
+                    rows = variance_curve(spec, t, 3, [2, 10], ys=ys)
+                except InvalidInputError:
+                    assert exponent > 2, exponent
+                    continue
+                for name in ("a_s", "a_tilde", "b_s", "b_tilde", "c_s", "c_tilde"):
+                    assert np.all(np.isfinite(getattr(consts, name))), (exponent, name)
+                assert np.isfinite(consts.a_t) and np.all(np.isfinite(rows)), exponent
+
+    def test_variance_overflow_is_named(self):
+        # b_s = 1.0019 raised to the power n_x - 1 = 10**6 - 1 overflows.
+        consts = compute_constants(SPEC, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="^sigma_fa is not finite"):
+                sigma_fa(consts, 10**6, 3)
+            with pytest.raises(InvalidInputError, match="^sigma_nsmc is not finite"):
+                sigma_nsmc(consts, 10**6, 3, 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             compute_constants(SPEC, 0)
+        with pytest.raises(InvalidInputError, match="ys must be finite"):
+            compute_constants(SPEC, 2, ys=[np.nan, 0.0])
         names = ("a_s", "a_tilde", "b_s", "b_tilde", "c_s", "c_tilde")
         fields = {name: np.ones(1) for name in names}
         with pytest.raises(ValueError, match="all b_s must be positive"):

@@ -476,10 +476,12 @@ class TestAsymptoticsCommand:
             ({"ys": [True, False]}, r"asymptotics.ys\[0\]: expected a number"),
             ({"ys": [0.5, "1"]}, r"asymptotics.ys\[1\]: expected a number"),
             ({"ys": 0.5}, "asymptotics.ys: expected a list"),
+            ({"a_coef": 1e200}, "asymptotics: a_coef must have a finite square"),
         ],
         ids=["t-text", "t-fraction", "n_x-text", "n_x-fraction", "m_grid-entry",
              "m_grid-not-list", "m_grid-below-two", "ys-text", "t-below-one", "ys-length",
-             "a_coef-boolean", "ys-boolean", "ys-numeric-string", "ys-not-list"],
+             "a_coef-boolean", "ys-boolean", "ys-numeric-string", "ys-not-list",
+             "a_coef-square-overflows"],
     )
     def test_mistyped_field_exits_2(self, tmp_path, capsys, fields, pattern):
         path = _write(tmp_path, _asymptotics_config(tmp_path, **fields))

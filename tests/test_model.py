@@ -296,6 +296,18 @@ BAD_MODEL_INPUTS = [
         InvalidInputError,
         "^a_coef must have a finite square",
     ),
+    (
+        "indep-a_coef-square-overflows",
+        lambda: IndependentSsmSpec(n_x=2, a_coef=1e200),
+        InvalidInputError,
+        "^a_coef must have a finite square",
+    ),
+    (
+        "indep-negative-a_coef-square-overflows",
+        lambda: IndependentSsmSpec(n_x=2, a_coef=-1e200),
+        InvalidInputError,
+        "^a_coef must have a finite square",
+    ),
     ("indep-init_var", lambda: _independent(init_var=0.0), ValueError, "init_var"),
     ("indep-trans_var", lambda: _independent(trans_var=-1.0), ValueError, "trans_var"),
     ("indep-obs_var", lambda: _independent(obs_var=0.0), ValueError, "obs_var"),
@@ -360,6 +372,13 @@ def test_stssm_accepts_an_a_coef_whose_square_is_finite(a_coef):
     # The Kalman recursion squares a_coef; 1e154 squared is 1e308.
     spec = StssmSpec(n_x=3, tau=1.0, lam=1.0, obs_var=0.25, a_coef=a_coef)
     assert StssmSpec.from_dict(spec.to_dict()).a_coef == a_coef
+
+
+@pytest.mark.parametrize("a_coef", [1e154, -1e154])
+def test_independent_accepts_an_a_coef_whose_square_is_finite(a_coef):
+    # The variance constants square a_coef in their Kalman recursion.
+    spec = IndependentSsmSpec(n_x=2, a_coef=a_coef)
+    assert IndependentSsmSpec.from_dict(spec.to_dict()).a_coef == a_coef
 
 
 @pytest.mark.parametrize("spec", [_stssm(), _independent()], ids=["stssm", "independent"])

@@ -11,14 +11,16 @@ temporary directory and checks what each command leaves behind:
   Self-nested runs at M = 20, the benchmark's candidate width, and at
   its smallest M = 1;
 * ``simulate`` writes the smoke config's dataset and ``asymptotics`` a
-  variance curve;
+  variance curve, also for an explosive model (``a_coef`` = 1e6), whose
+  curve holds only finite values;
 * a chain config rerun from its own ``config.echo.json`` writes the same
   ``results.csv`` byte for byte;
-* four bad configs exit 2 and leave no output directory: a tau that
+* five bad configs exit 2 and leave no output directory: a tau that
   overflows to inf (written as the JSON text ``1e400``, which takes
   another parser path than ``json.dumps(inf)``), a method key its kind
-  does not read, a data path that is not a string, and ``simulate`` on a
-  config whose data block names only a dataset path;
+  does not read, a data path that is not a string, ``simulate`` on a
+  config whose data block names only a dataset path, and ``asymptotics``
+  on an ``a_coef`` whose square overflows;
 * the library refuses five bad calls with ``nsmc.InvalidInputError``.
 
 Usage, from any directory::
@@ -111,6 +113,9 @@ REFUSED = [
     ("simulate", "simulate-path-only", json.dumps(_config(
         "simulate-path-only", CHAIN, [BPF], {"path": "run-smoke-data/dataset.csv"}
     ))),
+    ("asymptotics", "asymptotics-a_coef-overflows", json.dumps(
+        {"asymptotics": {"t": 2, "a_coef": 1e200, "obs_var": 1.0, "m_grid": [2, 4]}}
+    )),
 ]
 
 
@@ -165,6 +170,18 @@ def smoke() -> None:
     asym = {"asymptotics": {"t": 2, "a_coef": 0.5, "obs_var": 1.0, "m_grid": [2, 4]}}
     status = main(["asymptotics", "--config", _write("asymptotics", asym), "--out", "asymptotics"])
     _check(status == 0 and _written("asymptotics/variance_curve.csv"), "asymptotics")
+    explosive = {"asymptotics": {
+        "t": 4, "a_coef": 1e6, "obs_var": 1.0, "m_grid": [2, 10], "ys": [-0.5, -0.2, 0.2, 0.5]
+    }}
+    out = "asymptotics-explosive"
+    status = main(["asymptotics", "--config", _write(out, explosive), "--out", out])
+    rows = np.empty((0, 3))
+    if status == 0:
+        rows = np.loadtxt(f"{out}/variance_curve.csv", delimiter=",", skiprows=1, ndmin=2)
+    _check(
+        status == 0 and rows.shape == (2, 3) and np.all(np.isfinite(rows)),
+        "asymptotics on an explosive model writes finite values",
+    )
 
     first = main(["run", "--config", _write("run-echo", ECHO), "--out", "run-echo"])
     again = main(["run", "--config", "run-echo/config.echo.json", "--out", "run-echo-again"])
