@@ -65,7 +65,6 @@ from .nested import (
     nsmc_step,
     proper_weighting_check,
 )
-from .diagnostics import ReplicateSummary, aggregate, squared_error, unbiasedness_test
 from .asymptotics import (
     VarianceConstants,
     compute_constants,

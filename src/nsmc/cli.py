@@ -48,7 +48,6 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import variance_curve
-from .diagnostics import aggregate, squared_error, write_summary_csv
 from .exact import fapf_run, kalman_run
 from .exceptions import InvalidInputError, NsmcError
 from .model import (
@@ -353,8 +352,8 @@ def _run_replicate(args) -> list[tuple]:
     return rows
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> int:
-    """Run all methods over all replicates; returns the exit status."""
+def _dataset(config: ExperimentConfig) -> Dataset:
+    """The dataset at ``data.path``, else the draw at ``data.seed``."""
     if config.data_path is not None:
         try:
             data, _ = load_dataset(config.data_path)
@@ -362,9 +361,16 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> int:
             raise ConfigError(f"data.path: {err}") from None
         if data.T != config.T or data.n_x != config.model.n_x:
             raise ConfigError("data.path: dataset does not match the model block")
-    else:
-        data = simulate(config.model, config.T, seed=config.data_seed)
+        return data
+    try:
+        return simulate(config.model, config.T, seed=config.data_seed)
+    except InvalidInputError as err:
+        raise ConfigError(f"model: {err}") from None
 
+
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> int:
+    """Run all methods over all replicates; returns the exit status."""
+    data = _dataset(config)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "config.echo.json", "w") as fh:
@@ -391,42 +397,50 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> int:
 
 
 def _write_summaries(config, data, rows, out_dir):
-    """Aggregate per-method statistics; squared errors use the exact
-    filter as ground truth when it applies."""
+    """Write the median, q25, q75, mean and stderr across replicates of
+    each method's logZ and, against the exact filter where it applies, of
+    its squared errors.  Quantiles interpolate linearly between closest
+    ranks (type 7, recorded in the ``_meta`` row)."""
     try:
-        truth = kalman_run(config.model.to_stssm(), data)
+        kalman = kalman_run(config.model.to_stssm(), data)
+        means = kalman.filter_means[-1]
+        truth = {"logZ": kalman.logZ, "x_T_1": means[0], "x_T_n": means[-1]}
     except ValueError:
         # No equivalent chain model, or data the filters reject (the
         # replicates then carry ``failed`` rows).
-        truth = None
+        truth = {}
 
-    by_method: dict[str, dict[str, list]] = {}
-    for rep, method, stat, t, comp, value in rows:
-        if stat == "failed":
+    # (method, quantity) -> its values across replicates, in replicate order.
+    found: dict[tuple[str, str], list[float]] = {}
+    for _, method, stat, t, comp, value in rows:
+        if stat == "mean" and t == data.T and comp in (1, data.n_x):
+            stat = "x_T_1" if comp == 1 else "x_T_n"
+        elif stat != "logZ":
             continue
-        rec = by_method.setdefault(method, {"logZ": [], "x1": [], "xn": []})
-        if stat == "logZ":
-            rec["logZ"].append(float(value))
-        elif stat == "mean" and t == data.T:
-            if comp == 1:
-                rec["x1"].append(float(value))
-            if comp == data.n_x:
-                rec["xn"].append(float(value))
+        found.setdefault((method, stat), []).append(float(value))
 
-    summaries = {}
-    for method, rec in sorted(by_method.items()):
-        if rec["logZ"]:
-            summaries[f"{method}:logZ"] = aggregate(np.array(rec["logZ"]))
-        if truth is not None and rec["logZ"]:
-            se = squared_error(np.array(rec["logZ"]), truth.logZ)
-            summaries[f"{method}:se_logZ"] = aggregate(se)
-        if truth is not None and rec["x1"]:
-            se = squared_error(np.array(rec["x1"]), truth.filter_means[-1, 0])
-            summaries[f"{method}:se_x_T_1"] = aggregate(se)
-        if truth is not None and rec["xn"] and data.n_x > 1:
-            se = squared_error(np.array(rec["xn"]), truth.filter_means[-1, -1])
-            summaries[f"{method}:se_x_T_n"] = aggregate(se)
-    write_summary_csv(summaries, config.name, out_dir / "summary.csv")
+    estimators = {}
+    for (method, stat), values in found.items():
+        if stat == "logZ":
+            estimators[f"{method}:logZ"] = np.array(values)
+        if truth:
+            estimators[f"{method}:se_{stat}"] = (np.array(values) - truth[stat]) ** 2
+
+    with open(out_dir / "summary.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["experiment", "estimator", "stat", "value"])
+        writer.writerow([config.name, "_meta", "quantile_convention", "type-7"])
+        for name in sorted(estimators):
+            v = estimators[name]
+            stats = {
+                "median": np.quantile(v, 0.5),
+                "q25": np.quantile(v, 0.25),
+                "q75": np.quantile(v, 0.75),
+                "mean": v.mean(),
+                "stderr": v.std(ddof=1) / np.sqrt(v.size) if v.size > 1 else 0.0,
+            }
+            for stat, value in stats.items():
+                writer.writerow([config.name, name, stat, repr(float(value))])
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +451,8 @@ def _write_summaries(config, data, rows, out_dir):
 def _cmd_simulate(config: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
     if config.data_path is not None:
         raise ConfigError("data.path: simulate draws from data.seed and reads no dataset")
+    data = _dataset(config)
     out_dir.mkdir(parents=True, exist_ok=True)
-    data = simulate(config.model, config.T, seed=config.data_seed)
     path = out_dir / "dataset.csv"
     save_dataset(data, config.model, path)
     if verbose:

@@ -45,7 +45,7 @@ class InvalidInputError(NsmcError, ValueError):
     """Input that no filter can run on, named in the message: observations
     of the wrong dimension or with non-finite values, or a bad argument,
     such as a count (``N``, ``M``, ``m``, ``n_x``, ``T``) that is not a
-    Python or NumPy integer >= 1, or an ``rng`` that is not a Generator."""
+    Python or NumPy integer in 1..intp max, or an ``rng`` that is not a Generator."""
 
 
 class NotPositiveDefiniteError(InvalidInputError, np.linalg.LinAlgError):

@@ -167,9 +167,11 @@ def _check_a_coef(a_coef) -> None:
 
 
 def _check_count(value, name: str) -> int:
-    """``value`` as an ``int``; anything but a Python or NumPy integer >= 1,
-    a bool included, raises :class:`InvalidInputError` naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+    """``value`` as an ``int``; anything but a Python or NumPy integer from
+    1 to the largest array index (``np.intp``), a bool included, raises
+    :class:`InvalidInputError` naming ``name``."""
+    ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (ok and 1 <= int(value) <= np.iinfo(np.intp).max):
         raise InvalidInputError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
 
@@ -501,16 +503,23 @@ def simulate(model: ModelBundle, T: int, seed: int) -> Dataset:
     """Draw latent and observed trajectories from the generative model.
 
     A pure function of ``(model, T, seed)``: identical inputs give
-    bit-identical output.  A bad ``T`` raises :class:`InvalidInputError`.
+    bit-identical output.  A bad ``T`` raises :class:`InvalidInputError`,
+    and so does a draw that overflows, naming its step and ``a_coef``.
     """
     T = _check_count(T, "T")
     model = make_model(model)
     rng = np.random.default_rng(seed)
     x = np.empty((T, model.n_x))
     x_prev = np.zeros(model.n_x)
-    for t in range(T):
-        x_prev = x[t] = model.sample_transition(x_prev, rng, t + 1)
-    y = model.sample_obs(x, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T):
+            x_prev = x[t] = model.sample_transition(x_prev, rng, t + 1)
+        y = model.sample_obs(x, rng)
+    bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1))
+    if bad.any():
+        raise InvalidInputError(
+            f"the draw overflows at step t={bad.argmax() + 1} (a_coef = {model.a_coef})"
+        )
     return Dataset(T=T, observations=y, latent_truth=x, seed=seed)
 
 

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsmc.asymptotics import compute_constants, sigma_fa, sigma_nsmc, variance_curve
@@ -52,7 +52,8 @@ def _rng():
 
 
 #: Anything the count rule refuses: bools, every float, strings, None,
-#: and integers below 1, Python and NumPy.
+#: and integers below 1, Python and NumPy.  The test adds two integers
+#: past ``np.intp``: 2**63, and 10**400, which no float holds.
 bad_counts = st.one_of(
     st.booleans(),
     st.floats(allow_nan=True, allow_infinity=True),
@@ -129,6 +130,8 @@ def _assert_refused_by_name(call, value, name):
 @pytest.mark.parametrize("name, call", COUNT_CASES.values(), ids=list(COUNT_CASES))
 @BOUNDARY
 @given(value=bad_counts)
+@example(value=2**63)
+@example(value=10**400)
 def test_every_count_argument_is_refused_by_name(name, call, value):
     _assert_refused_by_name(call, value, name)
 

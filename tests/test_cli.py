@@ -1,5 +1,6 @@
 """End-to-end tests of the experiment harness and its file outputs."""
 
+import csv
 import json
 import os
 import re
@@ -232,6 +233,15 @@ class TestConfigValidation:
         assert "model: a_coef must have a finite square" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    @pytest.mark.parametrize("command", ["simulate", "run"])
+    def test_overflowing_draw_exits_2_before_output(self, tmp_path, capsys, command):
+        # simulate once wrote inf rows into dataset.csv.
+        model = {"kind": "independent", "n_x": 2, "T": 12, "a_coef": 1e30, "obs_var": 1.0}
+        cfg = _base_config(tmp_path, model=model, methods=[{"name": "b", "kind": "bpf", "N": 5}])
+        assert main([command, "--config", str(_write(tmp_path, cfg))]) == 2
+        assert "error: model: the draw overflows at step t=12" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_simulate_refuses_a_dataset_path_before_output(self, tmp_path, capsys):
         # simulate once ignored the path and wrote a seed-0 dataset.
         cfg = _base_config(tmp_path, data={"path": str(tmp_path / "dataset.csv")})
@@ -444,6 +454,78 @@ class TestRunExperiment:
         assert np.any(out.ess_trace > 10)
 
 
+class TestSummary:
+    """``summary.csv`` checked against the ``results.csv`` next to it."""
+
+    METHODS = ("fapf", "kalman", "nsmc")
+    STATS = ["median", "q25", "q75", "mean", "stderr"]
+
+    @pytest.fixture(params=[1, 5], ids=["one-replicate", "five-replicates"])
+    def run(self, request, tmp_path):
+        """(values by (method, quantity), summary rows) of one run; the
+        quantities are logZ and the filter means at T of components 1, n."""
+        assert run_experiment(parse_config(_base_config(tmp_path, replicates=request.param))) == 0
+        values = {}
+        with open(tmp_path / "out" / "results.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                if row["stat"] == "mean" and row["t"] == "3":
+                    key = (row["method"], f"x_T_{'1' if row['component'] == '1' else 'n'}")
+                elif row["stat"] == "logZ":
+                    key = (row["method"], "logZ")
+                else:
+                    continue
+                values.setdefault(key, []).append(float(row["value"]))
+        with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        return {k: np.array(v) for k, v in values.items()}, rows
+
+    @staticmethod
+    def _stats(rows, estimator):
+        return {stat: float(value) for _, name, stat, value in rows if name == estimator}
+
+    def test_header_meta_row_and_sorted_estimators(self, run):
+        _, rows = run
+        assert rows[0] == ["experiment", "estimator", "stat", "value"]
+        assert rows[1] == ["unit", "_meta", "quantile_convention", "type-7"]
+        names = sorted(
+            f"{m}:{q}" for m in self.METHODS for q in ("logZ", "se_logZ", "se_x_T_1", "se_x_T_n")
+        )
+        assert [row[:3] for row in rows[2:]] == [
+            ["unit", name, stat] for name in names for stat in self.STATS
+        ]
+
+    def test_quantiles_are_type_7(self, run):
+        values, rows = run
+        for method in self.METHODS:
+            logz = values[method, "logZ"]
+            stats = self._stats(rows, f"{method}:logZ")
+            for stat, q in (("median", 0.5), ("q25", 0.25), ("q75", 0.75)):
+                assert stats[stat] == np.quantile(logz, q, method="linear")
+
+    def test_mean_and_stderr(self, run):
+        values, rows = run
+        for method in self.METHODS:
+            logz = values[method, "logZ"]
+            stats = self._stats(rows, f"{method}:logZ")
+            assert stats["mean"] == logz.mean()
+            if logz.size == 1:
+                assert stats["stderr"] == 0.0
+            else:
+                assert stats["stderr"] == logz.std(ddof=1) / np.sqrt(logz.size)
+
+    def test_squared_errors_are_against_kalman(self, run):
+        values, rows = run
+        for quantity in ("logZ", "x_T_1", "x_T_n"):
+            exact = values["kalman", quantity][0]
+            for method in self.METHODS:
+                se = (values[method, quantity] - exact) ** 2
+                stats = self._stats(rows, f"{method}:se_{quantity}")
+                assert stats["median"] == np.quantile(se, 0.5)
+                assert stats["mean"] == se.mean()
+                if method == "kalman":
+                    assert stats["q75"] == stats["stderr"] == 0.0
+
+
 def _asymptotics_config(tmp_path, **fields):
     block = {"a_coef": 0.5, "obs_var": 1.0, "t": 2, "n_x": 2, "m_grid": [2, 5]}
     return {"asymptotics": {**block, **fields}, "output_dir": str(tmp_path / "asym")}
@@ -477,11 +559,12 @@ class TestAsymptoticsCommand:
             ({"ys": [0.5, "1"]}, r"asymptotics.ys\[1\]: expected a number"),
             ({"ys": 0.5}, "asymptotics.ys: expected a list"),
             ({"a_coef": 1e200}, "asymptotics: a_coef must have a finite square"),
+            ({"m_grid": [2, 10**400]}, "asymptotics: M must be a positive integer"),
         ],
         ids=["t-text", "t-fraction", "n_x-text", "n_x-fraction", "m_grid-entry",
              "m_grid-not-list", "m_grid-below-two", "ys-text", "t-below-one", "ys-length",
              "a_coef-boolean", "ys-boolean", "ys-numeric-string", "ys-not-list",
-             "a_coef-square-overflows"],
+             "a_coef-square-overflows", "m_grid-entry-past-intp"],
     )
     def test_mistyped_field_exits_2(self, tmp_path, capsys, fields, pattern):
         path = _write(tmp_path, _asymptotics_config(tmp_path, **fields))

@@ -155,6 +155,22 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(spec, 0, seed=1)
 
+    @pytest.mark.parametrize("a_coef, T", [(1e30, 12), (1e154, 4)])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda a: IndependentSsmSpec(n_x=2, a_coef=a),
+            lambda a: StssmSpec(n_x=2, tau=1.0, lam=1.0, obs_var=0.25, a_coef=a),
+        ],
+        ids=["independent", "stssm"],
+    )
+    def test_overflowing_draw_is_refused_by_step(self, build, a_coef, T):
+        # Such a draw once returned inf observations with a RuntimeWarning.
+        spec = build(a_coef)
+        assert np.all(np.isfinite(simulate(spec, T - 1, seed=1).observations))
+        with pytest.raises(InvalidInputError, match=rf"at step t={T} \(a_coef = "):
+            simulate(spec, T, seed=1)
+
 
 class TestDatasetIo:
     def test_roundtrip_stssm(self, tmp_path):

@@ -15,12 +15,14 @@ temporary directory and checks what each command leaves behind:
   curve holds only finite values;
 * a chain config rerun from its own ``config.echo.json`` writes the same
   ``results.csv`` byte for byte;
-* five bad configs exit 2 and leave no output directory: a tau that
+* seven bad configs exit 2 and leave no output directory: a tau that
   overflows to inf (written as the JSON text ``1e400``, which takes
   another parser path than ``json.dumps(inf)``), a method key its kind
   does not read, a data path that is not a string, ``simulate`` on a
-  config whose data block names only a dataset path, and ``asymptotics``
-  on an ``a_coef`` whose square overflows;
+  config whose data block names only a dataset path, ``simulate`` on an
+  independent model whose draw overflows (``a_coef`` = 1e30, T = 12),
+  and ``asymptotics`` on an ``a_coef`` whose square overflows and on an
+  ``m_grid`` entry of 400 digits, which no float holds;
 * the library refuses five bad calls with ``nsmc.InvalidInputError``.
 
 Usage, from any directory::
@@ -113,8 +115,16 @@ REFUSED = [
     ("simulate", "simulate-path-only", json.dumps(_config(
         "simulate-path-only", CHAIN, [BPF], {"path": "run-smoke-data/dataset.csv"}
     ))),
+    ("simulate", "simulate-draw-overflows", json.dumps(_config(
+        "simulate-draw-overflows",
+        {"kind": "independent", "n_x": 2, "T": 12, "a_coef": 1e30, "obs_var": 1.0},
+        [BPF],
+    ))),
     ("asymptotics", "asymptotics-a_coef-overflows", json.dumps(
         {"asymptotics": {"t": 2, "a_coef": 1e200, "obs_var": 1.0, "m_grid": [2, 4]}}
+    )),
+    ("asymptotics", "asymptotics-m_grid-400-digits", json.dumps(
+        {"asymptotics": {"t": 2, "a_coef": 0.5, "obs_var": 1.0, "m_grid": [2, 10**400]}}
     )),
 ]
 
